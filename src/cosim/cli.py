@@ -100,12 +100,16 @@ def _resolver(system: SystemDescription):
 
 def _execute(system: SystemDescription, out_dir: Path) -> int:
     resolver = _resolver(system)
+    csv = CsvObserver(out_dir)
     try:
-        run = initialize_run(system, resolver, observers=[CsvObserver(out_dir)])
+        run = initialize_run(system, resolver, observers=[csv])
         result = run_to_end(run)
     finally:
         if isinstance(resolver, NetworkResolver):
             resolver.close()
+    if csv not in run.observers:
+        # The master drops an observer that raised; the CSVs are incomplete.
+        raise CosimError(f"writing output in {out_dir} failed")
     return result.steps
 
 

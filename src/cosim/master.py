@@ -102,13 +102,11 @@ class StepRecord:
 
 @dataclass
 class SimulationResult:
-    records: list[StepRecord]
+    """Summary of a finished run; step records go only to observers."""
+
+    steps: int
     t_start: float
     t_end: float
-
-    @property
-    def steps(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,15 @@ class SimulationRun:
                 self.forced_fixed = True
 
         self._bindings = _bind_bonds(system, slaves)
-        self._input_order = _input_order(system, slaves)
-        self._output_ports = _output_ports(system, slaves)
+        # Per slave in system order: input and output names in descriptor
+        # order.  Fixed here, so the exchange never re-reads descriptors.
+        self._ports: dict[str, tuple[list[str], list[str]]] = {}
+        for spec in system.slaves:
+            desc = slaves[spec.name].descriptor()
+            self._ports[spec.name] = (
+                [v.name for v in desc.inputs()],
+                [v.name for v in desc.outputs()],
+            )
 
     @property
     def time(self) -> float:
@@ -206,7 +211,11 @@ class SimulationRun:
     def start_info(self) -> StartInfo:
         return StartInfo(
             system=self.system,
-            output_ports=tuple(self._output_ports),
+            output_ports=tuple(
+                PortRef(name, var)
+                for name, (_, outs) in self._ports.items()
+                for var in outs
+            ),
             bond_names=tuple(b.name for b in self._bindings),
             t_start=self.system.t_start,
             t_end=self.system.t_end,
@@ -244,41 +253,18 @@ class SimulationRun:
 
     def gather_outputs(self) -> dict[PortRef, float]:
         snapshot: dict[PortRef, float] = {}
-        for spec in self.system.slaves:
-            slave = self.slaves[spec.name]
-            names = [v.name for v in slave.descriptor().outputs()]
-            values = slave.get_outputs(names)
-            for name, value in zip(names, values):
-                snapshot[PortRef(spec.name, name)] = value
+        for name, (_, outs) in self._ports.items():
+            values = self.slaves[name].get_outputs(outs)
+            for var, value in zip(outs, values):
+                snapshot[PortRef(name, var)] = value
         return snapshot
 
     def push_inputs(self, assigned: dict[PortRef, float]) -> None:
-        for spec in self.system.slaves:
-            pairs = self._input_order.get(spec.name)
-            if not pairs:
-                continue
-            self.slaves[spec.name].set_inputs(
-                [(name, assigned[PortRef(spec.name, name)]) for name in pairs]
-            )
-
-
-def _input_order(system, slaves) -> dict[str, list[str]]:
-    """Input variable names per slave in descriptor order."""
-    order = {}
-    for spec in system.slaves:
-        desc = slaves[spec.name].descriptor()
-        names = [v.name for v in desc.inputs()]
-        if names:
-            order[spec.name] = names
-    return order
-
-
-def _output_ports(system, slaves) -> list[PortRef]:
-    ports = []
-    for spec in system.slaves:
-        for v in slaves[spec.name].descriptor().outputs():
-            ports.append(PortRef(spec.name, v.name))
-    return ports
+        for name, (ins, _) in self._ports.items():
+            if ins:
+                self.slaves[name].set_inputs(
+                    [(var, assigned[PortRef(name, var)]) for var in ins]
+                )
 
 
 def _si(var) -> float:
@@ -449,7 +435,7 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
         t=t,
         dt=dt,
         t_next=t_next,
-        inputs=dict(held),
+        inputs=held,
         outputs=snapshot,
         energy=energy,
     )
@@ -469,10 +455,14 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
 
 
 def run_to_end(run: SimulationRun) -> SimulationResult:
-    """Step until the clock lands exactly on t_end; terminate everything."""
+    """Step until the clock lands exactly on t_end; terminate everything.
+
+    Each step record goes to the observers and is not kept here: the
+    returned summary carries the step count and the span.  Attach a
+    ``MemoryObserver`` to keep the records.
+    """
     t_end = run.system.t_end
     t_start = run.system.t_start
-    records: list[StepRecord] = []
     run._notify("on_start", run.start_info())
     try:
         while True:
@@ -486,8 +476,8 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
                 dt = math.fsum([t_end, -t_start] + [-d for d in run.dts])
                 if dt <= 0.0:
                     break
-            records.append(step_once(run, dt))
+            step_once(run, dt)
         run._notify("on_end", "completed")
     finally:
         run.terminate()
-    return SimulationResult(records, t_start, t_end)
+    return SimulationResult(run.index, t_start, t_end)

@@ -6,14 +6,12 @@ failing observer is dropped by the master and the simulation continues.
 """
 from __future__ import annotations
 
-import logging
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, TextIO, runtime_checkable
 
 from .master import StartInfo, StepRecord
-
-log = logging.getLogger(__name__)
 
 
 @runtime_checkable
@@ -27,7 +25,11 @@ class Observer(Protocol):
 
 @dataclass
 class MemoryObserver:
-    """Keeps everything it sees; convenient for tests and scripting."""
+    """Keeps everything it sees; convenient for tests and scripting.
+
+    This is the one place step records are kept: ``run_to_end`` returns
+    only a summary, so a caller that wants the records attaches one.
+    """
 
     info: StartInfo | None = None
     records: list[StepRecord] = field(default_factory=list)
@@ -57,7 +59,9 @@ class CsvObserver:
     headers only.  Values are written as shortest round-trip decimals, so
     parsing a column back yields bit-identical floats.
 
-    IO errors disable this observer; they never propagate into the run.
+    An IO error closes both files and propagates to the master, which
+    drops this observer and carries on; the run's caller can tell by
+    the observer's absence from ``SimulationRun.observers``.
     """
 
     def __init__(self, out_dir: str | Path):
@@ -67,17 +71,19 @@ class CsvObserver:
         self._ports: tuple = ()
 
     def on_start(self, info: StartInfo) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self._ports = info.output_ports
         header = [f"{p.owner}.{p.var}" for p in self._ports]
-        self._signals = open(self.out_dir / "signals.csv", "w", newline="")
-        self._signals.write(",".join(["time"] + header) + "\n")
-        self._energy = open(self.out_dir / "energy.csv", "w", newline="")
-        self._energy.write("time,bond,P1,P2,dP,dE,cumulative_dE,epsilon\n")
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self._signals = open(self.out_dir / "signals.csv", "w", newline="")
+            self._signals.write(",".join(["time"] + header) + "\n")
+            self._energy = open(self.out_dir / "energy.csv", "w", newline="")
+            self._energy.write("time,bond,P1,P2,dP,dE,cumulative_dE,epsilon\n")
+        except OSError:
+            self._close()
+            raise
 
     def on_step(self, record: StepRecord) -> None:
-        if self._signals is None or self._energy is None:
-            return
         try:
             t = _fmt(record.t_next)
             row = [t] + [_fmt(record.outputs[p]) for p in self._ports]
@@ -88,18 +94,18 @@ class CsvObserver:
                          _fmt(b.de), _fmt(b.cumulative_de), eps)
                 self._energy.write(",".join(cells) + "\n")
         except OSError:
-            log.warning("csv observer write failed; disabling", exc_info=True)
             self._close()
+            raise
 
     def on_end(self, reason: str) -> None:
         self._close()
 
     def _close(self) -> None:
-        for f in (self._signals, self._energy):
-            if f is not None:
-                try:
-                    f.close()
-                except OSError:
-                    pass
+        # Closes both files even if one fails, then raises what failed.
+        files = (self._signals, self._energy)
         self._signals = None
         self._energy = None
+        with contextlib.ExitStack() as stack:
+            for f in files:
+                if f is not None:
+                    stack.callback(f.close)

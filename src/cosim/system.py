@@ -371,10 +371,6 @@ def validate_system(
                 add("unwired-input", "input is not wired", str(ref))
             elif n > 1:
                 add("input-wired-twice", f"input has {n} sources", str(ref))
-    for ref, n in wired.items():
-        if ref.owner not in slave_desc and ref.owner not in fu_desc and n > 0:
-            # Already reported as unknown-port above.
-            pass
 
     # Same-instant dependency graph over FUs and feedthrough outputs.
     cycle = find_algebraic_loop(system, slave_desc, fu_desc)

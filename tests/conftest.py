@@ -2,12 +2,20 @@
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from cosim.errors import StepRejected
-from cosim.master import LocalResolver, initialize_run, run_to_end
+from cosim.master import (
+    LocalResolver,
+    SimulationResult,
+    StepRecord,
+    initialize_run,
+    run_to_end,
+)
 from cosim.models import registry as standard_registry
+from cosim.observers import MemoryObserver
 from cosim.slave import ModelRegistry, ModelSlave
 from cosim.system import (
     BondSide,
@@ -142,11 +150,29 @@ def msd_pair_system(policy, t_end=20.0, h=1e-3) -> SystemDescription:
     )
 
 
+@dataclass(frozen=True)
+class RecordedRun:
+    """A finished run's summary plus the records a MemoryObserver kept."""
+
+    result: SimulationResult
+    records: list[StepRecord]
+
+    @property
+    def steps(self) -> int:
+        return self.result.steps
+
+
 def run_system(system, observers=None, registry=None, step_timeout=60.0):
+    """Run to the end with a MemoryObserver attached after `observers`."""
+    memory = MemoryObserver()
     resolver = LocalResolver(registry or standard_registry)
-    run = initialize_run(system, resolver, observers=observers,
+    run = initialize_run(system, resolver,
+                         observers=[*(observers or ()), memory],
                          step_timeout=step_timeout)
-    return run_to_end(run)
+    result = run_to_end(run)
+    assert memory.end_reason == "completed"
+    assert len(memory.records) == result.steps
+    return RecordedRun(result, memory.records)
 
 
 def single_slave(model_id, parameters=None, registry=None):

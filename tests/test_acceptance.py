@@ -21,12 +21,7 @@ from scipy.linalg import eig, solve
 
 from cosim.config import parse_config
 from cosim.errors import DimensionMismatch
-from cosim.master import (
-    LocalResolver,
-    RunAborted,
-    initialize_run,
-    run_to_end,
-)
+from cosim.master import RunAborted, initialize_run, run_to_end
 from cosim.models import registry
 from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.net.wire import (
@@ -61,6 +56,8 @@ from cosim.units import (
     convert_value,
     is_power_conjugate,
 )
+
+from conftest import run_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DESCRIPTORS = registry.descriptors()
@@ -140,11 +137,6 @@ def rms_position_error(result, reference=exact_states):
     return float(np.sqrt(np.mean(err ** 2)))
 
 
-def run_local(system, observers=None):
-    return run_to_end(initialize_run(system, LocalResolver(registry),
-                                     observers=observers or []))
-
-
 def load_config(name):
     return parse_config((CONFIG_DIR / name).read_text())
 
@@ -158,7 +150,7 @@ def test_01_monolithic_equivalence(capsys):
     with criterion(capsys, 1) as out:
         system = load_config("quarter_car.cfg")
         t0 = time.perf_counter()
-        result = run_local(system)
+        result = run_system(system)
         wall = time.perf_counter() - t0
 
         # One micro step of the classical explicit fourth-order scheme on
@@ -199,8 +191,8 @@ def test_02_error_convergence(capsys):
         dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         rmses, energies = [], []
         for dt in dts:
-            result = run_local(chassis_wheel_system(FixedStepPolicy(dt),
-                                                    h=1e-4))
+            result = run_system(chassis_wheel_system(FixedStepPolicy(dt),
+                                                     h=1e-4))
             rmses.append(rms_position_error(result))
             energies.append(
                 abs(result.records[-1].energy.bonds[0].cumulative_de))
@@ -219,8 +211,8 @@ def test_03_critical_step_and_indicator(capsys):
     """Bisect the divergence onset; the indicator warns well below it."""
     def run_at(dt):
         try:
-            return run_local(chassis_wheel_system(FixedStepPolicy(dt),
-                                                  h=1e-4))
+            return run_system(chassis_wheel_system(FixedStepPolicy(dt),
+                                                   h=1e-4))
         except RunAborted:
             return None
 
@@ -261,10 +253,10 @@ def test_04_adaptive_beats_fixed(capsys):
         policy = AdaptiveStepPolicy(dt0=3e-4, dt_min=5e-5, dt_max=5e-3,
                                     tolerance=0.05,
                                     theta_min=0.999, theta_max=1.001)
-        adaptive = run_local(chassis_wheel_system(policy, h=2e-5))
+        adaptive = run_system(chassis_wheel_system(policy, h=2e-5))
         n = adaptive.steps
-        fixed = run_local(chassis_wheel_system(FixedStepPolicy(T_END / n),
-                                               h=2e-5))
+        fixed = run_system(chassis_wheel_system(FixedStepPolicy(T_END / n),
+                                                h=2e-5))
         assert fixed.steps == n
 
         rms_a = rms_position_error(adaptive)
@@ -280,8 +272,8 @@ def test_04_adaptive_beats_fixed(capsys):
 def test_05_function_unit_zero_delay(capsys):
     """An FU sum adds no step delay; a summing slave lags one step."""
     with criterion(capsys, 5) as out:
-        res_fu = run_local(load_config("fu_sum.cfg"))
-        res_lag = run_local(load_config("sum_delay.cfg"))
+        res_fu = run_system(load_config("fu_sum.cfg"))
+        res_lag = run_system(load_config("sum_delay.cfg"))
 
         # Monolithic reference: the oscillator alone, fed the exact
         # summed forcing at each communication point.
@@ -364,7 +356,7 @@ def test_07_residual_power_identities(capsys):
         # step must report exactly zero residual power.
         plant = dataclasses.replace(load_config("power_plant.cfg"),
                                     t_end=10.0)
-        result = run_local(plant)
+        result = run_system(plant)
         tail = result.records[-100:]
         steady = all(b.dp == 0.0 and b.de == 0.0
                      for r in tail for b in r.energy.bonds)
@@ -383,8 +375,8 @@ def test_07_residual_power_identities(capsys):
                         positive_side="b" if b.positive_side == "a" else "a")
                     for b in system.bonds),
             )
-            res_a = run_local(system)
-            res_b = run_local(mirrored)
+            res_a = run_system(system)
+            res_b = run_system(mirrored)
             same = len(res_a.records) == len(res_b.records) and all(
                 ra.energy.epsilon == rb.energy.epsilon
                 and all(abs(ba.de) == abs(bb.de) and abs(ba.dp) == abs(bb.dp)
@@ -422,7 +414,7 @@ def test_08_distributed_determinism(capsys, provider_pair, tmp_path):
             local_dir.mkdir(parents=True)
             remote_dir.mkdir(parents=True)
 
-            run_local(system, observers=[CsvObserver(local_dir)])
+            run_system(system, observers=[CsvObserver(local_dir)])
 
             placed = dataclasses.replace(
                 system,

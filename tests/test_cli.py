@@ -113,6 +113,17 @@ class TestRun:
         assert code == 0
         assert "seed check passed" in capsys.readouterr().out
 
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "out"  # a directory under a regular file
+        code = invoke("run", str(CONFIG_DIR / "msd_pair.cfg"),
+                      "--out", str(out_dir))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(out_dir) in captured.err
+        assert "completed" not in captured.out
+
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),
                       "--out", str(tmp_path))

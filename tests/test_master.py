@@ -1,6 +1,7 @@
 """Master loop: scheduling, exact span accounting, determinism, aborts."""
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,3 +324,25 @@ class TestStepOnce:
             run.terminate()
         for ra, rb in zip(auto.records, manual):
             assert ra.outputs == rb.outputs
+
+
+class TestStreaming:
+    def test_memory_stays_flat_in_the_step_count(self):
+        # Records go to observers only; what a run keeps per step is its
+        # dt history, which the exact tail fit needs.
+        def peak_bytes(steps):
+            system = msd_pair_system(FixedStepPolicy(1e-3),
+                                     t_end=steps * 1e-3, h=1e-3)
+            run = initialize_run(system, LocalResolver(standard_registry))
+            tracemalloc.start()
+            try:
+                result = run_to_end(run)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.steps == steps
+            return peak
+
+        n = 200
+        per_step = (peak_bytes(10 * n) - peak_bytes(n)) / (9 * n)
+        assert per_step <= 128

@@ -216,11 +216,12 @@ class TestDistributedRuns:
         local = run_system(system_local)
 
         system_remote = remote_pair_system(provider.address)
+        remote = MemoryObserver()
         with NetworkResolver(registry=standard_registry) as resolver:
-            run = initialize_run(system_remote, resolver)
-            remote = run_to_end(run)
+            run = initialize_run(system_remote, resolver, observers=[remote])
+            result = run_to_end(run)
 
-        assert len(local.records) == len(remote.records)
+        assert len(local.records) == len(remote.records) == result.steps
         for ra, rb in zip(local.records, remote.records):
             assert ra.outputs == rb.outputs
             assert ra.inputs == rb.inputs
@@ -228,11 +229,12 @@ class TestDistributedRuns:
 
     def test_mixed_local_and_remote_placement(self, provider):
         system = remote_pair_system(provider.address, remote=("left",))
+        mixed = MemoryObserver()
         with NetworkResolver(registry=standard_registry) as resolver:
-            result = run_to_end(initialize_run(system, resolver))
+            run_to_end(initialize_run(system, resolver, observers=[mixed]))
         reference = run_system(msd_pair_system(FixedStepPolicy(1e-2),
                                                t_end=2.0))
-        for ra, rb in zip(reference.records, result.records):
+        for ra, rb in zip(reference.records, mixed.records):
             assert ra.outputs == rb.outputs
 
     def test_remote_step_failure_aborts_run(self, provider):

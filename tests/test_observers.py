@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from cosim.master import LocalResolver, initialize_run, run_to_end
+from cosim.models import registry as standard_registry
 from cosim.observers import CsvObserver, MemoryObserver, Observer
 from cosim.system import FixedStepPolicy
 
@@ -124,11 +126,23 @@ class TestMemoryObserver:
 class TestIsolation:
     def test_observers_cannot_change_results(self, tmp_path):
         system = msd_pair_system(FixedStepPolicy(1e-2), t_end=1.0)
-        bare = run_system(system)
-        watched = run_system(
-            system, observers=[CsvObserver(tmp_path), MemoryObserver()])
-        assert len(bare.records) == len(watched.records)
-        for ra, rb in zip(bare.records, watched.records):
+        resolver = LocalResolver(standard_registry)
+        bare = initialize_run(system, resolver)
+        run_to_end(bare)
+        memory = MemoryObserver()
+        watched = initialize_run(system, resolver,
+                                 observers=[CsvObserver(tmp_path), memory])
+        run_to_end(watched)
+        # A run without observers keeps no records: compare its end state.
+        assert bare.index == watched.index
+        assert bare.dts == watched.dts
+        assert bare.outputs == watched.outputs
+        assert bare.latched == watched.latched
+        assert bare.cumulative == watched.cumulative
+        # Step by step, against a run whose only observer records.
+        recorded = run_system(system)
+        assert len(recorded.records) == len(memory.records)
+        for ra, rb in zip(recorded.records, memory.records):
             assert ra.outputs == rb.outputs
             assert ra.energy.epsilon == rb.energy.epsilon
 
