@@ -99,6 +99,7 @@ def _resolver(system: SystemDescription):
 
 
 def _execute(system: SystemDescription, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any slave exists
     resolver = _resolver(system)
     csv = CsvObserver(out_dir)
     try:

@@ -1,11 +1,13 @@
 """The explicit parallel co-simulation master.
 
 Every macro step runs the same fixed sequence: latch inputs, step all
-slaves concurrently to the barrier, gather outputs, evaluate the
-connection plan, account residual energies, notify observers, advance
-the clock.  Inputs are held constant over the step and every slave
-integrates from the same snapshot, so permuting the slave list cannot
-change any value.
+slaves to the barrier, gather outputs, evaluate the connection plan,
+account residual energies, notify observers, advance the clock.  Inputs
+are held constant over the step and every slave integrates from the
+same snapshot, so permuting the slave list cannot change any value.
+
+One thread steps all slaves, remote STEP requests first.  ``step_timeout``
+cuts a late remote reply off and catches an in-process overrun on return.
 
 The clock is kept in double-double precision and the final step is
 fitted so the recorded step sizes sum exactly (under compensated
@@ -14,9 +16,9 @@ summation) to the requested span.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 from .energy import (
@@ -160,9 +162,6 @@ class SimulationRun:
         self.cumulative: dict[str, float] = {}
         self.forced_fixed = False
         self._terminated = False
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, len(slaves))
-        )
 
         policy = system.step_policy
         if isinstance(policy, FixedStepPolicy):
@@ -227,7 +226,6 @@ class SimulationRun:
         if self._terminated:
             return
         self._terminated = True
-        self._pool.shutdown(wait=True)
         for slave in self.slaves.values():
             try:
                 slave.terminate()
@@ -335,6 +333,17 @@ def initialize_run(
         for slave in slaves.values():
             slave.setup(system.t_start, system.t_end)
             slave.initialize()
+        run = SimulationRun(
+            system, slaves, plan,
+            observers=list(observers or ()),
+            step_timeout=step_timeout,
+        )
+        snapshot = run.gather_outputs()
+        assigned = evaluate_plan(plan, snapshot, system.t_start)
+        for _ in range(plan.n_init):
+            run.push_inputs(assigned)
+            snapshot = run.gather_outputs()
+            assigned = evaluate_plan(plan, snapshot, system.t_start)
     except Exception:
         for slave in slaves.values():
             try:
@@ -342,19 +351,6 @@ def initialize_run(
             except Exception:
                 pass
         raise
-
-    run = SimulationRun(
-        system, slaves, plan,
-        observers=list(observers or ()),
-        step_timeout=step_timeout,
-    )
-
-    snapshot = run.gather_outputs()
-    assigned = evaluate_plan(plan, snapshot, system.t_start)
-    for _ in range(plan.n_init):
-        run.push_inputs(assigned)
-        snapshot = run.gather_outputs()
-        assigned = evaluate_plan(plan, snapshot, system.t_start)
     run.outputs = snapshot
     run.latched = assigned
     return run
@@ -380,25 +376,27 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # (1) latch inputs on every slave
     run.push_inputs(held)
 
-    # (2) concurrent stepping to the barrier
-    futures = {
-        name: run._pool.submit(run.slaves[name].do_step, t, dt)
-        for name in run.slaves
-    }
-    outcomes = {}
+    # (2) step to the barrier on this thread, remote STEP requests first
+    deadline = time.monotonic() + run.step_timeout
+    for slave in run.slaves.values():
+        slave.start_step(t, dt)
+    t_next = t + dt
     for spec in run.system.slaves:
         name = spec.name
         try:
-            outcomes[name] = futures[name].result(timeout=run.step_timeout)
-        except concurrent.futures.TimeoutError:
+            left = max(deadline - time.monotonic(), 0.0)
+            outcome = run.slaves[name].finish_step(t, dt, left)
+        except ConnectionLost:
+            # a reply read cut off by the deadline is a missed barrier
+            if time.monotonic() < deadline:
+                raise
+        except StepRejected as exc:
+            run._abort(f"slave {name!r} rejected the step: {exc}")
+        if time.monotonic() >= deadline:
             run._abort(
                 f"slave {name!r} missed the step barrier after {run.step_timeout}s",
                 BarrierTimeout,
             )
-        except StepRejected as exc:
-            run._abort(f"slave {name!r} rejected the step: {exc}")
-    t_next = t + dt
-    for name, outcome in outcomes.items():
         if not outcome.ok:
             run._abort(f"slave {name!r} failed: {outcome.diagnostic}")
         if not time_matches(t_next, outcome.end_time):

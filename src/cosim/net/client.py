@@ -114,16 +114,15 @@ class RemoteSlave(SlaveInstance):
     """Proxy for a spawned slave living behind a provider."""
 
     def __init__(self, endpoint: str, descriptor: SlaveDescriptor,
-                 control_timeout: float = CONTROL_TIMEOUT,
-                 step_timeout: float = STEP_TIMEOUT):
+                 control_timeout: float = CONTROL_TIMEOUT):
         self.endpoint = endpoint
         self._desc = descriptor
         self._control_timeout = control_timeout
-        self._step_timeout = step_timeout
         host, port = _split_address(endpoint)
         self._sock = socket.create_connection((host, port), timeout=control_timeout)
         self._sock.settimeout(control_timeout)
         self._closed = False
+        self._reply_owed = False  # a STEP went out and its reply is unread
 
     def descriptor(self) -> SlaveDescriptor:
         return self._desc
@@ -150,14 +149,20 @@ class RemoteSlave(SlaveInstance):
         _request(self._sock, MT.SET_INPUTS, w.payload(), MT.OK).done()
 
     def do_step(self, t: float, dt: float) -> StepOutcome:
-        payload = Writer().f64(t).f64(dt).payload()
-        # STEP is the one slow call; it gets its own, longer deadline.
-        self._sock.settimeout(self._step_timeout)
+        self.start_step(t, dt)
+        return self.finish_step(t, dt, STEP_TIMEOUT)
+
+    def start_step(self, t: float, dt: float) -> None:
+        self._reply_owed = True
+        wire.send_frame(self._sock, MT.STEP, Writer().f64(t).f64(dt).payload())
+
+    def finish_step(self, t: float, dt: float, timeout: float) -> StepOutcome:
+        self._sock.settimeout(timeout)
         try:
-            wire.send_frame(self._sock, MT.STEP, payload)
             got, body = wire.recv_frame(self._sock)
         finally:
             self._sock.settimeout(self._control_timeout)
+        self._reply_owed = False
         r = Reader(body)
         if got == MT.STEP_OK:
             end_time = r.f64()
@@ -191,7 +196,9 @@ class RemoteSlave(SlaveInstance):
         if self._closed:
             raise InvalidState("slave is already terminated")
         try:
-            _request(self._sock, MT.TERMINATE, b"", MT.TERMINATED).done()
+            # An owed STEP reply desyncs the stream; closing releases the slave.
+            if not self._reply_owed:
+                _request(self._sock, MT.TERMINATE, b"", MT.TERMINATED).done()
         finally:
             self._closed = True
             try:
@@ -236,11 +243,9 @@ class NetworkResolver:
     """
 
     def __init__(self, registry: ModelRegistry | None = None,
-                 control_timeout: float = CONTROL_TIMEOUT,
-                 step_timeout: float = STEP_TIMEOUT):
+                 control_timeout: float = CONTROL_TIMEOUT):
         self.registry = registry
         self._control_timeout = control_timeout
-        self._step_timeout = step_timeout
         self._clients: dict[str, ProviderClient] = {}
 
     def _client(self, address: str) -> ProviderClient:
@@ -267,7 +272,6 @@ class NetworkResolver:
                 endpoint,
                 client.describe(spec.model_id),
                 control_timeout=self._control_timeout,
-                step_timeout=self._step_timeout,
             )
         if self.registry is None:
             raise ProtocolError(

@@ -73,6 +73,13 @@ class SlaveInstance(ABC):
     @abstractmethod
     def do_step(self, t: float, dt: float) -> StepOutcome: ...
 
+    def start_step(self, t: float, dt: float) -> None:
+        """Begin a step that ``finish_step`` completes; a no-op in process."""
+
+    def finish_step(self, t: float, dt: float, timeout: float) -> StepOutcome:
+        """Complete the step; only a remote reply is bounded by ``timeout``."""
+        return self.do_step(t, dt)
+
     @abstractmethod
     def get_outputs(self, names: list[str]) -> list[float]: ...
 

@@ -1,6 +1,7 @@
 """Shared fixtures: canned systems, test-only models, run helpers."""
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -162,16 +163,38 @@ class RecordedRun:
         return self.result.steps
 
 
+class ThreadCounter:
+    """Observer that keeps the highest thread count seen while stepping."""
+
+    def __init__(self):
+        self.peak = 0
+
+    def on_start(self, info):
+        pass
+
+    def on_step(self, record):
+        self.peak = max(self.peak, threading.active_count())
+
+    def on_end(self, reason):
+        pass
+
+
 def run_system(system, observers=None, registry=None, step_timeout=60.0):
-    """Run to the end with a MemoryObserver attached after `observers`."""
+    """Run to the end with a MemoryObserver attached after `observers`.
+
+    An in-process run steps on the caller's thread: it must start none.
+    """
     memory = MemoryObserver()
+    threads = ThreadCounter()
+    before = threading.active_count()
     resolver = LocalResolver(registry or standard_registry)
     run = initialize_run(system, resolver,
-                         observers=[*(observers or ()), memory],
+                         observers=[*(observers or ()), memory, threads],
                          step_timeout=step_timeout)
     result = run_to_end(run)
     assert memory.end_reason == "completed"
     assert len(memory.records) == result.steps
+    assert threads.peak <= before
     return RecordedRun(result, memory.records)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cosim.master
 from cosim.cli import main
 from cosim.net import Provider, ProviderConfig
 from cosim.models import registry
@@ -123,6 +124,23 @@ class TestRun:
         captured = capsys.readouterr()
         assert str(out_dir) in captured.err
         assert "completed" not in captured.out
+
+    def test_unwritable_output_steps_nothing(self, tmp_path, monkeypatch):
+        steps = 0
+        step_once = cosim.master.step_once
+
+        def counted(run, dt):
+            nonlocal steps
+            steps += 1
+            return step_once(run, dt)
+
+        monkeypatch.setattr(cosim.master, "step_once", counted)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = invoke("run", str(CONFIG_DIR / "msd_pair.cfg"),
+                      "--out", str(blocker / "out"))
+        assert code == 2
+        assert steps == 0
 
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),

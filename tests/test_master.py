@@ -264,6 +264,49 @@ class TestAborts:
         run.terminate()
 
 
+class TestInitialize:
+    def test_settle_failure_terminates_every_slave_once(self, test_registry):
+        class BadInputs(ModelSlave):
+            DESCRIPTOR = SlaveDescriptor(
+                model_id="bad_inputs",
+                variables=(
+                    VariableDescriptor("tau", IN, VarKind.EFFORT, NEWTON),
+                    VariableDescriptor("v", OUT, VarKind.FLOW,
+                                       METER_PER_SECOND),
+                ),
+                parameters={},
+            )
+
+            def _initialize(self, t0):
+                self.outputs["v"] = 0.0
+
+            def _step(self, t, dt):
+                pass
+
+            def set_inputs(self, pairs):
+                raise RuntimeError("inputs refused")
+
+        test_registry.register(BadInputs)
+        terminated = []
+
+        class CountingResolver(LocalResolver):
+            def create(self, spec):
+                slave = super().create(spec)
+                terminate = slave.terminate
+
+                def counted():
+                    terminated.append(spec.name)
+                    terminate()
+
+                slave.terminate = counted
+                return slave
+
+        system = faulty_pair_system("bad_inputs", {}, FixedStepPolicy(0.2))
+        with pytest.raises(RuntimeError, match="inputs refused"):
+            initialize_run(system, CountingResolver(test_registry))
+        assert sorted(terminated) == ["probe", "right"]
+
+
 class TestAdaptive:
     def adaptive_policy(self, **over):
         kw = dict(dt0=1e-2, dt_min=1e-4, dt_max=0.5, tolerance=1e-3)

@@ -1,10 +1,12 @@
 """Networked slaves: provider daemon, client proxies, distributed runs."""
 import dataclasses
 import socket
+import time
 
 import pytest
 
 from cosim.errors import (
+    BarrierTimeout,
     InvalidState,
     NotAnOutput,
     ProtocolError,
@@ -277,5 +279,49 @@ class TestDistributedRuns:
                 with pytest.raises(RunAborted, match="connection lost"):
                     run_to_end(run)
             assert killer.reason.startswith("aborted: connection lost")
+        finally:
+            prov.shutdown()
+
+    def test_hung_remote_slave_aborts_at_the_deadline(self):
+        prov = Provider(extended_registry(),
+                        ProviderConfig(host="127.0.0.1", port=0,
+                                       max_slaves=1)).start()
+        system = msd_pair_system(FixedStepPolicy(0.2), t_end=2.0)
+        slaves = (
+            dataclasses.replace(system.slaves[0], model_id="slow",
+                                parameters={"delay": 3.0},
+                                provider=prov.address),
+            system.slaves[1],
+        )
+        system = dataclasses.replace(system, slaves=slaves)
+        obs = MemoryObserver()
+        ends = []
+        obs.on_end = ends.append
+        step_timeout = 0.2
+        try:
+            with NetworkResolver(registry=standard_registry) as resolver:
+                run = initialize_run(system, resolver, observers=[obs],
+                                     step_timeout=step_timeout)
+                started = time.monotonic()
+                with pytest.raises(BarrierTimeout, match="barrier"):
+                    run_to_end(run)
+                elapsed = time.monotonic() - started
+            assert elapsed < step_timeout + 0.5
+            assert len(ends) == 1 and "barrier" in ends[0]
+            assert obs.records == []
+            # The provider frees the slot once the slow step returns and
+            # it finds the connection closed.
+            with ProviderClient(prov.address) as client:
+                desc = client.describe("sine_source")
+                give_up = time.monotonic() + 10.0
+                while True:
+                    try:
+                        endpoint = client.spawn("sine_source", {})
+                        break
+                    except SpawnLimitExceeded:
+                        if time.monotonic() > give_up:
+                            pytest.fail("slot never released")
+                        time.sleep(0.05)
+                RemoteSlave(endpoint, desc).terminate()
         finally:
             prov.shutdown()
