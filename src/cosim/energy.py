@@ -44,12 +44,6 @@ class EnergyReport:
     bonds: tuple[BondEnergy, ...]
     epsilon: float
 
-    def bond(self, name: str) -> BondEnergy:
-        for b in self.bonds:
-            if b.bond == name:
-                return b
-        raise KeyError(name)
-
 
 def bracket_powers(
     sign: float, e_held: float, f_held: float, e_new: float, f_new: float

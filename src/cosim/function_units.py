@@ -234,23 +234,30 @@ def build_fu_descriptor(spec: FunctionUnitSpec) -> SlaveDescriptor:
 
 @dataclass(frozen=True)
 class CopyOp:
-    src: PortRef
-    dst: PortRef
+    src: int  # slot in ``EvaluationPlan.ports``
+    dst: int
     factor: float  # unit conversion, exactly 1.0 for identical units
 
 
 @dataclass(frozen=True)
 class EvalOp:
-    fu: str
+    fu: FunctionUnit
+    inputs: tuple[tuple[str, int], ...]  # (port name, slot), descriptor order
+    outputs: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Ordered copies and FU evaluations turning outputs into inputs."""
+    """Ordered copies and FU evaluations turning outputs into inputs.
 
+    ``ports`` gives each port the integer slot the ops use: slave outputs,
+    then slave inputs (system order, then descriptor order), then FU ports.
+    """
+
+    ports: tuple[PortRef, ...]
+    outputs: tuple[PortRef, ...]  # the slave outputs that lead ``ports``
+    inputs: tuple[PortRef, ...]  # the slave inputs that follow them
     ops: tuple[CopyOp | EvalOp, ...]
-    fus: dict[str, FunctionUnit]
-    slave_names: frozenset[str]
     chain_length: int  # nodes on the longest same-instant chain
 
     @property
@@ -267,7 +274,7 @@ def _copy_factor(src_v: VariableDescriptor, dst_v: VariableDescriptor) -> float:
 def build_plan(
     system: SystemDescription, descriptors: dict[str, SlaveDescriptor]
 ) -> EvaluationPlan:
-    """Order all copies and FU evaluations for one communication point.
+    """Lay out the port slots and order all copies and FU evaluations.
 
     Assumes the system already passed validation; still raises
     AlgebraicLoop when the same-instant graph is cyclic, since an
@@ -277,13 +284,22 @@ def build_plan(
     fus = {fu.name: make_fu(fu) for fu in system.function_units}
     fu_desc = {name: fu.desc for name, fu in fus.items()}
 
+    # One walk over the descriptors lays out the slots and keeps each
+    # port's variable for the unit factors below.
+    outputs, inputs, fu_ports = [], [], []
+    var_of: dict[PortRef, VariableDescriptor] = {}
+    for owner, desc in (*slave_desc.items(), *fu_desc.items()):
+        for v in desc.variables:
+            ref = PortRef(owner, v.name)
+            var_of[ref] = v
+            group = fu_ports if owner in fus else outputs if v.causality is OUT else inputs
+            group.append(ref)
+    ports = (*outputs, *inputs, *fu_ports)
+    slot = {ref: i for i, ref in enumerate(ports)}
+
     cycle = find_algebraic_loop(system, slave_desc, fu_desc)
     if cycle is not None:
         raise AlgebraicLoop(cycle)
-
-    def var_of(ref: PortRef) -> VariableDescriptor:
-        d = slave_desc.get(ref.owner) or fu_desc[ref.owner]
-        return d.variable(ref.var)
 
     # Collect every directed copy: bond legs first, then signals, in
     # declaration order, which fixes evaluation determinism.
@@ -319,19 +335,25 @@ def build_plan(
         for i, (src, dst) in enumerate(copies):
             if i in emitted or not pred(src):
                 continue
-            ops.append(CopyOp(src, dst, _copy_factor(var_of(src), var_of(dst))))
+            factor = _copy_factor(var_of[src], var_of[dst])
+            ops.append(CopyOp(slot[src], slot[dst], factor))
             emitted.add(i)
+
+    def slots(fu, variables):
+        return tuple((v.name, slot[PortRef(fu.spec.name, v.name)]) for v in variables)
 
     emit_copies(lambda src: src.owner not in fus)
     for name in order:
-        ops.append(EvalOp(name))
+        fu = fus[name]
+        ops.append(EvalOp(fu, slots(fu, fu.desc.inputs()), slots(fu, fu.desc.outputs())))
         emit_copies(lambda src, name=name: src.owner == name)
 
     chain = _longest_chain(system, slave_desc, fu_desc)
     return EvaluationPlan(
+        ports=ports,
+        outputs=tuple(outputs),
+        inputs=tuple(inputs),
         ops=tuple(ops),
-        fus=fus,
-        slave_names=frozenset(slave_desc),
         chain_length=chain,
     )
 
@@ -359,27 +381,20 @@ def _longest_chain(system, slave_desc, fu_desc) -> int:
 
 
 def evaluate_plan(
-    plan: EvaluationPlan, snapshot: dict[PortRef, float], t: float
-) -> dict[PortRef, float]:
-    """Run the plan on an output snapshot; return the slave input values.
+    plan: EvaluationPlan, outputs: list[float], t: float
+) -> list[float]:
+    """Run the plan on the slave outputs (``plan.outputs`` order); return
+    the slave inputs in ``plan.inputs`` order.
 
-    Pure: identical snapshot and t give bit-identical results.
+    Pure: identical outputs and t give bit-identical results.
     """
-    values = dict(snapshot)
-    assigned: dict[PortRef, float] = {}
+    n = len(plan.outputs)
+    values = outputs + [0.0] * (len(plan.ports) - n)
     for op in plan.ops:
         if isinstance(op, CopyOp):
-            v = values[op.src] * op.factor
-            values[op.dst] = v
-            if op.dst.owner in plan.slave_names:
-                assigned[op.dst] = v
+            values[op.dst] = values[op.src] * op.factor
         else:
-            fu = plan.fus[op.fu]
-            ins = {
-                var.name: values[PortRef(op.fu, var.name)]
-                for var in fu.desc.inputs()
-            }
-            outs = fu.evaluate(ins, t)
-            for name, v in outs.items():
-                values[PortRef(op.fu, name)] = v
-    return assigned
+            outs = op.fu.evaluate({name: values[i] for name, i in op.inputs}, t)
+            for name, i in op.outputs:
+                values[i] = outs[name]
+    return values[n : n + len(plan.inputs)]

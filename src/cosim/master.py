@@ -115,10 +115,10 @@ class SimulationResult:
 class _BondBinding:
     name: str
     sign: float
-    e_out: PortRef
-    f_out: PortRef
-    e_in: PortRef
-    f_in: PortRef
+    e_out: int  # index into the run's outputs
+    f_out: int
+    e_in: int  # index into the run's latched inputs
+    f_in: int
     e_out_si: float
     f_out_si: float
     e_in_si: float
@@ -157,8 +157,8 @@ class SimulationRun:
         self.clock = _Clock(system.t_start)
         self.index = 0
         self.dts: list[float] = []
-        self.latched: dict[PortRef, float] = {}
-        self.outputs: dict[PortRef, float] = {}
+        self.latched: list[float] = []  # slave inputs, ``plan.inputs`` order
+        self.outputs: list[float] = []  # slave outputs, ``plan.outputs`` order
         self.cumulative: dict[str, float] = {}
         self.forced_fixed = False
         self._terminated = False
@@ -192,16 +192,15 @@ class SimulationRun:
                 )
                 self.forced_fixed = True
 
-        self._bindings = _bind_bonds(system, slaves)
-        # Per slave in system order: input and output names in descriptor
-        # order.  Fixed here, so the exchange never re-reads descriptors.
-        self._ports: dict[str, tuple[list[str], list[str]]] = {}
-        for spec in system.slaves:
-            desc = slaves[spec.name].descriptor()
-            self._ports[spec.name] = (
-                [v.name for v in desc.inputs()],
-                [v.name for v in desc.outputs()],
-            )
+        self._bindings = _bind_bonds(system, slaves, plan)
+        # Per slave in system order: its input and output names, in the
+        # plan's order.  Fixed here, so the exchange never re-reads them.
+        io = {spec.name: (slaves[spec.name], [], []) for spec in system.slaves}
+        for ref in plan.inputs:
+            io[ref.owner][1].append(ref.var)
+        for ref in plan.outputs:
+            io[ref.owner][2].append(ref.var)
+        self._io: list[tuple[SlaveInstance, list[str], list[str]]] = list(io.values())
 
     @property
     def time(self) -> float:
@@ -210,11 +209,7 @@ class SimulationRun:
     def start_info(self) -> StartInfo:
         return StartInfo(
             system=self.system,
-            output_ports=tuple(
-                PortRef(name, var)
-                for name, (_, outs) in self._ports.items()
-                for var in outs
-            ),
+            output_ports=self.plan.outputs,
             bond_names=tuple(b.name for b in self._bindings),
             t_start=self.system.t_start,
             t_end=self.system.t_end,
@@ -249,27 +244,28 @@ class SimulationRun:
             self.terminate()
         raise exc_type(reason)
 
-    def gather_outputs(self) -> dict[PortRef, float]:
-        snapshot: dict[PortRef, float] = {}
-        for name, (_, outs) in self._ports.items():
-            values = self.slaves[name].get_outputs(outs)
-            for var, value in zip(outs, values):
-                snapshot[PortRef(name, var)] = value
-        return snapshot
+    def gather_outputs(self) -> list[float]:
+        """Every slave output, in ``plan.outputs`` order."""
+        values: list[float] = []
+        for slave, _, outs in self._io:
+            values += slave.get_outputs(outs)
+        return values
 
-    def push_inputs(self, assigned: dict[PortRef, float]) -> None:
-        for name, (ins, _) in self._ports.items():
-            if ins:
-                self.slaves[name].set_inputs(
-                    [(var, assigned[PortRef(name, var)]) for var in ins]
-                )
+    def push_inputs(self, inputs: list[float]) -> None:
+        """Set every slave input from a list in ``plan.inputs`` order."""
+        values = iter(inputs)
+        for slave, ins, _ in self._io:
+            if ins:  # zip stops at the last name, taking no value beyond it
+                slave.set_inputs(list(zip(ins, values)))
 
 
 def _si(var) -> float:
     return var.unit.scale_to_si if var.unit is not None else 1.0
 
 
-def _bind_bonds(system, slaves) -> list[_BondBinding]:
+def _bind_bonds(system, slaves, plan: EvaluationPlan) -> list[_BondBinding]:
+    out_index = {ref: i for i, ref in enumerate(plan.outputs)}
+    in_index = {ref: i for i, ref in enumerate(plan.inputs)}
     bindings = []
     for bond in system.bonds:
         refs = {}
@@ -280,8 +276,8 @@ def _bind_bonds(system, slaves) -> list[_BondBinding]:
             in_v = desc.variable(side.input)
             okind = "e_out" if out_v.kind is VarKind.EFFORT else "f_out"
             ikind = "e_in" if in_v.kind is VarKind.EFFORT else "f_in"
-            refs[okind] = PortRef(side.slave, side.output)
-            refs[ikind] = PortRef(side.slave, side.input)
+            refs[okind] = out_index[PortRef(side.slave, side.output)]
+            refs[ikind] = in_index[PortRef(side.slave, side.input)]
             scales[okind] = _si(out_v)
             scales[ikind] = _si(in_v)
         bindings.append(
@@ -433,8 +429,8 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
         t=t,
         dt=dt,
         t_next=t_next,
-        inputs=held,
-        outputs=snapshot,
+        inputs=dict(zip(run.plan.inputs, held)),
+        outputs=dict(zip(run.plan.outputs, snapshot)),
         energy=energy,
     )
 

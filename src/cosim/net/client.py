@@ -117,6 +117,7 @@ class RemoteSlave(SlaveInstance):
                  control_timeout: float = CONTROL_TIMEOUT):
         self.endpoint = endpoint
         self._desc = descriptor
+        self._indices = {v.name: i for i, v in enumerate(descriptor.variables)}
         self._control_timeout = control_timeout
         host, port = _split_address(endpoint)
         self._sock = socket.create_connection((host, port), timeout=control_timeout)
@@ -136,7 +137,7 @@ class RemoteSlave(SlaveInstance):
 
     def _index(self, name: str) -> int:
         try:
-            return self._desc.index_of(name)
+            return self._indices[name]
         except KeyError:
             raise UnknownVariable(f"no variable named {name!r}") from None
 
@@ -196,7 +197,8 @@ class RemoteSlave(SlaveInstance):
         if self._closed:
             raise InvalidState("slave is already terminated")
         try:
-            # An owed STEP reply desyncs the stream; closing releases the slave.
+            # An owed STEP reply desyncs the stream, so only close; the
+            # provider frees the slave once its abandoned step returns.
             if not self._reply_owed:
                 _request(self._sock, MT.TERMINATE, b"", MT.TERMINATED).done()
         finally:

@@ -211,10 +211,6 @@ class ModelSlave(SlaveInstance):
 
     # -- helpers --------------------------------------------------------
 
-    @property
-    def current_time(self) -> float:
-        return self._time
-
     def _variable(self, name: str):
         try:
             return self.descriptor().variable(name)

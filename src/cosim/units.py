@@ -77,9 +77,6 @@ class Unit:
         if not (self.scale_to_si > 0.0) or not math.isfinite(self.scale_to_si):
             raise ValueError(f"unit {self.name!r}: scale_to_si must be positive and finite")
 
-    def convertible_to(self, other: "Unit") -> bool:
-        return self.dimension == other.dimension
-
     def __str__(self) -> str:
         return self.name
 

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cosim
 import cosim.master
 from cosim.cli import main
 from cosim.net import Provider, ProviderConfig
@@ -245,8 +247,13 @@ class TestUsage:
         assert invoke("provider", "serve") == 3
 
     def test_console_entry_point(self):
+        # The child must import the same cosim this process did, whether
+        # pytest found it through PYTHONPATH or its own pythonpath setting.
+        src = str(Path(cosim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "cosim", "list-models"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0
         assert "msd_integral" in proc.stdout

@@ -29,6 +29,16 @@ def fu(kind, **params):
     return make_fu(FunctionUnitSpec("f", kind, params))
 
 
+def evaluate_named(plan, named, t):
+    """``evaluate_plan`` on named slave outputs, its result keyed by input.
+
+    Outputs left unnamed read as NaN, so a plan that used one shows it.
+    """
+    assert set(named) <= set(plan.outputs)
+    outputs = [named.get(ref, math.nan) for ref in plan.outputs]
+    return dict(zip(plan.inputs, evaluate_plan(plan, outputs, t)))
+
+
 def system_of(slaves, signals, fus):
     return SystemDescription(
         slaves=tuple(slaves), bonds=(), signals=tuple(signals),
@@ -147,13 +157,16 @@ class TestPlan:
         plan = build_plan(self.chain_system(), DESCRIPTORS)
         assert [type(op) for op in plan.ops] == [CopyOp, EvalOp, CopyOp]
         first, mid, last = plan.ops
-        assert (first.src, first.dst) == (PortRef("src", "y"), PortRef("g", "u"))
-        assert mid.fu == "g"
-        assert (last.src, last.dst) == (PortRef("g", "y"), PortRef("osc", "tau"))
+        ports = plan.ports
+        assert (ports[first.src], ports[first.dst]) == (PortRef("src", "y"), PortRef("g", "u"))
+        assert mid.fu.spec.name == "g"
+        assert [(n, ports[i]) for n, i in mid.inputs] == [("u", PortRef("g", "u"))]
+        assert [(n, ports[i]) for n, i in mid.outputs] == [("y", PortRef("g", "y"))]
+        assert (ports[last.src], ports[last.dst]) == (PortRef("g", "y"), PortRef("osc", "tau"))
 
     def test_chain_evaluates(self):
         plan = build_plan(self.chain_system(), DESCRIPTORS)
-        got = evaluate_plan(plan, {PortRef("src", "y"): 3.0}, 0.0)
+        got = evaluate_named(plan, {PortRef("src", "y"): 3.0}, 0.0)
         assert got == {PortRef("osc", "tau"): 6.0}
 
     def test_independent_fus_both_fire(self):
@@ -171,7 +184,7 @@ class TestPlan:
         )
         plan = build_plan(system, DESCRIPTORS)
         snapshot = {PortRef("s1", "y"): 1.0, PortRef("s2", "y"): 2.0}
-        got = evaluate_plan(plan, snapshot, 0.0)
+        got = evaluate_named(plan, snapshot, 0.0)
         assert got == {PortRef("a", "tau"): 10.0, PortRef("b", "tau"): -20.0}
 
     def test_crossed_signals_swap(self):
@@ -185,7 +198,7 @@ class TestPlan:
             fus=[],
         )
         plan = build_plan(system, DESCRIPTORS)
-        got = evaluate_plan(
+        got = evaluate_named(
             plan, {PortRef("s1", "y"): 3.0, PortRef("s2", "y"): 7.0}, 0.0)
         assert got[PortRef("a", "tau")] == 7.0
         assert got[PortRef("b", "tau")] == 3.0
@@ -234,7 +247,7 @@ class TestPlan:
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.normal(size=2)
-            got = evaluate_plan(
+            got = evaluate_named(
                 plan, {PortRef("s1", "y"): u[0], PortRef("s2", "y"): u[1]}, 0.0)
             y = A @ u
             assert abs(got[PortRef("a", "tau")] - y[0]) < 1e-12
@@ -242,8 +255,8 @@ class TestPlan:
 
     def test_evaluate_is_pure(self):
         plan = build_plan(self.chain_system(), DESCRIPTORS)
-        snapshot = {PortRef("src", "y"): 1.5}
-        before = dict(snapshot)
+        snapshot = [1.5 if ref == PortRef("src", "y") else 0.0 for ref in plan.outputs]
+        before = list(snapshot)
         first = evaluate_plan(plan, snapshot, 0.25)
         second = evaluate_plan(plan, snapshot, 0.25)
         assert snapshot == before
@@ -260,7 +273,7 @@ class TestPlan:
                                   {"from": "kN", "to": "N"})],
         )
         plan = build_plan(system, DESCRIPTORS)
-        got = evaluate_plan(plan, {PortRef("src", "y"): 0.002}, 0.0)
+        got = evaluate_named(plan, {PortRef("src", "y"): 0.002}, 0.0)
         assert got[PortRef("osc", "tau")] == pytest.approx(2.0, rel=1e-12)
 
     def test_n_init_counts_longest_chain(self):

@@ -168,7 +168,8 @@ class TestSettling:
         try:
             assert run.plan.n_init == 4
             # y(0) = sin(pi/2) = 1.0 through three 0.5 gains
-            assert run.latched[PortRef("osc", "tau")] == 0.125
+            latched = dict(zip(run.plan.inputs, run.latched))
+            assert latched[PortRef("osc", "tau")] == 0.125
         finally:
             run.terminate()
 
@@ -178,7 +179,7 @@ class TestSettling:
         run = initialize_run(self.feedthrough_chain(),
                              LocalResolver(standard_registry))
         try:
-            before = dict(run.latched)
+            before = list(run.latched)
             run.push_inputs(run.latched)
             snapshot = run.gather_outputs()
             again = evaluate_plan(run.plan, snapshot, 0.0)

@@ -1,12 +1,14 @@
 """Networked slaves: provider daemon, client proxies, distributed runs."""
 import dataclasses
 import socket
+import threading
 import time
 
 import pytest
 
 from cosim.errors import (
     BarrierTimeout,
+    ConnectionLost,
     InvalidState,
     NotAnOutput,
     ProtocolError,
@@ -26,7 +28,7 @@ from cosim.net import (
     RemoteSlave,
     discover,
 )
-from cosim.net.wire import Reader, Writer, recv_frame, send_frame
+from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
 from cosim.system import FixedStepPolicy
 
@@ -325,3 +327,66 @@ class TestDistributedRuns:
                 RemoteSlave(endpoint, desc).terminate()
         finally:
             prov.shutdown()
+
+    def test_truncated_step_reply_aborts_as_connection_lost(self):
+        # A fake slave endpoint answers the lifecycle and exchange requests,
+        # then answers STEP with a header promising 8 payload bytes, sends 3
+        # and closes its side.
+        threads_before = set(threading.enumerate())
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+        host, port = listener.getsockname()[:2]
+        received = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                try:
+                    while True:
+                        msg, body = recv_frame(conn)
+                        received.append(msg)
+                        if msg == MT.GET_OUTPUTS:
+                            n = Reader(body).count()
+                            w = Writer().count(n)
+                            for _ in range(n):
+                                w.f64(0.0)
+                            send_frame(conn, MT.OUTPUTS, w.payload())
+                        elif msg == MT.STEP:
+                            reply = encode_frame(MT.STEP_OK, Writer().f64(0.2).payload())
+                            conn.sendall(reply[:-5])
+                            conn.shutdown(socket.SHUT_WR)
+                        else:
+                            send_frame(conn, MT.OK)
+                except ConnectionLost:
+                    pass  # the master closed its end
+
+        server = threading.Thread(target=serve)
+        server.start()
+
+        class FakeEndpointResolver(LocalResolver):
+            def create(self, spec):
+                if spec.name == "left":
+                    return RemoteSlave(f"{host}:{port}", self.describe(spec))
+                return super().create(spec)
+
+        obs = MemoryObserver()
+        ends = []
+        obs.on_end = ends.append
+        step_timeout = 1.0
+        try:
+            run = initialize_run(msd_pair_system(FixedStepPolicy(0.2), t_end=2.0),
+                                 FakeEndpointResolver(standard_registry),
+                                 observers=[obs], step_timeout=step_timeout)
+            started = time.monotonic()
+            with pytest.raises(RunAborted, match="connection lost"):
+                run_to_end(run)
+            elapsed = time.monotonic() - started
+            server.join(5.0)
+        finally:
+            listener.close()
+        assert elapsed < step_timeout + 0.5
+        assert len(ends) == 1 and ends[0].startswith("aborted: connection lost")
+        assert obs.records == []
+        assert MT.STEP in received and MT.TERMINATE not in received
+        assert set(threading.enumerate()) <= threads_before

@@ -59,7 +59,7 @@ class TestCsvObserver:
         _, result, _, out = pair_run
         _, rows = read_csv(out / "energy.csv")
         for rec, row in zip(result.records, rows):
-            b = rec.energy.bond("link")
+            [b] = [b for b in rec.energy.bonds if b.bond == "link"]
             assert [float(c) for c in row[2:]] == \
                    [b.p1, b.p2, b.dp, b.de, b.cumulative_de,
                     rec.energy.epsilon]
