@@ -21,7 +21,8 @@ from .system import (
     SystemDescription,
     VariableDescriptor,
     VarKind,
-    find_algebraic_loop,
+    _find_cycle,
+    _same_instant_edges,
 )
 from .units import AMPERE, METER, NEWTON, NEWTON_METER, VOLT, conversion_factor, parse_unit
 
@@ -297,7 +298,8 @@ def build_plan(
     ports = (*outputs, *inputs, *fu_ports)
     slot = {ref: i for i, ref in enumerate(ports)}
 
-    cycle = find_algebraic_loop(system, slave_desc, fu_desc)
+    edges = _same_instant_edges(system, slave_desc, fu_desc)
+    cycle = _find_cycle(edges)
     if cycle is not None:
         raise AlgebraicLoop(cycle)
 
@@ -348,21 +350,17 @@ def build_plan(
         ops.append(EvalOp(fu, slots(fu, fu.desc.inputs()), slots(fu, fu.desc.outputs())))
         emit_copies(lambda src, name=name: src.owner == name)
 
-    chain = _longest_chain(system, slave_desc, fu_desc)
     return EvaluationPlan(
         ports=ports,
         outputs=tuple(outputs),
         inputs=tuple(inputs),
         ops=tuple(ops),
-        chain_length=chain,
+        chain_length=_longest_chain(edges),
     )
 
 
-def _longest_chain(system, slave_desc, fu_desc) -> int:
-    """Longest path (node count) through the same-instant graph."""
-    from .system import _same_instant_edges
-
-    edges = _same_instant_edges(system, slave_desc, fu_desc)
+def _longest_chain(edges: dict[str, set[str]]) -> int:
+    """Longest path (node count) through the acyclic same-instant graph."""
     nodes = set(edges)
     for nbrs in edges.values():
         nodes.update(nbrs)

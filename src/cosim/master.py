@@ -10,7 +10,7 @@ One thread steps all slaves, remote STEP requests first.  ``step_timeout``
 cuts a late remote reply off and catches an in-process overrun on return.
 
 The clock is kept in double-double precision and the final step is
-fitted so the recorded step sizes sum exactly (under compensated
+fitted so the step sizes taken sum exactly (under compensated
 summation) to the requested span.
 """
 
@@ -56,6 +56,26 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to the exact sum held as non-overlapping partials, in place.
+
+    Shewchuk (1997) as in the ``msum`` recipe behind ``math.fsum``: the
+    partials' exact sum is the exact sum of everything added, and the
+    list stays a few floats long however many values go in.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 class _Clock:
@@ -156,7 +176,7 @@ class SimulationRun:
         self.step_timeout = step_timeout
         self.clock = _Clock(system.t_start)
         self.index = 0
-        self.dts: list[float] = []
+        self.dt_partials: list[float] = []  # exact sum of the steps taken
         self.latched: list[float] = []  # slave inputs, ``plan.inputs`` order
         self.outputs: list[float] = []  # slave outputs, ``plan.outputs`` order
         self.cumulative: dict[str, float] = {}
@@ -439,7 +459,7 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
 
     # (7) advance
     run.clock.advance(dt)
-    run.dts.append(dt)
+    _add_exact(run.dt_partials, dt)
     run.index += 1
     run.latched = assigned
     run.outputs = snapshot
@@ -467,7 +487,7 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
             if rem <= dt * (1.0 + 1e-9):
                 # Fit the last step so the compensated sum of all step
                 # sizes equals t_end - t_start exactly.
-                dt = math.fsum([t_end, -t_start] + [-d for d in run.dts])
+                dt = math.fsum([t_end, -t_start] + [-p for p in run.dt_partials])
                 if dt <= 0.0:
                     break
             step_once(run, dt)

@@ -1,10 +1,14 @@
-"""Built-in demonstration models with internal fixed-step RK4 solvers.
+"""Built-in demonstration models, most with an internal fixed-step RK4 solver.
 
-Each model subdivides a macro step into equal micro steps of size at
-most ``h`` (parameter; 0 means one tenth of the macro step) and
-integrates with the classical 4th-order Runge-Kutta scheme.  Inputs
+Each integrating model subdivides a macro step into equal micro steps
+of size at most ``h`` (parameter; 0 means one tenth of the macro step)
+and integrates with the classical 4th-order Runge-Kutta scheme.  Inputs
 are held constant over the macro step, so the right-hand sides close
-over the latched values.
+over the latched values and the parameters, read once per step.
+``rk4_integrate`` unrolls the 1-, 2- and 3-state cases, which cover
+every model here, into scalar code bit-identical to ``rk4_step``.
+``msd_differential`` integrates its one state exactly; the sources,
+``sum_delay`` and ``gain_block`` have no state to integrate.
 """
 
 from __future__ import annotations
@@ -41,9 +45,50 @@ def rk4_step(f, t, y, h):
 
 
 def rk4_integrate(f, t0, y, dt, h):
-    """Integrate over [t0, t0+dt] in ceil(dt/h) equal micro steps."""
+    """Integrate over [t0, t0+dt] in ceil(dt/h) equal micro steps.
+
+    One, two and three states run as straight-line scalar code that
+    performs each operation of ``rk4_step`` in the same order, so the
+    result is bit-identical; other sizes loop over ``rk4_step``.
+    """
     n = max(1, math.ceil(dt / h - 1e-9))
     hh = dt / n
+    h2 = hh / 2
+    h6 = hh / 6
+    size = len(y)
+    if size == 2:
+        y0, y1 = y
+        for i in range(n):
+            t = t0 + i * hh
+            a0, a1 = f(t, [y0, y1])
+            b0, b1 = f(t + h2, [y0 + h2 * a0, y1 + h2 * a1])
+            c0, c1 = f(t + h2, [y0 + h2 * b0, y1 + h2 * b1])
+            d0, d1 = f(t + hh, [y0 + hh * c0, y1 + hh * c1])
+            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
+            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+        return [y0, y1]
+    if size == 3:
+        y0, y1, y2 = y
+        for i in range(n):
+            t = t0 + i * hh
+            a0, a1, a2 = f(t, [y0, y1, y2])
+            b0, b1, b2 = f(t + h2, [y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2])
+            c0, c1, c2 = f(t + h2, [y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2])
+            d0, d1, d2 = f(t + hh, [y0 + hh * c0, y1 + hh * c1, y2 + hh * c2])
+            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
+            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+            y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
+        return [y0, y1, y2]
+    if size == 1:
+        (y0,) = y
+        for i in range(n):
+            t = t0 + i * hh
+            (a0,) = f(t, [y0])
+            (b0,) = f(t + h2, [y0 + h2 * a0])
+            (c0,) = f(t + h2, [y0 + h2 * b0])
+            (d0,) = f(t + hh, [y0 + hh * c0])
+            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
+        return [y0]
     for i in range(n):
         y = rk4_step(f, t0 + i * hh, y, hh)
     return y
@@ -323,12 +368,13 @@ class QuarterCarWheelSusp(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        k, d, kt, m2 = p["k"], p["d"], p["kt"], p["m2"]
         v1 = self.inputs["v1"]
 
         def f(_t, y):
             z1, z2, v2 = y
-            F = p["k"] * (z1 - z2) + p["d"] * (v1 - v2)
-            return [v1, v2, (F - p["kt"] * z2) / p["m2"]]
+            F = k * (z1 - z2) + d * (v1 - v2)
+            return [v1, v2, (F - kt * z2) / m2]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish(v1)
@@ -371,12 +417,13 @@ class QuarterCarChassisSusp(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        k, d, m1 = p["k"], p["d"], p["m1"]
         v2 = self.inputs["v2"]
 
         def f(_t, y):
             z1, v1, z2 = y
-            F = p["k"] * (z1 - z2) + p["d"] * (v1 - v2)
-            return [v1, -F / p["m1"], v2]
+            F = k * (z1 - z2) + d * (v1 - v2)
+            return [v1, -F / m1, v2]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish(v2)
@@ -407,10 +454,11 @@ class QuarterCarWheel(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        kt, m2 = p["kt"], p["m2"]
         F = self.inputs["F"]
 
         def f(_t, y):
-            return [y[1], (F - p["kt"] * y[0]) / p["m2"]]
+            return [y[1], (F - kt * y[0]) / m2]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish()
@@ -445,11 +493,12 @@ class QuarterCarWheelRoad(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        kt, m2 = p["kt"], p["m2"]
         F = self.inputs["F"]
         z_road = self.inputs["z_road"]
 
         def f(_t, y):
-            return [y[1], (F - p["kt"] * (y[0] - z_road)) / p["m2"]]
+            return [y[1], (F - kt * (y[0] - z_road)) / m2]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish()
@@ -485,10 +534,11 @@ class GeneratorVoltage(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        V_set, R, T = p["V_set"], p["R"], p["T"]
         I = self.inputs["I"]
 
         def f(_t, y):
-            return [(p["V_set"] - p["R"] * I - y[0]) / p["T"]]
+            return [(V_set - R * I - y[0]) / T]
 
         (self.V,) = rk4_integrate(f, t, [self.V], dt, micro_step(p, dt))
         self.outputs["V"] = self.V
@@ -515,8 +565,10 @@ class GeneratorCurrent(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        I_set, T = p["I_set"], p["T"]
+
         def f(_t, y):
-            return [(p["I_set"] - y[0]) / p["T"]]
+            return [(I_set - y[0]) / T]
 
         (self.I,) = rk4_integrate(f, t, [self.I], dt, micro_step(p, dt))
         self.outputs["I"] = self.I
@@ -555,14 +607,13 @@ class ElMotor(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
+        R, Ke, L, Kt, b, tau_load, J = (
+            p["R"], p["Ke"], p["L"], p["Kt"], p["b"], p["tau_load"], p["J"])
         V = self.inputs["V"]
 
         def f(_t, y):
             I, omega = y
-            return [
-                (V - p["R"] * I - p["Ke"] * omega) / p["L"],
-                (p["Kt"] * I - p["b"] * omega - p["tau_load"]) / p["J"],
-            ]
+            return [(V - R * I - Ke * omega) / L, (Kt * I - b * omega - tau_load) / J]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish()

@@ -444,7 +444,11 @@ def find_algebraic_loop(
     fu_desc: dict[str, SlaveDescriptor],
 ) -> list[str] | None:
     """Return one cycle of owner names, or None when the graph is acyclic."""
-    edges = _same_instant_edges(system, slave_desc, fu_desc)
+    return _find_cycle(_same_instant_edges(system, slave_desc, fu_desc))
+
+
+def _find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the same-instant graph, or None when it is acyclic."""
     nodes = set(edges)
     for nbrs in edges.values():
         nodes.update(nbrs)

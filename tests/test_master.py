@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosim.errors import BarrierTimeout, InvalidSystem, RunAborted
-from cosim.master import LocalResolver, initialize_run, run_to_end, step_once
+from cosim.master import (
+    LocalResolver,
+    _add_exact,
+    initialize_run,
+    run_to_end,
+    step_once,
+)
 from cosim.models import registry as standard_registry
 from cosim.observers import MemoryObserver
 from cosim.slave import ModelRegistry, ModelSlave, StepOutcome
@@ -91,6 +97,23 @@ class TestSchedule:
             source_only_system(FixedStepPolicy(dt), t_end=span))
         assert math.fsum(r.dt for r in result.records) == span
         assert all(r.dt > 0.0 for r in result.records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dts=st.lists(st.floats(min_value=1e-9, max_value=1.0), max_size=300),
+           span=st.floats(min_value=0.0, max_value=300.0))
+    def test_exact_partials_fit_the_tail_like_the_full_list(self, dts, span):
+        partials = []
+        for dt in dts:
+            _add_exact(partials, dt)
+        assert math.fsum(partials) == math.fsum(dts)
+        assert (math.fsum([span, -0.5] + [-p for p in partials])
+                == math.fsum([span, -0.5] + [-d for d in dts]))
+
+    def test_exact_partials_stay_short(self):
+        partials = []
+        for _ in range(10_000):
+            _add_exact(partials, 1e-3)
+        assert len(partials) <= 4
 
     def test_indices_and_times_are_consistent(self):
         result = run_system(source_only_system(FixedStepPolicy(0.3)))

@@ -1,11 +1,13 @@
 """Numerical behavior of the built-in models against closed-form references."""
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import single_slave
+from cosim.models import rk4_integrate, rk4_step
 
 
 def march(slave, t_end, dt, inputs=None):
@@ -288,3 +290,35 @@ class TestBlocks:
         slave.set_inputs([("u", 4.0)])
         slave.do_step(0.0, 0.1)
         assert slave.get_outputs(["y"]) == [-10.0]
+
+
+class TestRk4Kernels:
+    @staticmethod
+    def reference(f, t0, y, dt, h):
+        """The micro-step loop over ``rk4_step`` that every size must match."""
+        n = max(1, math.ceil(dt / h - 1e-9))
+        hh = dt / n
+        for i in range(n):
+            y = rk4_step(f, t0 + i * hh, y, hh)
+        return y
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_integrate_is_bit_identical_to_rk4_step(self, size):
+        rng = random.Random(0x4B4 + size)
+        for _ in range(2000):
+            a = [[rng.uniform(-50.0, 50.0) for _ in range(size)] for _ in range(size)]
+            c = [rng.uniform(-5.0, 5.0) for _ in range(size)]
+            w = rng.uniform(0.0, 20.0)
+
+            def f(t, y):  # linear with a time-varying forcing term
+                s = math.sin(w * t)
+                return [sum(aij * yj for aij, yj in zip(row, y)) + ci * s
+                        for row, ci in zip(a, c)]
+
+            y = [rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)]) for _ in range(size)]
+            dt = rng.choice([1e-3, 1e-2, rng.uniform(1e-4, 0.05)])
+            h = rng.choice([dt, dt / 10, dt / rng.uniform(1.0, 7.5)])
+            t0 = rng.uniform(0.0, 10.0)
+            got = rk4_integrate(f, t0, list(y), dt, h)
+            want = self.reference(f, t0, list(y), dt, h)
+            assert [x.hex() for x in got] == [x.hex() for x in want]

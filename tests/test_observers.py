@@ -135,7 +135,7 @@ class TestIsolation:
         run_to_end(watched)
         # A run without observers keeps no records: compare its end state.
         assert bare.index == watched.index
-        assert bare.dts == watched.dts
+        assert bare.dt_partials == watched.dt_partials
         assert bare.outputs == watched.outputs
         assert bare.latched == watched.latched
         assert bare.cumulative == watched.cumulative
@@ -143,6 +143,7 @@ class TestIsolation:
         recorded = run_system(system)
         assert len(recorded.records) == len(memory.records)
         for ra, rb in zip(recorded.records, memory.records):
+            assert ra.dt == rb.dt
             assert ra.outputs == rb.outputs
             assert ra.energy.epsilon == rb.energy.epsilon
 
