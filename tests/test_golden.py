@@ -9,7 +9,6 @@ When a change is meant to alter the outputs, record the digests again:
 """
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -35,7 +34,7 @@ def shipped_configs():
 
 
 @pytest.mark.parametrize("config", shipped_configs(), ids=lambda p: p.name)
-def test_outputs_match_golden_digests(config, tmp_path, capsys):
+def test_outputs_match_golden_digests(config, tmp_path):
     recorded = json.loads(GOLDEN.read_text())
     assert config.name in recorded, f"no digests recorded for {config.name}"
     assert run_digests(config, tmp_path) == recorded[config.name]
@@ -47,4 +46,3 @@ if __name__ == "__main__":
         for config in shipped_configs():
             digests[config.name] = run_digests(config, Path(tmp))
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
