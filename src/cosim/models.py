@@ -5,8 +5,8 @@ of size at most ``h`` (parameter; 0 means one tenth of the macro step)
 and integrates with the classical 4th-order Runge-Kutta scheme.  Inputs
 are held constant over the macro step, so the right-hand sides close
 over the latched values and the parameters, read once per step.
-``rk4_integrate`` unrolls the 1-, 2- and 3-state cases, which cover
-every model here, into scalar code bit-identical to ``rk4_step``.
+``rk4_integrate`` unrolls the 2- and 3-state cases into scalar code
+bit-identical to ``rk4_step``; one-state models take the generic loop.
 ``msd_differential`` integrates its one state exactly; the sources,
 ``sum_delay`` and ``gain_block`` have no state to integrate.
 """
@@ -47,9 +47,9 @@ def rk4_step(f, t, y, h):
 def rk4_integrate(f, t0, y, dt, h):
     """Integrate over [t0, t0+dt] in ceil(dt/h) equal micro steps.
 
-    One, two and three states run as straight-line scalar code that
-    performs each operation of ``rk4_step`` in the same order, so the
-    result is bit-identical; other sizes loop over ``rk4_step``.
+    Two and three states run as straight-line scalar code that performs
+    each operation of ``rk4_step`` in the same order, so the result is
+    bit-identical; other sizes loop over ``rk4_step``.
     """
     n = max(1, math.ceil(dt / h - 1e-9))
     hh = dt / n
@@ -79,16 +79,6 @@ def rk4_integrate(f, t0, y, dt, h):
             y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
             y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
         return [y0, y1, y2]
-    if size == 1:
-        (y0,) = y
-        for i in range(n):
-            t = t0 + i * hh
-            (a0,) = f(t, [y0])
-            (b0,) = f(t + h2, [y0 + h2 * a0])
-            (c0,) = f(t + h2, [y0 + h2 * b0])
-            (d0,) = f(t + hh, [y0 + hh * c0])
-            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
-        return [y0]
     for i in range(n):
         y = rk4_step(f, t0 + i * hh, y, hh)
     return y
@@ -607,13 +597,16 @@ class ElMotor(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
-        R, Ke, L, Kt, b, tau_load, J = (
-            p["R"], p["Ke"], p["L"], p["Kt"], p["b"], p["tau_load"], p["J"])
+        R, Ke, L = p["R"], p["Ke"], p["L"]
+        Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
         V = self.inputs["V"]
 
         def f(_t, y):
             I, omega = y
-            return [(V - R * I - Ke * omega) / L, (Kt * I - b * omega - tau_load) / J]
+            return [
+                (V - R * I - Ke * omega) / L,
+                (Kt * I - b * omega - tau_load) / J,
+            ]
 
         self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
         self._publish()

@@ -3,6 +3,9 @@
 ``golden_digests.json`` holds the SHA-256 of ``signals.csv`` and
 ``energy.csv`` for each ``configs/*.cfg``, run in process the way
 ``cosim run`` does.  A change that moves one output bit fails here.
+The sine sources call libm's ``sin`` and the CSVs hold float reprs, so
+the digests belong to the platform they were recorded on (CPython 3 on
+x86-64 Linux with glibc); a correct tree on another libm may differ.
 When a change is meant to alter the outputs, record the digests again:
 
     PYTHONPATH=src python tests/test_golden.py
