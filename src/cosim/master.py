@@ -213,14 +213,19 @@ class SimulationRun:
                 self.forced_fixed = True
 
         self._bindings = _bind_bonds(system, slaves, plan)
-        # Per slave in system order: its input and output names, in the
-        # plan's order.  Fixed here, so the exchange never re-reads them.
-        io = {spec.name: (slaves[spec.name], [], []) for spec in system.slaves}
+        # Bind each slave once, in the plan's order; ``plan.inputs`` keeps a
+        # slave's inputs together, so its share of a latched list is a slice.
+        io = {spec.name: ([], []) for spec in system.slaves}
         for ref in plan.inputs:
-            io[ref.owner][1].append(ref.var)
+            io[ref.owner][0].append(ref.var)
         for ref in plan.outputs:
-            io[ref.owner][2].append(ref.var)
-        self._io: list[tuple[SlaveInstance, list[str], list[str]]] = list(io.values())
+            io[ref.owner][1].append(ref.var)
+        self._io: list[tuple[SlaveInstance, slice]] = []
+        start = 0
+        for name, (ins, outs) in io.items():
+            slaves[name].bind(ins, outs)
+            self._io.append((slaves[name], slice(start, start + len(ins))))
+            start += len(ins)
 
     @property
     def time(self) -> float:
@@ -267,16 +272,15 @@ class SimulationRun:
     def gather_outputs(self) -> list[float]:
         """Every slave output, in ``plan.outputs`` order."""
         values: list[float] = []
-        for slave, _, outs in self._io:
-            values += slave.get_outputs(outs)
+        for slave, _ in self._io:
+            values += slave.get_outputs()
         return values
 
     def push_inputs(self, inputs: list[float]) -> None:
         """Set every slave input from a list in ``plan.inputs`` order."""
-        values = iter(inputs)
-        for slave, ins, _ in self._io:
-            if ins:  # zip stops at the last name, taking no value beyond it
-                slave.set_inputs(list(zip(ins, values)))
+        for slave, share in self._io:
+            if share.start != share.stop:  # a slave without inputs gets no call
+                slave.set_inputs(inputs[share])
 
 
 def _si(var) -> float:

@@ -237,7 +237,7 @@ class MsdHybrid(ModelSlave):
         return 10.0 * h
 
     def switch_causality(self, target_mode: str) -> None:
-        """Swap input/output roles; legal only between steps."""
+        """Swap input/output roles between steps; the slave must be bound anew."""
         if target_mode not in ("integral", "differential"):
             raise ValueError(f"unknown causality mode {target_mode!r}")
         self._require((_State.INITIALIZED, _State.STEPPING), "switch_causality")
@@ -260,6 +260,7 @@ class MsdHybrid(ModelSlave):
             self.inputs = {"tau": tau_now}
             self.outputs = {"v": self.vel, "x": self.x}
         self._mode = target_mode
+        self._binding = None
 
     def _step(self, t, dt):
         m, d, k = self.params["m"], self.params["d"], self.params["k"]

@@ -3,14 +3,15 @@
 A RemoteSlave satisfies the same contract as an in-process slave; every
 call maps to one request/response exchange, and reals cross the wire as
 exact binary64, so a distributed run reproduces an in-process run bit for
-bit.
+bit.  ``bind`` sends the input and output names once, in a BIND frame;
+SET_INPUTS and OUTPUTS then carry values only, in the bound order.
 """
 from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
 
-from ..errors import ConnectionLost, InvalidState, ProtocolError, UnknownVariable
+from ..errors import ConnectionLost, InvalidState, ProtocolError
 from ..slave import ModelRegistry, SlaveInstance, StepOutcome, StepStatus
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
@@ -117,7 +118,7 @@ class RemoteSlave(SlaveInstance):
                  control_timeout: float = CONTROL_TIMEOUT):
         self.endpoint = endpoint
         self._desc = descriptor
-        self._indices = {v.name: i for i, v in enumerate(descriptor.variables)}
+        self._n_outputs = 0  # outputs the provider answers with once bound
         self._control_timeout = control_timeout
         host, port = _split_address(endpoint)
         self._sock = socket.create_connection((host, port), timeout=control_timeout)
@@ -135,17 +136,18 @@ class RemoteSlave(SlaveInstance):
     def initialize(self) -> None:
         _request(self._sock, MT.INITIALIZE, b"", MT.OK).done()
 
-    def _index(self, name: str) -> int:
-        try:
-            return self._indices[name]
-        except KeyError:
-            raise UnknownVariable(f"no variable named {name!r}") from None
+    def bind(self, inputs: list[str], outputs: list[str]) -> None:
+        w = Writer()
+        for names in (inputs, outputs):
+            w.count(len(names))
+            for name in names:
+                w.string(name)
+        _request(self._sock, MT.BIND, w.payload(), MT.OK).done()
+        self._n_outputs = len(outputs)
 
-    def set_inputs(self, pairs: list[tuple[str, float]]) -> None:
-        indexed = sorted((self._index(name), value) for name, value in pairs)
-        w = Writer().count(len(indexed))
-        for index, value in indexed:
-            w.u64(index)
+    def set_inputs(self, values: list[float]) -> None:
+        w = Writer().count(len(values))
+        for value in values:
             w.f64(value)
         _request(self._sock, MT.SET_INPUTS, w.payload(), MT.OK).done()
 
@@ -181,14 +183,11 @@ class RemoteSlave(SlaveInstance):
             raise wire.make_error(code, text)
         raise ProtocolError(f"unexpected STEP response type {got}")
 
-    def get_outputs(self, names: list[str]) -> list[float]:
-        w = Writer().count(len(names))
-        for name in names:
-            w.u64(self._index(name))
-        r = _request(self._sock, MT.GET_OUTPUTS, w.payload(), MT.OUTPUTS)
+    def get_outputs(self) -> list[float]:
+        r = _request(self._sock, MT.GET_OUTPUTS, b"", MT.OUTPUTS)
         count = r.count()
-        if count != len(names):
-            raise ProtocolError(f"asked for {len(names)} outputs, got {count}")
+        if count != self._n_outputs:
+            raise ProtocolError(f"bound {self._n_outputs} outputs, got {count}")
         values = [r.f64() for _ in range(count)]
         r.done()
         return values

@@ -273,18 +273,18 @@ class Provider:
                 Reader(payload).done()
                 instance.initialize()
                 wire.send_frame(conn, MT.OK)
+            elif msg_type == MT.BIND:
+                r = Reader(payload)
+                inputs = [r.string() for _ in range(r.count())]
+                outputs = [r.string() for _ in range(r.count())]
+                r.done()
+                instance.bind(inputs, outputs)
+                wire.send_frame(conn, MT.OK)
             elif msg_type == MT.SET_INPUTS:
                 r = Reader(payload)
-                variables = instance.descriptor().variables
-                pairs = []
-                for _ in range(r.count()):
-                    index = r.u64()
-                    value = r.f64()
-                    if index >= len(variables):
-                        raise ProtocolError(f"variable index {index} out of range")
-                    pairs.append((variables[index].name, value))
+                values = [r.f64() for _ in range(r.count())]
                 r.done()
-                instance.set_inputs(pairs)
+                instance.set_inputs(values)
                 wire.send_frame(conn, MT.OK)
             elif msg_type == MT.STEP:
                 r = Reader(payload)
@@ -298,16 +298,8 @@ class Provider:
                     w = Writer().f64(outcome.end_time).string(outcome.diagnostic)
                     wire.send_frame(conn, MT.STEP_FAIL, w.payload())
             elif msg_type == MT.GET_OUTPUTS:
-                r = Reader(payload)
-                variables = instance.descriptor().variables
-                names = []
-                for _ in range(r.count()):
-                    index = r.u64()
-                    if index >= len(variables):
-                        raise ProtocolError(f"variable index {index} out of range")
-                    names.append(variables[index].name)
-                r.done()
-                values = instance.get_outputs(names)
+                Reader(payload).done()
+                values = instance.get_outputs()
                 w = Writer().count(len(values))
                 for value in values:
                     w.f64(value)

@@ -68,11 +68,9 @@ class CsvObserver:
         self.out_dir = Path(out_dir)
         self._signals: TextIO | None = None
         self._energy: TextIO | None = None
-        self._ports: tuple = ()
 
     def on_start(self, info: StartInfo) -> None:
-        self._ports = info.output_ports
-        header = [f"{p.owner}.{p.var}" for p in self._ports]
+        header = [f"{p.owner}.{p.var}" for p in info.output_ports]
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             self._signals = open(self.out_dir / "signals.csv", "w", newline="")
@@ -86,7 +84,8 @@ class CsvObserver:
     def on_step(self, record: StepRecord) -> None:
         try:
             t = _fmt(record.t_next)
-            row = [t] + [_fmt(record.outputs[p]) for p in self._ports]
+            # ``record.outputs`` is built in ``output_ports`` order, the header's
+            row = [t] + [_fmt(x) for x in record.outputs.values()]
             self._signals.write(",".join(row) + "\n")
             eps = _fmt(record.energy.epsilon)
             for b in record.energy.bonds:

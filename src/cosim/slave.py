@@ -3,6 +3,8 @@
 A slave walks created -> initialized -> stepping -> terminated.  Every
 method checks the state it requires and raises ``InvalidState``
 otherwise, so misuse fails loudly instead of producing silent garbage.
+Names are checked once, when the master binds a slave's inputs and
+outputs; from then on the exchange moves value lists in the bound order.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
 """
@@ -68,7 +70,11 @@ class SlaveInstance(ABC):
     def initialize(self) -> None: ...
 
     @abstractmethod
-    def set_inputs(self, pairs: list[tuple[str, float]]) -> None: ...
+    def bind(self, inputs: list[str], outputs: list[str]) -> None:
+        """Fix the ports the exchange moves, in order; bad names raise here."""
+
+    @abstractmethod
+    def set_inputs(self, values: list[float]) -> None: ...
 
     @abstractmethod
     def do_step(self, t: float, dt: float) -> StepOutcome: ...
@@ -81,7 +87,7 @@ class SlaveInstance(ABC):
         return self.do_step(t, dt)
 
     @abstractmethod
-    def get_outputs(self, names: list[str]) -> list[float]: ...
+    def get_outputs(self) -> list[float]: ...
 
     @abstractmethod
     def terminate(self) -> None: ...
@@ -119,6 +125,7 @@ class ModelSlave(SlaveInstance):
             self.params[name] = float(value)
         self.inputs: dict[str, float] = {}
         self.outputs: dict[str, float] = {}
+        self._binding: tuple[list[str], list[str]] | None = None
 
     # -- interface ----------------------------------------------------
 
@@ -146,12 +153,20 @@ class ModelSlave(SlaveInstance):
             raise InvalidState(f"model left outputs unset after initialize: {missing}")
         self._state = _State.INITIALIZED
 
-    def set_inputs(self, pairs: list[tuple[str, float]]) -> None:
-        self._require((_State.INITIALIZED, _State.STEPPING), "set_inputs")
-        for name, value in pairs:
-            var = self._variable(name)
-            if var.causality is not Causality.INPUT:
+    def bind(self, inputs: list[str], outputs: list[str]) -> None:
+        for name in inputs:
+            if self._variable(name).causality is not Causality.INPUT:
                 raise NotAnInput(f"{name} is not an input")
+        for name in outputs:
+            if self._variable(name).causality is not Causality.OUTPUT:
+                raise NotAnOutput(f"{name} is not an output")
+        self._binding = (list(inputs), list(outputs))
+
+    def set_inputs(self, values: list[float]) -> None:
+        names = self._bound("set_inputs")[0]
+        if len(values) != len(names):
+            raise InvalidState(f"{len(values)} values for {len(names)} bound inputs")
+        for name, value in zip(names, values):
             self.inputs[name] = float(value)
         self._refresh_feedthrough()
 
@@ -181,15 +196,8 @@ class ModelSlave(SlaveInstance):
         self._state = _State.STEPPING
         return StepOutcome(StepStatus.OK, self._time)
 
-    def get_outputs(self, names: list[str]) -> list[float]:
-        self._require((_State.INITIALIZED, _State.STEPPING), "get_outputs")
-        values = []
-        for name in names:
-            var = self._variable(name)
-            if var.causality is not Causality.OUTPUT:
-                raise NotAnOutput(f"{name} is not an output")
-            values.append(self.outputs[name])
-        return values
+    def get_outputs(self) -> list[float]:
+        return [self.outputs[name] for name in self._bound("get_outputs")[1]]
 
     def terminate(self) -> None:
         if self._state is _State.TERMINATED:
@@ -216,6 +224,12 @@ class ModelSlave(SlaveInstance):
             return self.descriptor().variable(name)
         except KeyError:
             raise UnknownVariable(f"no variable named {name!r}") from None
+
+    def _bound(self, what: str) -> tuple[list[str], list[str]]:
+        self._require((_State.INITIALIZED, _State.STEPPING), what)
+        if self._binding is None:
+            raise InvalidState(f"{what} before bind")
+        return self._binding
 
     def _require(self, states, what: str):
         if not isinstance(states, tuple):

@@ -65,9 +65,6 @@ class SlaveDescriptor:
                 return v
         raise KeyError(name)
 
-    def has_variable(self, name: str) -> bool:
-        return any(v.name == name for v in self.variables)
-
     def inputs(self) -> tuple[VariableDescriptor, ...]:
         return tuple(v for v in self.variables if v.causality is Causality.INPUT)
 
@@ -268,9 +265,10 @@ def validate_system(
 
     def lookup_var(ref: PortRef) -> VariableDescriptor | None:
         d = slave_desc.get(ref.owner) or fu_desc.get(ref.owner)
-        if d is None or not d.has_variable(ref.var):
+        try:
+            return d.variable(ref.var) if d is not None else None
+        except KeyError:
             return None
-        return d.variable(ref.var)
 
     # Wiring bookkeeping: every input must end up wired exactly once.
     wired: dict[PortRef, int] = {}
@@ -371,7 +369,7 @@ def validate_system(
                 add("input-wired-twice", f"input has {n} sources", str(ref))
 
     # Same-instant dependency graph over FUs and feedthrough outputs.
-    cycle = find_algebraic_loop(system, slave_desc, fu_desc)
+    cycle = _find_cycle(_same_instant_edges(system, slave_desc, fu_desc))
     if cycle is not None:
         add("algebraic-loop", "algebraic loop " + " -> ".join(cycle + [cycle[0]]))
 
@@ -436,15 +434,6 @@ def _same_instant_edges(
         if propagates(src) and propagates(dst):
             edges.setdefault(src, set()).add(dst)
     return edges
-
-
-def find_algebraic_loop(
-    system: SystemDescription,
-    slave_desc: dict[str, SlaveDescriptor],
-    fu_desc: dict[str, SlaveDescriptor],
-) -> list[str] | None:
-    """Return one cycle of owner names, or None when the graph is acyclic."""
-    return _find_cycle(_same_instant_edges(system, slave_desc, fu_desc))
 
 
 def _find_cycle(edges: dict[str, set[str]]) -> list[str] | None:

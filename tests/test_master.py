@@ -307,7 +307,7 @@ class TestInitialize:
             def _step(self, t, dt):
                 pass
 
-            def set_inputs(self, pairs):
+            def set_inputs(self, values):
                 raise RuntimeError("inputs refused")
 
         test_registry.register(BadInputs)

@@ -7,16 +7,22 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import single_slave
+from cosim.errors import InvalidState, NotAnInput
 from cosim.models import rk4_integrate, rk4_step
 
 
 def march(slave, t_end, dt, inputs=None):
-    """Step a slave from t=0 to t_end, optionally feeding inputs u(t)."""
+    """Step a slave from t=0 to t_end, optionally feeding inputs u(t).
+
+    With ``inputs`` the slave is bound to their names and no outputs.
+    """
     t = 0.0
     n = round(t_end / dt)
+    if inputs is not None:
+        slave.bind(list(inputs), [])
     for i in range(n):
         if inputs is not None:
-            slave.set_inputs([(k, f(t)) for k, f in inputs.items()])
+            slave.set_inputs([f(t) for f in inputs.values()])
         outcome = slave.do_step(t, dt)
         assert outcome.status.name == "OK", outcome.diagnostic
         t = outcome.end_time
@@ -28,27 +34,30 @@ class TestMsdIntegral:
         # undamped unit oscillator from x=1: x(t) = cos(t)
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0})
-        slave.set_inputs([("tau", 0.0)])
+        slave.bind(["tau"], ["x"])
+        slave.set_inputs([0.0])
         slave.do_step(0.0, 0.001)
-        (x,) = slave.get_outputs(["x"])
+        (x,) = slave.get_outputs()
         assert abs(x - math.cos(0.001)) < 1e-9
 
     def test_half_second_with_fine_micro_steps(self):
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0,
                               "h": 1e-4})
-        slave.set_inputs([("tau", 0.0)])
+        slave.bind(["tau"], ["x"])
+        slave.set_inputs([0.0])
         march(slave, 0.5, 0.01)
-        (x,) = slave.get_outputs(["x"])
+        (x,) = slave.get_outputs()
         assert abs(x - math.cos(0.5)) < 1e-8
 
     def test_matches_reference_integrator_with_damping(self):
         params = {"m": 2.0, "d": 0.7, "k": 5.0, "x0": 0.3, "v0": -0.1,
                   "h": 1e-4}
         slave = single_slave("msd_integral", params)
-        slave.set_inputs([("tau", 1.5)])
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([1.5])
         march(slave, 1.0, 0.01)
-        x, v = slave.get_outputs(["x", "v"])
+        x, v = slave.get_outputs()
 
         def rhs(_t, y):
             return [y[1], (1.5 - 0.7 * y[1] - 5.0 * y[0]) / 2.0]
@@ -62,9 +71,10 @@ class TestMsdIntegral:
         # constant tau with x = tau/k, v = 0 stays put
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.5, "k": 4.0, "x0": 0.5})
-        slave.set_inputs([("tau", 2.0)])
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([2.0])
         march(slave, 1.0, 0.05)
-        x, v = slave.get_outputs(["x", "v"])
+        x, v = slave.get_outputs()
         assert x == pytest.approx(0.5, abs=1e-12)
         assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -73,9 +83,10 @@ class TestMsdIntegral:
             slave = single_slave("msd_integral",
                                  {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0,
                                   "h": h})
-            slave.set_inputs([("tau", 0.0)])
+            slave.bind(["tau"], ["x"])
+            slave.set_inputs([0.0])
             slave.do_step(0.0, 0.5)
-            (x,) = slave.get_outputs(["x"])
+            (x,) = slave.get_outputs()
             return abs(x - math.cos(0.5))
 
         hs = [2e-2, 1e-2, 5e-3, 2.5e-3]
@@ -87,10 +98,11 @@ class TestMsdIntegral:
         params = {"m": 1.0, "d": 0.3, "k": 2.0, "x0": 1.0, "v0": 0.5,
                   "h": 1e-3}
         slave = single_slave("msd_integral", params)
-        slave.set_inputs([("tau", 0.0)])
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([0.0])
 
         def energy():
-            x, v = slave.get_outputs(["x", "v"])
+            x, v = slave.get_outputs()
             return 0.5 * (params["m"] * v * v + params["k"] * x * x)
 
         e0 = energy()
@@ -110,7 +122,8 @@ class TestMsdDifferential:
         slave = single_slave("msd_differential",
                              {"m": 1.0, "d": 2.0, "k": 3.0})
         march(slave, 1.0, 0.01, inputs={"v": lambda t: 1.0})
-        (tau,) = slave.get_outputs(["tau"])
+        slave.bind(["v"], ["tau"])
+        (tau,) = slave.get_outputs()
         assert abs(tau - 5.0) < 1e-6
 
     def test_ramp_velocity_reaction(self):
@@ -119,7 +132,8 @@ class TestMsdDifferential:
         slave = single_slave("msd_differential", {"m": m, "d": d, "k": k})
         dt = 1e-3
         march(slave, 1.0, dt, inputs={"v": lambda t: t})
-        tau, x = slave.get_outputs(["tau", "x"])
+        slave.bind(["v"], ["tau", "x"])
+        tau, x = slave.get_outputs()
         t = 1.0
         # held samples lag the ramp by up to one step
         assert abs(tau - (m + d * t + k * t * t / 2)) < 4 * dt * (d + k)
@@ -128,9 +142,10 @@ class TestMsdDifferential:
     def test_first_step_assumes_zero_acceleration(self):
         slave = single_slave("msd_differential",
                              {"m": 5.0, "d": 1.0, "k": 1.0})
-        slave.set_inputs([("v", 2.0)])
+        slave.bind(["v"], ["tau"])
+        slave.set_inputs([2.0])
         slave.do_step(0.0, 0.1)
-        (tau,) = slave.get_outputs(["tau"])
+        (tau,) = slave.get_outputs()
         # no velocity history yet: tau = d*v + k*x only
         assert tau == pytest.approx(1.0 * 2.0 + 1.0 * 0.2, abs=1e-12)
 
@@ -147,26 +162,30 @@ class TestMsdHybrid:
         plain = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.8, "k": 2.0, "h": 1e-3})
         for slave in (hybrid, plain):
-            slave.set_inputs([("tau", 1.0)])
+            slave.bind(["tau"], ["x", "v"])
+            slave.set_inputs([1.0])
             march(slave, 2.0, 0.01)
-        assert hybrid.get_outputs(["x", "v"]) == plain.get_outputs(["x", "v"])
+        assert hybrid.get_outputs() == plain.get_outputs()
 
     def test_switch_holds_force_continuous(self):
         slave = self.make()
-        slave.set_inputs([("tau", 1.0)])
+        slave.bind(["tau"], [])
+        slave.set_inputs([1.0])
         t = march(slave, 1.0, 0.01)
         slave.switch_causality("differential")
-        (tau,) = slave.get_outputs(["tau"])
+        slave.bind(["v"], ["tau"])
+        (tau,) = slave.get_outputs()
         assert abs(tau - 1.0) < 1e-6
         # and the force stays near the held value over the next short step
-        slave.set_inputs([("v", slave.vel)])
+        slave.set_inputs([slave.vel])
         slave.do_step(t, 0.001)
-        (tau_next,) = slave.get_outputs(["tau"])
+        (tau_next,) = slave.get_outputs()
         assert abs(tau_next - 1.0) < 1e-2
 
     def test_switch_preserves_stored_energy(self):
         slave = self.make()
-        slave.set_inputs([("tau", 1.0)])
+        slave.bind(["tau"], [])
+        slave.set_inputs([1.0])
         march(slave, 1.0, 0.01)
         before = slave.energy()
         slave.switch_causality("differential")
@@ -177,12 +196,14 @@ class TestMsdHybrid:
 
     def test_round_trip_at_equilibrium_is_identity(self):
         slave = self.make(x0=0.5, v0=0.0)
-        slave.set_inputs([("tau", 1.0)])  # k*x0 = 1.0 exactly
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([1.0])  # k*x0 = 1.0 exactly
         march(slave, 0.5, 0.01)
-        state = slave.get_outputs(["x", "v"])
+        state = slave.get_outputs()
         slave.switch_causality("differential")
         slave.switch_causality("integral")
-        assert slave.get_outputs(["x", "v"]) == state
+        slave.bind(["tau"], ["x", "v"])
+        assert slave.get_outputs() == state
         assert slave.mode == "integral"
 
     def test_descriptor_tracks_mode(self):
@@ -190,6 +211,24 @@ class TestMsdHybrid:
         assert [v.name for v in slave.descriptor().inputs()] == ["tau"]
         slave.switch_causality("differential")
         assert [v.name for v in slave.descriptor().inputs()] == ["v"]
+
+    def test_switch_drops_the_binding(self):
+        slave = self.make()
+        slave.bind(["tau"], ["v", "x"])
+        slave.set_inputs([1.0])
+        slave.switch_causality("differential")
+        with pytest.raises(InvalidState):
+            slave.set_inputs([1.0])
+        with pytest.raises(InvalidState):
+            slave.get_outputs()
+        with pytest.raises(NotAnInput):
+            slave.bind(["tau"], ["v", "x"])
+        with pytest.raises(InvalidState):
+            slave.set_inputs([1.0])
+        slave.bind(["v"], ["tau", "x"])
+        slave.set_inputs([0.5])
+        assert slave.inputs == {"v": 0.5}
+        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
 
     def test_switch_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -204,15 +243,17 @@ class TestQuarterCar:
         wheel = single_slave("quarter_car_wheel",
                              {"m2": 40.0, "kt": 1.5e5, "z2_0": 0.0,
                               "v2_0": 0.0, "h": 1e-4})
+        chassis.bind(["F"], ["z1", "v1"])
+        wheel.bind(["F"], ["z2", "v2"])
         t = 0.0
         for _ in range(100):
-            chassis.set_inputs([("F", 0.0)])
-            wheel.set_inputs([("F", 0.0)])
+            chassis.set_inputs([0.0])
+            wheel.set_inputs([0.0])
             chassis.do_step(t, 1e-3)
             wheel.do_step(t, 1e-3)
             t += 1e-3
-        assert chassis.get_outputs(["z1", "v1"]) == [0.0, 0.0]
-        assert wheel.get_outputs(["z2", "v2"]) == [0.0, 0.0]
+        assert chassis.get_outputs() == [0.0, 0.0]
+        assert wheel.get_outputs() == [0.0, 0.0]
 
     def test_reticulations_expose_matching_ports(self):
         a = single_slave("quarter_car_chassis_susp", {})
@@ -228,19 +269,21 @@ class TestSources:
         slave = single_slave("sine_source",
                              {"amp": 2.0, "freq": 0.5, "phase": 0.25,
                               "bias": -1.0})
-        assert slave.get_outputs(["y"]) == [-1.0 + 2.0 * math.sin(0.25)]
+        slave.bind([], ["y"])
+        assert slave.get_outputs() == [-1.0 + 2.0 * math.sin(0.25)]
         t = march(slave, 0.3, 0.1)
         expect = -1.0 + 2.0 * math.sin(2 * math.pi * 0.5 * t + 0.25)
-        assert slave.get_outputs(["y"]) == [expect]
+        assert slave.get_outputs() == [expect]
 
     def test_bump_source_window(self):
         slave = single_slave("bump_source",
                              {"t0": 1.0, "width": 0.2, "height": 0.05})
+        slave.bind([], ["y"])
         t, ys = 0.0, []
         for _ in range(30):
             slave.do_step(t, 0.05)
             t += 0.05
-            ys.append((t, slave.get_outputs(["y"])[0]))
+            ys.append((t, slave.get_outputs()[0]))
         for t, y in ys:
             if t < 1.0 - 1e-9 or t > 1.2 + 1e-9:
                 assert y == 0.0
@@ -254,14 +297,16 @@ class TestElectrical:
         gen = single_slave("generator_voltage",
                            {"V_set": 230.0, "R": 0.5, "T": 0.05, "h": 1e-4})
         march(gen, 1.0, 1e-3, inputs={"I": lambda t: 0.0})
-        (v,) = gen.get_outputs(["V"])
+        gen.bind(["I"], ["V"])
+        (v,) = gen.get_outputs()
         assert v == pytest.approx(230.0, rel=1e-6)
 
     def test_generator_droops_under_load(self):
         gen = single_slave("generator_voltage",
                            {"V_set": 230.0, "R": 0.5, "T": 0.05, "h": 1e-4})
         march(gen, 1.0, 1e-3, inputs={"I": lambda t: 10.0})
-        (v,) = gen.get_outputs(["V"])
+        gen.bind(["I"], ["V"])
+        (v,) = gen.get_outputs()
         assert v == pytest.approx(230.0 - 0.5 * 10.0, rel=1e-6)
 
     def test_motor_reaches_analytic_steady_state(self):
@@ -270,7 +315,8 @@ class TestElectrical:
         motor = single_slave("el_motor", p)
         # slowest pole is about 0.6/s; 40 s puts the transient below 1e-9
         march(motor, 40.0, 1e-2, inputs={"V": lambda t: 12.0})
-        I, omega = motor.get_outputs(["I", "omega"])
+        motor.bind(["V"], ["I", "omega"])
+        I, omega = motor.get_outputs()
         # steady state of the linear DC motor equations
         den = p["R"] * p["b"] + p["Ke"] * p["Kt"]
         assert omega == pytest.approx(12.0 * p["Kt"] / den, rel=1e-6)
@@ -280,16 +326,18 @@ class TestElectrical:
 class TestBlocks:
     def test_sum_delay_lags_one_step(self):
         slave = single_slave("sum_delay")
-        slave.set_inputs([("u1", 2.0), ("u2", 3.0)])
-        assert slave.get_outputs(["y"]) == [0.0]
+        slave.bind(["u1", "u2"], ["y"])
+        slave.set_inputs([2.0, 3.0])
+        assert slave.get_outputs() == [0.0]
         slave.do_step(0.0, 0.1)
-        assert slave.get_outputs(["y"]) == [5.0]
+        assert slave.get_outputs() == [5.0]
 
     def test_gain_block_feeds_through(self):
         slave = single_slave("gain_block", {"c": -2.5})
-        slave.set_inputs([("u", 4.0)])
+        slave.bind(["u"], ["y"])
+        slave.set_inputs([4.0])
         slave.do_step(0.0, 0.1)
-        assert slave.get_outputs(["y"]) == [-10.0]
+        assert slave.get_outputs() == [-10.0]
 
 
 class TestRk4Kernels:

@@ -10,6 +10,7 @@ from cosim.errors import (
     BarrierTimeout,
     ConnectionLost,
     InvalidState,
+    NotAnInput,
     NotAnOutput,
     ProtocolError,
     RunAborted,
@@ -87,10 +88,11 @@ class TestControlChannel:
         finally:
             prov.shutdown()
 
-    def test_version_mismatch_rejected(self, provider):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_mismatch_rejected(self, provider, version):
         host, port = provider.address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as sock:
-            send_frame(sock, MT.HELLO, Writer().u64(999).payload())
+            send_frame(sock, MT.HELLO, Writer().u64(version).payload())
             msg_type, payload = recv_frame(sock)
         assert msg_type == MT.ERROR
         r = Reader(payload)
@@ -120,14 +122,15 @@ class TestRemoteSlave:
         def history(slave):
             slave.setup(0.0, 10.0)
             slave.initialize()
+            slave.bind(["tau"], ["x", "v"])
             out = []
             t = 0.0
             for _ in range(20):
-                slave.set_inputs([("tau", 0.25)])
+                slave.set_inputs([0.25])
                 outcome = slave.do_step(t, 0.05)
                 assert outcome.ok
                 t = outcome.end_time
-                out.extend(slave.get_outputs(["x", "v"]))
+                out.extend(slave.get_outputs())
             slave.terminate()
             return out
 
@@ -146,11 +149,23 @@ class TestRemoteSlave:
             slave.setup(0.0, 1.0)
             slave.initialize()
             with pytest.raises(UnknownVariable):
-                slave.get_outputs(["bogus"])
+                slave.bind([], ["bogus"])
+            with pytest.raises(UnknownVariable):
+                slave.bind(["bogus"], [])
+            with pytest.raises(NotAnInput):
+                slave.bind(["x"], [])
             with pytest.raises(NotAnOutput):
-                slave.get_outputs(["tau"])
+                slave.bind([], ["tau"])
             with pytest.raises(InvalidState):
                 slave.initialize()
+            slave.bind(["tau"], ["x", "v"])
+            for values in ([], [0.5, 0.5]):
+                with pytest.raises(InvalidState):
+                    slave.set_inputs(values)
+            # the session still answers the next request
+            assert slave.get_outputs() == [0.0, 0.0]
+            slave.set_inputs([0.5])
+            assert slave.do_step(0.0, 0.1).ok
         finally:
             slave.terminate()
 
@@ -346,10 +361,15 @@ class TestDistributedRuns:
                     while True:
                         msg, body = recv_frame(conn)
                         received.append(msg)
-                        if msg == MT.GET_OUTPUTS:
-                            n = Reader(body).count()
-                            w = Writer().count(n)
-                            for _ in range(n):
+                        if msg == MT.BIND:
+                            r = Reader(body)
+                            for _ in range(r.count()):
+                                r.string()
+                            bound = [r.string() for _ in range(r.count())]
+                            send_frame(conn, MT.OK)
+                        elif msg == MT.GET_OUTPUTS:
+                            w = Writer().count(len(bound))
+                            for _ in bound:
                                 w.f64(0.0)
                             send_frame(conn, MT.OUTPUTS, w.payload())
                         elif msg == MT.STEP:

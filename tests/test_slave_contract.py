@@ -27,11 +27,12 @@ class TestLifecycle:
         slave = fresh()
         slave.setup(0.0, 1.0)
         slave.initialize()
-        slave.set_inputs([("tau", 0.0)])
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([0.0])
         outcome = slave.do_step(0.0, 0.1)
         assert outcome.status is StepStatus.OK
         assert outcome.end_time == pytest.approx(0.1)
-        slave.get_outputs(["x", "v"])
+        slave.get_outputs()
         slave.terminate()
 
     def test_setup_twice_rejected(self):
@@ -109,7 +110,8 @@ class TestStepContract:
 
     def test_fixed_step_slave_latches_first_dt(self):
         slave = single_slave("sum_delay")
-        slave.set_inputs([("u1", 1.0), ("u2", 2.0)])
+        slave.bind(["u1", "u2"], [])
+        slave.set_inputs([1.0, 2.0])
         slave.do_step(0.0, 0.1)
         with pytest.raises(StepRejected):
             slave.do_step(0.1, 0.05)
@@ -131,24 +133,40 @@ class TestVariableAccess:
     def test_unknown_variable(self):
         slave = single_slave("msd_integral")
         with pytest.raises(UnknownVariable):
-            slave.set_inputs([("bogus", 1.0)])
+            slave.bind(["bogus"], [])
         with pytest.raises(UnknownVariable):
-            slave.get_outputs(["bogus"])
+            slave.bind([], ["bogus"])
 
     def test_not_an_input(self):
         slave = single_slave("msd_integral")
         with pytest.raises(NotAnInput):
-            slave.set_inputs([("x", 1.0)])
+            slave.bind(["x"], [])
 
     def test_not_an_output(self):
         slave = single_slave("msd_integral")
         with pytest.raises(NotAnOutput):
-            slave.get_outputs(["tau"])
+            slave.bind([], ["tau"])
 
-    def test_outputs_follow_request_order(self):
+    def test_outputs_follow_bound_order(self):
         slave = single_slave("msd_integral", {"x0": 2.0})
-        assert slave.get_outputs(["x", "v"]) == [2.0, 0.0]
-        assert slave.get_outputs(["v", "x"]) == [0.0, 2.0]
+        slave.bind([], ["x", "v"])
+        assert slave.get_outputs() == [2.0, 0.0]
+        slave.bind([], ["v", "x"])
+        assert slave.get_outputs() == [0.0, 2.0]
+
+    def test_exchange_needs_a_binding(self):
+        slave = single_slave("msd_integral")
+        with pytest.raises(InvalidState):
+            slave.set_inputs([])
+        with pytest.raises(InvalidState):
+            slave.get_outputs()
+
+    def test_value_count_must_match_binding(self):
+        slave = single_slave("msd_integral")
+        slave.bind(["tau"], ["x"])
+        for values in ([], [1.0, 2.0]):
+            with pytest.raises(InvalidState):
+                slave.set_inputs(values)
 
 
 class TestConstruction:
@@ -162,15 +180,17 @@ class TestConstruction:
 
     def test_parameter_defaults_applied(self):
         slave = single_slave("msd_integral")
-        assert slave.get_outputs(["x"]) == [0.0]
+        slave.bind([], ["x"])
+        assert slave.get_outputs() == [0.0]
 
     def test_instances_are_independent(self):
         a = single_slave("msd_integral", {"x0": 1.0})
         b = single_slave("msd_integral", {"x0": 1.0})
-        a.set_inputs([("tau", 0.0)])
-        b.set_inputs([("tau", 0.0)])
+        for slave in (a, b):
+            slave.bind(["tau"], ["x"])
+            slave.set_inputs([0.0])
         a.do_step(0.0, 0.5)
-        assert b.get_outputs(["x"]) == [1.0]
+        assert b.get_outputs() == [1.0]
 
     def test_model_ids_sorted(self):
         ids = registry.model_ids()
@@ -186,14 +206,15 @@ class TestDeterminism:
     def test_identical_histories_bitwise(self, model_id, drive):
         def run():
             slave = single_slave(model_id)
+            names = [v.name for v in slave.descriptor().outputs()]
+            slave.bind([name for name, _ in drive], names)
             out = []
             t = 0.0
             for _ in range(50):
-                slave.set_inputs(drive)
+                slave.set_inputs([value for _, value in drive])
                 slave.do_step(t, 0.01)
                 t += 0.01
-                names = [v.name for v in slave.descriptor().outputs()]
-                out.extend(slave.get_outputs(names))
+                out.extend(slave.get_outputs())
             return out
 
         first, second = run(), run()

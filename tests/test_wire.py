@@ -138,12 +138,12 @@ class TestFrames:
             "SETUP": 9, "INITIALIZE": 10, "SET_INPUTS": 11, "STEP": 12,
             "STEP_OK": 13, "STEP_FAIL": 14, "GET_OUTPUTS": 15,
             "OUTPUTS": 16, "TERMINATE": 17, "TERMINATED": 18,
-            "ERROR": 19, "OK": 20,
+            "ERROR": 19, "OK": 20, "BIND": 21,
         }
         assert {m.name: int(m) for m in MessageType} == expected
 
     def test_protocol_version(self):
-        assert PROTOCOL_VERSION == 1
+        assert PROTOCOL_VERSION == 2
 
 
 class TestErrors:
