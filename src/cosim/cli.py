@@ -20,7 +20,7 @@ from .errors import (
     RunAborted,
     UnknownModel,
 )
-from .master import LocalResolver, initialize_run, run_to_end
+from .master import initialize_run, run_to_end
 from .models import registry
 from .net import NetworkResolver, Provider, ProviderConfig, ProviderClient, discover
 from .observers import CsvObserver
@@ -92,22 +92,12 @@ def _parse(path: str) -> SystemDescription:
         raise SystemExit(EXIT_FINDINGS)
 
 
-def _resolver(system: SystemDescription):
-    if any(spec.provider for spec in system.slaves):
-        return NetworkResolver(registry)
-    return LocalResolver(registry)
-
-
 def _execute(system: SystemDescription, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before any slave exists
-    resolver = _resolver(system)
     csv = CsvObserver(out_dir)
-    try:
+    with NetworkResolver(registry) as resolver:
         run = initialize_run(system, resolver, observers=[csv])
         result = run_to_end(run)
-    finally:
-        if isinstance(resolver, NetworkResolver):
-            resolver.close()
     if csv not in run.observers:
         # The master drops an observer that raised; the CSVs are incomplete.
         raise CosimError(f"writing output in {out_dir} failed")
@@ -146,17 +136,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     system = _parse(args.config)
-    resolver = _resolver(system)
     desc_map = {}
-    try:
+    with NetworkResolver(registry) as resolver:
         for spec in system.slaves:
             try:
                 desc_map[spec.model_id] = resolver.describe(spec)
             except (UnknownModel, ConnectionLost, ProtocolError, OSError):
                 pass  # reported as an unknown-model finding below
-    finally:
-        if isinstance(resolver, NetworkResolver):
-            resolver.close()
     report = validate_system(system, desc_map)
     if report.ok:
         print("configuration is valid")

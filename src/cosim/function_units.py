@@ -36,7 +36,12 @@ def _sig(name: str, causality: Causality, unit=None) -> VariableDescriptor:
 
 
 class FunctionUnit(ABC):
-    """One stateless node: outputs = g(inputs, t)."""
+    """One stateless node: outputs = g(inputs, t).
+
+    ``evaluate`` takes the input values and returns the output values,
+    both as lists in descriptor order (``desc.inputs()``,
+    ``desc.outputs()``); the plan hands them over by slot, not by name.
+    """
 
     def __init__(self, spec: FunctionUnitSpec):
         self.spec = spec
@@ -46,7 +51,7 @@ class FunctionUnit(ABC):
     def _describe(self, spec: FunctionUnitSpec) -> SlaveDescriptor: ...
 
     @abstractmethod
-    def evaluate(self, values: dict[str, float], t: float) -> dict[str, float]: ...
+    def evaluate(self, u: list[float], t: float) -> list[float]: ...
 
     @staticmethod
     def _params(spec: FunctionUnitSpec, **expected):
@@ -85,8 +90,8 @@ class Gain(FunctionUnit):
             variables=(_sig("u", IN), _sig("y", OUT)),
         )
 
-    def evaluate(self, values, t):
-        return {"y": self.c * values["u"]}
+    def evaluate(self, u, t):
+        return [self.c * u[0]]
 
 
 class Sum(FunctionUnit):
@@ -101,11 +106,11 @@ class Sum(FunctionUnit):
             + (_sig("y", OUT),),
         )
 
-    def evaluate(self, values, t):
+    def evaluate(self, u, t):
         acc = 0.0
-        for i in range(1, self.n + 1):
-            acc += values[f"u{i}"]
-        return {"y": acc}
+        for x in u:
+            acc += x
+        return [acc]
 
 
 class UnitConvert(FunctionUnit):
@@ -121,8 +126,8 @@ class UnitConvert(FunctionUnit):
             variables=(_sig("u", IN, src), _sig("y", OUT, dst)),
         )
 
-    def evaluate(self, values, t):
-        return {"y": values["u"] * self.factor}
+    def evaluate(self, u, t):
+        return [u[0] * self.factor]
 
 
 class Splitter(FunctionUnit):
@@ -137,9 +142,8 @@ class Splitter(FunctionUnit):
             + tuple(_sig(f"y{i}", OUT) for i in range(1, self.n + 1)),
         )
 
-    def evaluate(self, values, t):
-        u = values["u"]
-        return {f"y{i}": u for i in range(1, self.n + 1)}
+    def evaluate(self, u, t):
+        return [u[0]] * self.n
 
 
 class ForceAggregator(FunctionUnit):
@@ -162,18 +166,18 @@ class ForceAggregator(FunctionUnit):
             model_id="fu:force_aggregator", variables=tuple(ins) + tuple(outs)
         )
 
-    def evaluate(self, values, t):
+    def evaluate(self, u, t):
         F = [0.0, 0.0, 0.0]
         M = [0.0, 0.0, 0.0]
-        for k in range(1, self.n + 1):
-            f = [values[f"fx{k}"], values[f"fy{k}"], values[f"fz{k}"]]
-            r = [values[f"rx{k}"], values[f"ry{k}"], values[f"rz{k}"]]
+        for k in range(0, 6 * self.n, 6):
+            f = u[k : k + 3]
+            r = u[k + 3 : k + 6]
             for i in range(3):
                 F[i] += f[i]
             M[0] += r[1] * f[2] - r[2] * f[1]
             M[1] += r[2] * f[0] - r[0] * f[2]
             M[2] += r[0] * f[1] - r[1] * f[0]
-        return {"fx": F[0], "fy": F[1], "fz": F[2], "mx": M[0], "my": M[1], "mz": M[2]}
+        return F + M
 
 
 class Switchboard(FunctionUnit):
@@ -196,17 +200,16 @@ class Switchboard(FunctionUnit):
             model_id="fu:switchboard", variables=tuple(ins) + tuple(outs)
         )
 
-    def evaluate(self, values, t):
-        out = {}
-        bus_v = values["bus_v"]
+    def evaluate(self, u, t):
+        bus_v = u[0]
         bus_i = 0.0
-        for k in range(1, self.n + 1):
-            closed = values[f"breaker_{k}"] >= 0.5
-            out[f"leg_v_{k}"] = bus_v if closed else 0.0
+        legs = []
+        for k in range(1, 2 * self.n, 2):  # (leg_i_k, breaker_k) pairs
+            closed = u[k + 1] >= 0.5
+            legs.append(bus_v if closed else 0.0)
             if closed:
-                bus_i += values[f"leg_i_{k}"]
-        out["bus_i"] = bus_i
-        return out
+                bus_i += u[k]
+        return [bus_i, *legs]
 
 
 FU_KINDS: dict[str, type[FunctionUnit]] = {
@@ -243,8 +246,8 @@ class CopyOp:
 @dataclass(frozen=True)
 class EvalOp:
     fu: FunctionUnit
-    inputs: tuple[tuple[str, int], ...]  # (port name, slot), descriptor order
-    outputs: tuple[tuple[str, int], ...]
+    inputs: tuple[int, ...]  # slots in ``EvaluationPlan.ports``, descriptor order
+    outputs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,7 @@ def build_plan(
             emitted.add(i)
 
     def slots(fu, variables):
-        return tuple((v.name, slot[PortRef(fu.spec.name, v.name)]) for v in variables)
+        return tuple(slot[PortRef(fu.spec.name, v.name)] for v in variables)
 
     emit_copies(lambda src: src.owner not in fus)
     for name in order:
@@ -392,7 +395,7 @@ def evaluate_plan(
         if isinstance(op, CopyOp):
             values[op.dst] = values[op.src] * op.factor
         else:
-            outs = op.fu.evaluate({name: values[i] for name, i in op.inputs}, t)
-            for name, i in op.outputs:
-                values[i] = outs[name]
+            outs = op.fu.evaluate([values[i] for i in op.inputs], t)
+            for i, y in zip(op.outputs, outs):
+                values[i] = y
     return values[n : n + len(plan.inputs)]

@@ -2,16 +2,18 @@
 
 Every macro step runs the same fixed sequence: latch inputs, step all
 slaves to the barrier, gather outputs, evaluate the connection plan,
-account residual energies, notify observers, advance the clock.  Inputs
-are held constant over the step and every slave integrates from the
-same snapshot, so permuting the slave list cannot change any value.
+account residual energies, notify observers, add the step to the step
+sum.  Inputs are held constant over the step and every slave integrates
+from the same snapshot, so permuting the slave list cannot change any
+value.
 
 One thread steps all slaves, remote STEP requests first.  ``step_timeout``
 cuts a late remote reply off and catches an in-process overrun on return.
 
-The clock is kept in double-double precision and the final step is
-fitted so the step sizes taken sum exactly (under compensated
-summation) to the requested span.
+The run's time is the exact step sum: ``t_start`` plus the steps taken,
+held as a few non-overlapping partials and rounded once by
+``math.fsum``.  The final step is the exact remainder, so the step
+sizes taken sum exactly to the requested span.
 """
 
 from __future__ import annotations
@@ -52,12 +54,6 @@ from .system import (
 log = logging.getLogger(__name__)
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _add_exact(partials: list[float], x: float) -> None:
     """Add x to the exact sum held as non-overlapping partials, in place.
 
@@ -76,26 +72,6 @@ def _add_exact(partials: list[float], x: float) -> None:
             i += 1
         x = hi
     partials[i:] = [x]
-
-
-class _Clock:
-    """Double-double simulation clock: time = hi + lo with hi = fl(sum)."""
-
-    def __init__(self, t0: float):
-        self.hi = t0
-        self.lo = 0.0
-
-    @property
-    def time(self) -> float:
-        return self.hi
-
-    def advance(self, dt: float) -> None:
-        s, e = _two_sum(self.hi, dt)
-        self.hi, self.lo = _two_sum(s, e + self.lo)
-
-    def remaining(self, t_end: float) -> float:
-        s, e = _two_sum(t_end, -self.hi)
-        return s + (e - self.lo)
 
 
 @dataclass(frozen=True)
@@ -159,7 +135,12 @@ class LocalResolver:
 
 
 class SimulationRun:
-    """A live run: slaves, plan, clock, latched inputs, controller."""
+    """A live run: slaves, plan, step sum, latched inputs, controller.
+
+    ``time`` is ``t_start`` plus the exact sum of the steps taken,
+    rounded once.  ``controller`` is None whenever ``dt`` does not adapt:
+    under a fixed-step policy, or when a slave cannot vary its step.
+    """
 
     def __init__(
         self,
@@ -174,29 +155,18 @@ class SimulationRun:
         self.plan = plan
         self.observers = list(observers)
         self.step_timeout = step_timeout
-        self.clock = _Clock(system.t_start)
         self.index = 0
         self.dt_partials: list[float] = []  # exact sum of the steps taken
         self.latched: list[float] = []  # slave inputs, ``plan.inputs`` order
         self.outputs: list[float] = []  # slave outputs, ``plan.outputs`` order
         self.cumulative: dict[str, float] = {}
-        self.forced_fixed = False
         self._terminated = False
 
         policy = system.step_policy
+        self.controller: StepController | None = None
         if isinstance(policy, FixedStepPolicy):
-            self.controller = None
             self.next_dt = policy.dt
         else:
-            self.controller = StepController(
-                tolerance=policy.tolerance,
-                dt_min=policy.dt_min,
-                dt_max=policy.dt_max,
-                safety=policy.safety,
-                alpha=policy.alpha,
-                theta_min=policy.theta_min,
-                theta_max=policy.theta_max,
-            )
             self.next_dt = policy.dt0
             rigid = [
                 name
@@ -210,7 +180,16 @@ class SimulationRun:
                     rigid,
                     policy.dt0,
                 )
-                self.forced_fixed = True
+            else:
+                self.controller = StepController(
+                    tolerance=policy.tolerance,
+                    dt_min=policy.dt_min,
+                    dt_max=policy.dt_max,
+                    safety=policy.safety,
+                    alpha=policy.alpha,
+                    theta_min=policy.theta_min,
+                    theta_max=policy.theta_max,
+                )
 
         self._bindings = _bind_bonds(system, slaves, plan)
         # Bind each slave once, in the plan's order; ``plan.inputs`` keeps a
@@ -229,7 +208,7 @@ class SimulationRun:
 
     @property
     def time(self) -> float:
-        return self.clock.time
+        return math.fsum([self.system.t_start, *self.dt_partials])
 
     def start_info(self) -> StartInfo:
         return StartInfo(
@@ -246,11 +225,7 @@ class SimulationRun:
         if self._terminated:
             return
         self._terminated = True
-        for slave in self.slaves.values():
-            try:
-                slave.terminate()
-            except Exception:
-                log.debug("terminate failed for a slave", exc_info=True)
+        _terminate_all(self.slaves)
 
     # -- internals ------------------------------------------------------
 
@@ -281,6 +256,15 @@ class SimulationRun:
         for slave, share in self._io:
             if share.start != share.stop:  # a slave without inputs gets no call
                 slave.set_inputs(inputs[share])
+
+
+def _terminate_all(slaves: dict[str, SlaveInstance]) -> None:
+    """Terminate every slave once; a failing terminate is logged, not raised."""
+    for name, slave in slaves.items():
+        try:
+            slave.terminate()
+        except Exception:
+            log.debug("terminate failed for slave %r", name, exc_info=True)
 
 
 def _si(var) -> float:
@@ -365,11 +349,7 @@ def initialize_run(
             snapshot = run.gather_outputs()
             assigned = evaluate_plan(plan, snapshot, system.t_start)
     except Exception:
-        for slave in slaves.values():
-            try:
-                slave.terminate()
-            except Exception:
-                pass
+        _terminate_all(slaves)
         raise
     run.outputs = snapshot
     run.latched = assigned
@@ -462,18 +442,17 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     run._notify("on_step", record)
 
     # (7) advance
-    run.clock.advance(dt)
     _add_exact(run.dt_partials, dt)
     run.index += 1
     run.latched = assigned
     run.outputs = snapshot
-    if run.controller is not None and not run.forced_fixed:
+    if run.controller is not None:
         run.next_dt = run.controller.propose(epsilon, dt)
     return record
 
 
 def run_to_end(run: SimulationRun) -> SimulationResult:
-    """Step until the clock lands exactly on t_end; terminate everything.
+    """Step until the step sum lands exactly on t_end; terminate everything.
 
     Each step record goes to the observers and is not kept here: the
     returned summary carries the step count and the span.  Attach a
@@ -484,16 +463,14 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
     run._notify("on_start", run.start_info())
     try:
         while True:
-            rem = run.clock.remaining(t_end)
+            rem = math.fsum([t_end, -t_start] + [-p for p in run.dt_partials])
             if rem <= 0.0:
                 break
             dt = run.next_dt
             if rem <= dt * (1.0 + 1e-9):
-                # Fit the last step so the compensated sum of all step
-                # sizes equals t_end - t_start exactly.
-                dt = math.fsum([t_end, -t_start] + [-p for p in run.dt_partials])
-                if dt <= 0.0:
-                    break
+                # The last step is the remainder itself, so the exact sum
+                # of all step sizes equals t_end - t_start.
+                dt = rem
             step_once(run, dt)
         run._notify("on_end", "completed")
     finally:

@@ -240,7 +240,7 @@ class MsdHybrid(ModelSlave):
         """Swap input/output roles between steps; the slave must be bound anew."""
         if target_mode not in ("integral", "differential"):
             raise ValueError(f"unknown causality mode {target_mode!r}")
-        self._require((_State.INITIALIZED, _State.STEPPING), "switch_causality")
+        self._require(_State.READY, "switch_causality")
         if target_mode == self._mode:
             return
         m, d, k = self.params["m"], self.params["d"], self.params["k"]

@@ -45,11 +45,6 @@ class MemoryObserver:
         self.end_reason = reason
 
 
-def _fmt(x: float) -> str:
-    # repr is the shortest decimal that round-trips to the same binary64
-    return repr(x)
-
-
 class CsvObserver:
     """Writes ``signals.csv`` and ``energy.csv`` under an output directory.
 
@@ -83,14 +78,15 @@ class CsvObserver:
 
     def on_step(self, record: StepRecord) -> None:
         try:
-            t = _fmt(record.t_next)
+            # repr is the shortest decimal that round-trips to the same binary64
+            t = repr(record.t_next)
             # ``record.outputs`` is built in ``output_ports`` order, the header's
-            row = [t] + [_fmt(x) for x in record.outputs.values()]
+            row = [t] + [repr(x) for x in record.outputs.values()]
             self._signals.write(",".join(row) + "\n")
-            eps = _fmt(record.energy.epsilon)
+            eps = repr(record.energy.epsilon)
             for b in record.energy.bonds:
-                cells = (t, b.bond, _fmt(b.p1), _fmt(b.p2), _fmt(b.dp),
-                         _fmt(b.de), _fmt(b.cumulative_de), eps)
+                cells = (t, b.bond, repr(b.p1), repr(b.p2), repr(b.dp),
+                         repr(b.de), repr(b.cumulative_de), eps)
                 self._energy.write(",".join(cells) + "\n")
         except OSError:
             self._close()

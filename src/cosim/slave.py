@@ -1,8 +1,10 @@
 """Slave lifecycle contract and the in-process model base class.
 
-A slave walks created -> initialized -> stepping -> terminated.  Every
-method checks the state it requires and raises ``InvalidState``
+A slave walks created -> set up -> ready -> terminated, one state per
+stage; stepping keeps it ready.  ``setup``, ``initialize``, the exchange
+and ``do_step`` each require exactly one state and raise ``InvalidState``
 otherwise, so misuse fails loudly instead of producing silent garbage.
+``terminate`` is allowed once, from any state.
 Names are checked once, when the master binds a slave's inputs and
 outputs; from then on the exchange moves value lists in the bound order.
 Remote proxies implement the same interface, which is what lets the
@@ -95,8 +97,8 @@ class SlaveInstance(ABC):
 
 class _State(enum.Enum):
     CREATED = "created"
-    INITIALIZED = "initialized"
-    STEPPING = "stepping"
+    SET_UP = "set up"
+    READY = "ready"
     TERMINATED = "terminated"
 
 
@@ -112,7 +114,6 @@ class ModelSlave(SlaveInstance):
 
     def __init__(self, parameters: dict[str, float] | None = None):
         self._state = _State.CREATED
-        self._setup_done = False
         self._time = 0.0
         self._t_end = 0.0
         self._latched_dt: float | None = None
@@ -134,16 +135,12 @@ class ModelSlave(SlaveInstance):
 
     def setup(self, t_start: float, t_end: float) -> None:
         self._require(_State.CREATED, "setup")
-        if self._setup_done:
-            raise InvalidState("setup called twice")
         self._time = float(t_start)
         self._t_end = float(t_end)
-        self._setup_done = True
+        self._state = _State.SET_UP
 
     def initialize(self) -> None:
-        self._require(_State.CREATED, "initialize")
-        if not self._setup_done:
-            raise InvalidState("initialize before setup")
+        self._require(_State.SET_UP, "initialize")
         for v in self.descriptor().variables:
             if v.causality is Causality.INPUT:
                 self.inputs[v.name] = 0.0
@@ -151,7 +148,7 @@ class ModelSlave(SlaveInstance):
         missing = [v.name for v in self.descriptor().outputs() if v.name not in self.outputs]
         if missing:
             raise InvalidState(f"model left outputs unset after initialize: {missing}")
-        self._state = _State.INITIALIZED
+        self._state = _State.READY
 
     def bind(self, inputs: list[str], outputs: list[str]) -> None:
         for name in inputs:
@@ -171,7 +168,7 @@ class ModelSlave(SlaveInstance):
         self._refresh_feedthrough()
 
     def do_step(self, t: float, dt: float) -> StepOutcome:
-        self._require((_State.INITIALIZED, _State.STEPPING), "do_step")
+        self._require(_State.READY, "do_step")
         if not dt > 0.0:
             raise StepRejected(f"step size must be positive (got {dt})")
         if not time_matches(t, self._time):
@@ -190,10 +187,8 @@ class ModelSlave(SlaveInstance):
         except StepRejected:
             raise
         except Exception as exc:  # solver blow-ups become a failed outcome
-            self._state = _State.STEPPING
             return StepOutcome(StepStatus.FAILED, self._time, f"{type(exc).__name__}: {exc}")
         self._time = t + dt
-        self._state = _State.STEPPING
         return StepOutcome(StepStatus.OK, self._time)
 
     def get_outputs(self) -> list[float]:
@@ -226,15 +221,13 @@ class ModelSlave(SlaveInstance):
             raise UnknownVariable(f"no variable named {name!r}") from None
 
     def _bound(self, what: str) -> tuple[list[str], list[str]]:
-        self._require((_State.INITIALIZED, _State.STEPPING), what)
+        self._require(_State.READY, what)
         if self._binding is None:
             raise InvalidState(f"{what} before bind")
         return self._binding
 
-    def _require(self, states, what: str):
-        if not isinstance(states, tuple):
-            states = (states,)
-        if self._state not in states:
+    def _require(self, state: _State, what: str):
+        if self._state is not state:
             raise InvalidState(f"{what} not allowed in state {self._state.value!r}")
 
 

@@ -109,6 +109,21 @@ class TestSchedule:
         assert (math.fsum([span, -0.5] + [-p for p in partials])
                 == math.fsum([span, -0.5] + [-d for d in dts]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(dts=st.lists(st.floats(min_value=1e-9, max_value=1.0), max_size=60),
+           t_start=st.floats(min_value=-1e3, max_value=1e3))
+    def test_slaves_are_handed_the_exact_step_sum(self, dts, t_start):
+        system = source_only_system(
+            FixedStepPolicy(0.1), t_start=t_start, t_end=t_start + 100.0)
+        run = initialize_run(system, LocalResolver(standard_registry))
+        try:
+            for i, dt in enumerate(dts):
+                record = step_once(run, dt)
+                assert record.t == math.fsum([t_start, *dts[:i]])
+            assert run.time == math.fsum([t_start, *dts])
+        finally:
+            run.terminate()
+
     def test_exact_partials_stay_short(self):
         partials = []
         for _ in range(10_000):
