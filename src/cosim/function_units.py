@@ -3,8 +3,11 @@
 Function units (FUs) close the gap between plain output-to-input
 routing and subsimulators: they transform same-instant values without
 introducing a macro-step delay and without carrying state.  The plan
-builder orders FU evaluations topologically and interleaves the
-connection copies so every value is ready before it is consumed.
+builder orders FU evaluations in one topological pass over the
+same-instant graph and interleaves the connection copies so every value
+is ready before it is consumed.  The plan is the one place that knows
+the port layout: the slots, each slave's bound ports and each bond's
+legs.
 """
 
 from __future__ import annotations
@@ -232,10 +235,6 @@ def make_fu(spec: FunctionUnitSpec) -> FunctionUnit:
     return cls(spec)
 
 
-def build_fu_descriptor(spec: FunctionUnitSpec) -> SlaveDescriptor:
-    return make_fu(spec).desc
-
-
 @dataclass(frozen=True)
 class CopyOp:
     src: int  # slot in ``EvaluationPlan.ports``
@@ -251,16 +250,42 @@ class EvalOp:
 
 
 @dataclass(frozen=True)
+class BondLegs:
+    """A bond's four legs as list positions, with their scales to SI.
+
+    ``e_out``/``f_out`` index the slave outputs (``plan.outputs`` order),
+    ``e_in``/``f_in`` the slave inputs (``plan.inputs`` order).
+    """
+
+    name: str
+    sign: float  # +1.0 when power into side a counts positive, else -1.0
+    e_out: int
+    f_out: int
+    e_in: int
+    f_in: int
+    e_out_si: float
+    f_out_si: float
+    e_in_si: float
+    f_in_si: float
+
+
+@dataclass(frozen=True)
 class EvaluationPlan:
     """Ordered copies and FU evaluations turning outputs into inputs.
 
-    ``ports`` gives each port the integer slot the ops use: slave outputs,
-    then slave inputs (system order, then descriptor order), then FU ports.
+    The one place that knows the port layout.  ``ports`` gives each port
+    the integer slot the ops use: slave outputs, then slave inputs
+    (system order, then descriptor order), then FU ports.  ``slaves``
+    names each slave's inputs and outputs in that order, so a slave's
+    share of ``inputs`` and of ``outputs`` is one contiguous run;
+    ``bonds`` holds each bond's legs as positions in those lists.
     """
 
     ports: tuple[PortRef, ...]
     outputs: tuple[PortRef, ...]  # the slave outputs that lead ``ports``
     inputs: tuple[PortRef, ...]  # the slave inputs that follow them
+    slaves: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]  # (name, ins, outs)
+    bonds: tuple[BondLegs, ...]
     ops: tuple[CopyOp | EvalOp, ...]
     chain_length: int  # nodes on the longest same-instant chain
 
@@ -275,63 +300,95 @@ def _copy_factor(src_v: VariableDescriptor, dst_v: VariableDescriptor) -> float:
     return conversion_factor(src_v.unit, dst_v.unit)
 
 
+def _si(v: VariableDescriptor) -> float:
+    return v.unit.scale_to_si if v.unit is not None else 1.0
+
+
 def build_plan(
     system: SystemDescription, descriptors: dict[str, SlaveDescriptor]
 ) -> EvaluationPlan:
     """Lay out the port slots and order all copies and FU evaluations.
 
-    Assumes the system already passed validation; still raises
-    AlgebraicLoop when the same-instant graph is cyclic, since an
-    unplannable system must never reach the master loop.
+    One topological pass over the same-instant graph gives the FU order,
+    the longest chain and the loop check.  Assumes the system already
+    passed validation; still raises AlgebraicLoop when the graph is
+    cyclic, since an unplannable system must never reach the master loop.
     """
     slave_desc = {s.name: descriptors[s.model_id] for s in system.slaves}
     fus = {fu.name: make_fu(fu) for fu in system.function_units}
     fu_desc = {name: fu.desc for name, fu in fus.items()}
 
-    # One walk over the descriptors lays out the slots and keeps each
-    # port's variable for the unit factors below.
-    outputs, inputs, fu_ports = [], [], []
+    # One walk over the descriptors, slaves first, lays out the slots,
+    # names each slave's ports and keeps each port's variable.
+    outputs, inputs, fu_ports, slaves = [], [], [], []
     var_of: dict[PortRef, VariableDescriptor] = {}
-    for owner, desc in (*slave_desc.items(), *fu_desc.items()):
+    for owner, desc in slave_desc.items():
+        ins, outs = [], []
         for v in desc.variables:
             ref = PortRef(owner, v.name)
             var_of[ref] = v
-            group = fu_ports if owner in fus else outputs if v.causality is OUT else inputs
-            group.append(ref)
+            if v.causality is OUT:
+                outputs.append(ref)
+                outs.append(v.name)
+            else:
+                inputs.append(ref)
+                ins.append(v.name)
+        slaves.append((owner, tuple(ins), tuple(outs)))
+    for owner, desc in fu_desc.items():
+        for v in desc.variables:
+            ref = PortRef(owner, v.name)
+            var_of[ref] = v
+            fu_ports.append(ref)
     ports = (*outputs, *inputs, *fu_ports)
     slot = {ref: i for i, ref in enumerate(ports)}
 
+    # One topological pass over the same-instant graph, taking every
+    # ready node in sorted batches so the order is deterministic.  A
+    # node's batch is the node count of the longest chain ending at it,
+    # so the batch count is the longest chain; a stall means a loop.
     edges = _same_instant_edges(system, slave_desc, fu_desc)
-    cycle = _find_cycle(edges)
-    if cycle is not None:
-        raise AlgebraicLoop(cycle)
+    preds: dict[str, set[str]] = {name: set() for name in fus}
+    for src, dsts in edges.items():
+        preds.setdefault(src, set())
+        for dst in dsts:
+            preds.setdefault(dst, set()).add(src)
+    order: list[str] = []
+    placed: set[str] = set()
+    batches = 0
+    while len(placed) < len(preds):
+        ready = sorted(n for n, p in preds.items() if n not in placed and p <= placed)
+        if not ready:
+            raise AlgebraicLoop(_find_cycle(edges))
+        placed.update(ready)
+        order.extend(n for n in ready if n in fus)
+        batches += 1
 
     # Collect every directed copy: bond legs first, then signals, in
-    # declaration order, which fixes evaluation determinism.
+    # declaration order, which fixes evaluation determinism.  Each bond's
+    # legs are also kept as list positions for energy accounting.
+    n_out = len(outputs)
     copies: list[tuple[PortRef, PortRef]] = []
+    bonds: list[BondLegs] = []
     for bond in system.bonds:
         a, b = bond.side_a, bond.side_b
+        pos, si = {}, {}
+        for side in (a, b):
+            out_ref = PortRef(side.slave, side.output)
+            in_ref = PortRef(side.slave, side.input)
+            out_v, in_v = var_of[out_ref], var_of[in_ref]
+            okind = "e_out" if out_v.kind is VarKind.EFFORT else "f_out"
+            ikind = "e_in" if in_v.kind is VarKind.EFFORT else "f_in"
+            pos[okind], si[okind] = slot[out_ref], _si(out_v)
+            pos[ikind], si[ikind] = slot[in_ref] - n_out, _si(in_v)
+        bonds.append(BondLegs(
+            bond.name, 1.0 if bond.positive_side == "a" else -1.0,
+            pos["e_out"], pos["f_out"], pos["e_in"], pos["f_in"],
+            si["e_out"], si["f_out"], si["e_in"], si["f_in"],
+        ))
         copies.append((PortRef(a.slave, a.output), PortRef(b.slave, b.input)))
         copies.append((PortRef(b.slave, b.output), PortRef(a.slave, a.input)))
     for sig in system.signals:
         copies.append((sig.source, sig.target))
-
-    # Topological order of FUs via dependency counting on FU-to-FU copies.
-    fu_deps: dict[str, set[str]] = {name: set() for name in fus}
-    for src, dst in copies:
-        if src.owner in fus and dst.owner in fus:
-            fu_deps[dst.owner].add(src.owner)
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = dict(fu_deps)
-    while remaining:
-        ready = sorted(n for n, deps in remaining.items() if deps <= placed)
-        if not ready:  # unreachable after the cycle check above
-            raise AlgebraicLoop(sorted(remaining))
-        for n in ready:
-            order.append(n)
-            placed.add(n)
-            del remaining[n]
 
     ops: list[CopyOp | EvalOp] = []
     emitted: set[int] = set()
@@ -357,28 +414,11 @@ def build_plan(
         ports=ports,
         outputs=tuple(outputs),
         inputs=tuple(inputs),
+        slaves=tuple(slaves),
+        bonds=tuple(bonds),
         ops=tuple(ops),
-        chain_length=_longest_chain(edges),
+        chain_length=batches if edges else 0,
     )
-
-
-def _longest_chain(edges: dict[str, set[str]]) -> int:
-    """Longest path (node count) through the acyclic same-instant graph."""
-    nodes = set(edges)
-    for nbrs in edges.values():
-        nodes.update(nbrs)
-    depth: dict[str, int] = {}
-
-    def dfs(node: str) -> int:
-        if node in depth:
-            return depth[node]
-        best = 1
-        for nbr in edges.get(node, ()):
-            best = max(best, 1 + dfs(nbr))
-        depth[node] = best
-        return best
-
-    return max((dfs(n) for n in nodes), default=0)
 
 
 def evaluate_plan(

@@ -47,7 +47,6 @@ from .system import (
     PortRef,
     SlaveSpec,
     SystemDescription,
-    VarKind,
     validate_system,
 )
 
@@ -107,20 +106,6 @@ class SimulationResult:
     t_end: float
 
 
-@dataclass(frozen=True)
-class _BondBinding:
-    name: str
-    sign: float
-    e_out: int  # index into the run's outputs
-    f_out: int
-    e_in: int  # index into the run's latched inputs
-    f_in: int
-    e_out_si: float
-    f_out_si: float
-    e_in_si: float
-    f_in_si: float
-
-
 class LocalResolver:
     """Finds descriptors and builds instances from the in-process registry."""
 
@@ -137,6 +122,9 @@ class LocalResolver:
 class SimulationRun:
     """A live run: slaves, plan, step sum, latched inputs, controller.
 
+    Each slave is bound once, from ``plan.slaves``; the plan fixes which
+    ports each slave exchanges, where they sit in ``latched`` and
+    ``outputs``, and which of them are bond legs (``plan.bonds``).
     ``time`` is ``t_start`` plus the exact sum of the steps taken,
     rounded once.  ``controller`` is None whenever ``dt`` does not adapt:
     under a fixed-step policy, or when a slave cannot vary its step.
@@ -191,18 +179,12 @@ class SimulationRun:
                     theta_max=policy.theta_max,
                 )
 
-        self._bindings = _bind_bonds(system, slaves, plan)
-        # Bind each slave once, in the plan's order; ``plan.inputs`` keeps a
-        # slave's inputs together, so its share of a latched list is a slice.
-        io = {spec.name: ([], []) for spec in system.slaves}
-        for ref in plan.inputs:
-            io[ref.owner][0].append(ref.var)
-        for ref in plan.outputs:
-            io[ref.owner][1].append(ref.var)
+        # A slave's inputs are one run of ``plan.inputs``, so its share of
+        # a latched list is a slice.
         self._io: list[tuple[SlaveInstance, slice]] = []
         start = 0
-        for name, (ins, outs) in io.items():
-            slaves[name].bind(ins, outs)
+        for name, ins, outs in plan.slaves:
+            slaves[name].bind(list(ins), list(outs))
             self._io.append((slaves[name], slice(start, start + len(ins))))
             start += len(ins)
 
@@ -214,7 +196,7 @@ class SimulationRun:
         return StartInfo(
             system=self.system,
             output_ports=self.plan.outputs,
-            bond_names=tuple(b.name for b in self._bindings),
+            bond_names=tuple(b.name for b in self.plan.bonds),
             t_start=self.system.t_start,
             t_end=self.system.t_end,
         )
@@ -265,44 +247,6 @@ def _terminate_all(slaves: dict[str, SlaveInstance]) -> None:
             slave.terminate()
         except Exception:
             log.debug("terminate failed for slave %r", name, exc_info=True)
-
-
-def _si(var) -> float:
-    return var.unit.scale_to_si if var.unit is not None else 1.0
-
-
-def _bind_bonds(system, slaves, plan: EvaluationPlan) -> list[_BondBinding]:
-    out_index = {ref: i for i, ref in enumerate(plan.outputs)}
-    in_index = {ref: i for i, ref in enumerate(plan.inputs)}
-    bindings = []
-    for bond in system.bonds:
-        refs = {}
-        scales = {}
-        for side in bond.sides():
-            desc = slaves[side.slave].descriptor()
-            out_v = desc.variable(side.output)
-            in_v = desc.variable(side.input)
-            okind = "e_out" if out_v.kind is VarKind.EFFORT else "f_out"
-            ikind = "e_in" if in_v.kind is VarKind.EFFORT else "f_in"
-            refs[okind] = out_index[PortRef(side.slave, side.output)]
-            refs[ikind] = in_index[PortRef(side.slave, side.input)]
-            scales[okind] = _si(out_v)
-            scales[ikind] = _si(in_v)
-        bindings.append(
-            _BondBinding(
-                name=bond.name,
-                sign=1.0 if bond.positive_side == "a" else -1.0,
-                e_out=refs["e_out"],
-                f_out=refs["f_out"],
-                e_in=refs["e_in"],
-                f_in=refs["f_in"],
-                e_out_si=scales["e_out"],
-                f_out_si=scales["f_out"],
-                e_in_si=scales["e_in"],
-                f_in_si=scales["f_in"],
-            )
-        )
-    return bindings
 
 
 def initialize_run(
@@ -413,7 +357,7 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # (5) residual-energy accounting over the held/fresh bracket
     entries = []
     reports = []
-    for b in run._bindings:
+    for b in run.plan.bonds:
         e_held = held[b.e_in] * b.e_in_si
         f_held = held[b.f_in] * b.f_in_si
         e_new = snapshot[b.e_out] * b.e_out_si

@@ -11,7 +11,7 @@ from __future__ import annotations
 import socket
 from dataclasses import dataclass
 
-from ..errors import ConnectionLost, InvalidState, ProtocolError
+from ..errors import ConnectionLost, CosimError, InvalidState, ProtocolError
 from ..slave import ModelRegistry, SlaveInstance, StepOutcome, StepStatus
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
@@ -31,17 +31,22 @@ def _split_address(address: str) -> tuple[str, int]:
         raise ProtocolError(f"bad port in {address!r}") from exc
 
 
+def _error(body: bytes) -> CosimError:
+    """The typed exception an ERROR frame's body carries."""
+    r = Reader(body)
+    code = r.u64()
+    text = r.string()
+    r.done()
+    return wire.make_error(code, text)
+
+
 def _request(sock: socket.socket, msg_type: int, payload: bytes,
              expect: int) -> Reader:
     """One round trip; ERROR frames come back as typed exceptions."""
     wire.send_frame(sock, msg_type, payload)
     got, body = wire.recv_frame(sock)
     if got == MT.ERROR:
-        r = Reader(body)
-        code = r.u64()
-        text = r.string()
-        r.done()
-        raise wire.make_error(code, text)
+        raise _error(body)
     if got != expect:
         raise ProtocolError(f"expected {MT(expect).name}, got message type {got}")
     return Reader(body)
@@ -177,10 +182,7 @@ class RemoteSlave(SlaveInstance):
             r.done()
             return StepOutcome(StepStatus.FAILED, end_time, diagnostic)
         if got == MT.ERROR:
-            code = r.u64()
-            text = r.string()
-            r.done()
-            raise wire.make_error(code, text)
+            raise _error(body)
         raise ProtocolError(f"unexpected STEP response type {got}")
 
     def get_outputs(self) -> list[float]:
@@ -243,7 +245,7 @@ class NetworkResolver:
     the same provider address.
     """
 
-    def __init__(self, registry: ModelRegistry | None = None,
+    def __init__(self, registry: ModelRegistry,
                  control_timeout: float = CONTROL_TIMEOUT):
         self.registry = registry
         self._control_timeout = control_timeout
@@ -259,10 +261,6 @@ class NetworkResolver:
     def describe(self, spec: SlaveSpec) -> SlaveDescriptor:
         if spec.provider:
             return self._client(spec.provider).describe(spec.model_id)
-        if self.registry is None:
-            raise ProtocolError(
-                f"slave {spec.name!r} names no provider and no local "
-                f"registry is configured")
         return self.registry.describe(spec.model_id)
 
     def create(self, spec: SlaveSpec) -> SlaveInstance:
@@ -274,10 +272,6 @@ class NetworkResolver:
                 client.describe(spec.model_id),
                 control_timeout=self._control_timeout,
             )
-        if self.registry is None:
-            raise ProtocolError(
-                f"slave {spec.name!r} names no provider and no local "
-                f"registry is configured")
         return self.registry.create(spec.model_id, spec.parameters)
 
     def close(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import (
     ConnectionLost,

@@ -1,11 +1,11 @@
 """Slave lifecycle contract and the in-process model base class.
 
 A slave walks created -> set up -> ready -> terminated, one state per
-stage; stepping keeps it ready.  ``setup``, ``initialize``, the exchange
-and ``do_step`` each require exactly one state and raise ``InvalidState``
-otherwise, so misuse fails loudly instead of producing silent garbage.
-``terminate`` is allowed once, from any state.
-Names are checked once, when the master binds a slave's inputs and
+stage; stepping keeps it ready.  ``setup``, ``initialize``, ``bind``, the
+exchange and ``do_step`` each require exactly one state and raise
+``InvalidState`` otherwise, so misuse fails loudly instead of producing
+silent garbage.  ``terminate`` is allowed once, from any state.
+Names are checked once, when the master binds a ready slave's inputs and
 outputs; from then on the exchange moves value lists in the bound order.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
@@ -151,6 +151,7 @@ class ModelSlave(SlaveInstance):
         self._state = _State.READY
 
     def bind(self, inputs: list[str], outputs: list[str]) -> None:
+        self._require(_State.READY, "bind")
         for name in inputs:
             if self._variable(name).causality is not Causality.INPUT:
                 raise NotAnInput(f"{name} is not an input")

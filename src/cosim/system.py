@@ -210,9 +210,9 @@ class ValidationReport:
 
 def _fu_descriptor(spec: FunctionUnitSpec):
     # Imported lazily: function_units depends on this module for types.
-    from .function_units import build_fu_descriptor
+    from .function_units import make_fu
 
-    return build_fu_descriptor(spec)
+    return make_fu(spec).desc
 
 
 def validate_system(

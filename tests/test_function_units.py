@@ -1,9 +1,11 @@
 """Stateless function units and the same-instant evaluation plan."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cosim.config import parse_config
 from cosim.errors import AlgebraicLoop, DimensionMismatch
 from cosim.function_units import (
     CopyOp,
@@ -20,8 +22,10 @@ from cosim.system import (
     SignalConnection,
     SlaveSpec,
     SystemDescription,
+    VarKind,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DESCRIPTORS = registry.descriptors()
 
 
@@ -209,18 +213,39 @@ class TestPlan:
         assert got[PortRef("a", "tau")] == 7.0
         assert got[PortRef("b", "tau")] == 3.0
 
-    def test_fu_cycle_raises_and_names_cycle(self):
-        system = system_of(
-            slaves=[SlaveSpec("a", "msd_integral", {})],
-            signals=[SignalConnection(PortRef("f1", "y"), PortRef("f2", "u")),
-                     SignalConnection(PortRef("f2", "y"), PortRef("f1", "u")),
-                     SignalConnection(PortRef("f2", "y"), PortRef("a", "tau"))],
-            fus=[FunctionUnitSpec("f1", "gain", {}),
-                 FunctionUnitSpec("f2", "gain", {})],
-        )
+    @pytest.mark.parametrize("system, names", [
+        pytest.param(
+            system_of(
+                slaves=[SlaveSpec("a", "msd_integral", {})],
+                signals=[SignalConnection(PortRef("f1", "y"), PortRef("f2", "u")),
+                         SignalConnection(PortRef("f2", "y"), PortRef("f1", "u")),
+                         SignalConnection(PortRef("f2", "y"), PortRef("a", "tau"))],
+                fus=[FunctionUnitSpec("f1", "gain", {}),
+                     FunctionUnitSpec("f2", "gain", {})],
+            ),
+            ("f1", "f2"),
+            id="fu_loop",
+        ),
+        pytest.param(
+            # direct-feedthrough slaves close the loop; no FU takes part
+            system_of(
+                slaves=[SlaveSpec("g1", "gain_block", {}),
+                        SlaveSpec("g2", "gain_block", {}),
+                        SlaveSpec("g3", "gain_block", {})],
+                signals=[SignalConnection(PortRef("g1", "y"), PortRef("g2", "u")),
+                         SignalConnection(PortRef("g2", "y"), PortRef("g3", "u")),
+                         SignalConnection(PortRef("g3", "y"), PortRef("g1", "u"))],
+                fus=[],
+            ),
+            ("g1", "g2", "g3"),
+            id="feedthrough_loop",
+        ),
+    ])
+    def test_fu_cycle_raises_and_names_cycle(self, system, names):
         with pytest.raises(AlgebraicLoop) as err:
             build_plan(system, DESCRIPTORS)
-        assert "f1" in str(err.value) and "f2" in str(err.value)
+        for name in names:
+            assert name in str(err.value)
 
     def test_linear_network_equals_matrix(self):
         # y1 = 2 u1 + 0.5 u2 ; y2 = -u1 + 3 u2, assembled from gains + sums
@@ -296,7 +321,50 @@ class TestPlan:
                  FunctionUnitSpec("g3", "gain", {})],
         )
         deep = build_plan(deep_sys, DESCRIPTORS)
+        # FUs and direct-feedthrough slaves chain alike:
+        # src -> g1 (gain_block) -> f (gain FU) -> g2 (gain_block) -> osc
+        mixed_sys = system_of(
+            slaves=[SlaveSpec("src", "sine_source", {}),
+                    SlaveSpec("g1", "gain_block", {}),
+                    SlaveSpec("g2", "gain_block", {}),
+                    SlaveSpec("osc", "msd_integral", {})],
+            signals=[SignalConnection(PortRef("src", "y"), PortRef("g1", "u")),
+                     SignalConnection(PortRef("g1", "y"), PortRef("f", "u")),
+                     SignalConnection(PortRef("f", "y"), PortRef("g2", "u")),
+                     SignalConnection(PortRef("g2", "y"), PortRef("osc", "tau"))],
+            fus=[FunctionUnitSpec("f", "gain", {})],
+        )
+        mixed = build_plan(mixed_sys, DESCRIPTORS)
         # a single FU between plain slaves resolves inside one pass
         assert shallow.chain_length == 0 and shallow.n_init == 1
         assert deep.chain_length == 3
         assert deep.n_init == deep.chain_length + 1
+        assert mixed.chain_length == 3 and mixed.n_init == 4
+
+    def test_layout_names_slave_ports_and_bond_legs(self):
+        # a slave without inputs, one with two inputs, and one bond
+        system = parse_config((CONFIG_DIR / "quarter_car_bump.cfg").read_text())
+        plan = build_plan(system, DESCRIPTORS)
+        assert [name for name, _, _ in plan.slaves] == [s.name for s in system.slaves]
+        assert [PortRef(name, var) for name, ins, _ in plan.slaves for var in ins] \
+            == list(plan.inputs)
+        assert [PortRef(name, var) for name, _, outs in plan.slaves for var in outs] \
+            == list(plan.outputs)
+        assert [len(ins) for _, ins, _ in plan.slaves] == [0, 1, 2]
+
+        def kind(ref):
+            return DESCRIPTORS[system.slave(ref.owner).model_id].variable(ref.var).kind
+
+        (bond,) = system.bonds
+        (legs,) = plan.bonds
+        assert (legs.name, legs.sign) == (bond.name, 1.0)
+        at = {
+            "e_out": plan.outputs[legs.e_out], "f_out": plan.outputs[legs.f_out],
+            "e_in": plan.inputs[legs.e_in], "f_in": plan.inputs[legs.f_in],
+        }
+        assert at == {
+            "e_out": PortRef("chassis", "F"), "f_out": PortRef("wheel", "v2"),
+            "e_in": PortRef("wheel", "F"), "f_in": PortRef("chassis", "v2"),
+        }
+        assert [kind(at[leg]) for leg in ("e_out", "f_out", "e_in", "f_in")] \
+            == [VarKind.EFFORT, VarKind.FLOW, VarKind.EFFORT, VarKind.FLOW]

@@ -74,6 +74,18 @@ class TestLifecycle:
         with pytest.raises(InvalidState):
             slave.do_step(0.0, 0.1)
 
+    def test_bind_outside_ready_rejected(self):
+        created = fresh()
+        set_up = fresh()
+        set_up.setup(0.0, 1.0)
+        terminated = fresh()
+        terminated.setup(0.0, 1.0)
+        terminated.initialize()
+        terminated.terminate()
+        for slave in (created, set_up, terminated):
+            with pytest.raises(InvalidState):
+                slave.bind(["tau"], ["x"])
+
     def test_terminate_legal_from_any_live_state(self):
         fresh().terminate()
         slave = fresh()
