@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Floor on the per-bond energy scale so resting bonds do not divide by
 # zero, and on epsilon inside the controller power law.
@@ -19,8 +20,7 @@ E_FLOOR = 1e-12
 EPS_TINY = 1e-15
 
 
-@dataclass(frozen=True)
-class BondEnergy:
+class BondEnergy(NamedTuple):
     """Energy bookkeeping for one bond over one accepted step.
 
     p1 is the power into the side that receives the effort (held
@@ -37,8 +37,7 @@ class BondEnergy:
     cumulative_de: float
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Per-bond residuals plus the global indicator for one step."""
 
     bonds: tuple[BondEnergy, ...]

@@ -8,7 +8,10 @@ from the same snapshot, so permuting the slave list cannot change any
 value.
 
 One thread steps all slaves, remote STEP requests first.  ``step_timeout``
-cuts a late remote reply off and catches an in-process overrun on return.
+cuts a late remote reply off and catches an in-process overrun on return;
+one clock read after each slave's step checks that deadline and gives the
+next slave its time left.  Step outcomes, energy reports and step records
+are immutable named tuples, cheap to build on every step.
 
 The run's time is the exact step sum: ``t_start`` plus the steps taken,
 held as a few non-overlapping partials and rounded once by
@@ -22,6 +25,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .energy import (
     BondEnergy,
@@ -84,9 +88,8 @@ class StartInfo:
     t_end: float
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything exchanged and accounted over one accepted macro step."""
+class StepRecord(NamedTuple):
+    """Everything exchanged and accounted over one accepted macro step; immutable."""
 
     index: int
     t: float
@@ -180,12 +183,15 @@ class SimulationRun:
                 )
 
         # A slave's inputs are one run of ``plan.inputs``, so its share of
-        # a latched list is a slice.
-        self._io: list[tuple[SlaveInstance, slice]] = []
+        # a latched list is a slice; a slave without inputs gets no share.
+        self._plan_slaves: list[SlaveInstance] = []
+        self._fed: list[tuple[SlaveInstance, slice]] = []
         start = 0
         for name, ins, outs in plan.slaves:
             slaves[name].bind(list(ins), list(outs))
-            self._io.append((slaves[name], slice(start, start + len(ins))))
+            self._plan_slaves.append(slaves[name])
+            if ins:
+                self._fed.append((slaves[name], slice(start, start + len(ins))))
             start += len(ins)
 
     @property
@@ -229,15 +235,14 @@ class SimulationRun:
     def gather_outputs(self) -> list[float]:
         """Every slave output, in ``plan.outputs`` order."""
         values: list[float] = []
-        for slave, _ in self._io:
+        for slave in self._plan_slaves:
             values += slave.get_outputs()
         return values
 
     def push_inputs(self, inputs: list[float]) -> None:
         """Set every slave input from a list in ``plan.inputs`` order."""
-        for slave, share in self._io:
-            if share.start != share.stop:  # a slave without inputs gets no call
-                slave.set_inputs(inputs[share])
+        for slave, share in self._fed:
+            slave.set_inputs(inputs[share])
 
 
 def _terminate_all(slaves: dict[str, SlaveInstance]) -> None:
@@ -320,33 +325,33 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # (1) latch inputs on every slave
     run.push_inputs(held)
 
-    # (2) step to the barrier on this thread, remote STEP requests first
+    # (2) step to the barrier on this thread, remote STEP requests first;
+    # one clock read per slave checks the deadline and sets the time left
     deadline = time.monotonic() + run.step_timeout
     for slave in run.slaves.values():
         slave.start_step(t, dt)
     t_next = t + dt
-    for spec in run.system.slaves:
-        name = spec.name
+    now = time.monotonic()
+    for name, slave in run.slaves.items():
         try:
-            left = max(deadline - time.monotonic(), 0.0)
-            outcome = run.slaves[name].finish_step(t, dt, left)
+            outcome = slave.finish_step(t, dt, max(deadline - now, 0.0))
         except ConnectionLost:
             # a reply read cut off by the deadline is a missed barrier
             if time.monotonic() < deadline:
                 raise
         except StepRejected as exc:
             run._abort(f"slave {name!r} rejected the step: {exc}")
-        if time.monotonic() >= deadline:
+        now = time.monotonic()
+        if now >= deadline:
             run._abort(
                 f"slave {name!r} missed the step barrier after {run.step_timeout}s",
                 BarrierTimeout,
             )
         if not outcome.ok:
             run._abort(f"slave {name!r} failed: {outcome.diagnostic}")
-        if not time_matches(t_next, outcome.end_time):
-            run._abort(
-                f"slave {name!r} ended at {outcome.end_time!r}, expected {t_next!r}"
-            )
+        end = outcome.end_time
+        if end != t_next and not time_matches(t_next, end):
+            run._abort(f"slave {name!r} ended at {end!r}, expected {t_next!r}")
 
     # (3) gather fresh outputs
     snapshot = run.gather_outputs()

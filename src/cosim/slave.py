@@ -6,7 +6,8 @@ exchange and ``do_step`` each require exactly one state and raise
 ``InvalidState`` otherwise, so misuse fails loudly instead of producing
 silent garbage.  ``terminate`` is allowed once, from any state.
 Names are checked once, when the master binds a ready slave's inputs and
-outputs; from then on the exchange moves value lists in the bound order.
+outputs; from then on the exchange moves value lists in the bound order,
+until ``terminate`` drops the binding.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidState,
@@ -38,9 +39,8 @@ class StepStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one macro step attempt.
+class StepOutcome(NamedTuple):
+    """Result of one macro step attempt; immutable.
 
     ``end_time`` equals the requested target time exactly when
     ``status`` is OK; on failure it reports how far the slave got.
@@ -141,6 +141,8 @@ class ModelSlave(SlaveInstance):
 
     def initialize(self) -> None:
         self._require(_State.SET_UP, "initialize")
+        # Read once: a causality switch changes ports, not this flag.
+        self._variable_step = self.descriptor().supports_variable_step
         for v in self.descriptor().variables:
             if v.causality is Causality.INPUT:
                 self.inputs[v.name] = 0.0
@@ -169,14 +171,15 @@ class ModelSlave(SlaveInstance):
         self._refresh_feedthrough()
 
     def do_step(self, t: float, dt: float) -> StepOutcome:
-        self._require(_State.READY, "do_step")
+        if self._state is not _State.READY:
+            self._require(_State.READY, "do_step")
         if not dt > 0.0:
             raise StepRejected(f"step size must be positive (got {dt})")
-        if not time_matches(t, self._time):
+        if t != self._time and not time_matches(t, self._time):
             raise InvalidState(
                 f"do_step at t={t!r} but slave clock is {self._time!r}"
             )
-        if not self.descriptor().supports_variable_step:
+        if not self._variable_step:
             if self._latched_dt is None:
                 self._latched_dt = dt
             elif abs(dt - self._latched_dt) > 1e-12 * self._latched_dt:
@@ -199,6 +202,7 @@ class ModelSlave(SlaveInstance):
         if self._state is _State.TERMINATED:
             raise InvalidState("terminate called twice")
         self._state = _State.TERMINATED
+        self._binding = None
 
     # -- hooks for subclasses ------------------------------------------
 
@@ -222,8 +226,9 @@ class ModelSlave(SlaveInstance):
             raise UnknownVariable(f"no variable named {name!r}") from None
 
     def _bound(self, what: str) -> tuple[list[str], list[str]]:
-        self._require(_State.READY, what)
+        # Only a ready slave holds a binding: ``terminate`` clears it.
         if self._binding is None:
+            self._require(_State.READY, what)
             raise InvalidState(f"{what} before bind")
         return self._binding
 

@@ -16,7 +16,7 @@ from cosim.master import (
 )
 from cosim.models import registry as standard_registry
 from cosim.observers import MemoryObserver
-from cosim.slave import ModelRegistry, ModelSlave, StepOutcome
+from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave, StepOutcome
 from cosim.system import (
     AdaptiveStepPolicy,
     BondSide,
@@ -258,12 +258,20 @@ class TestAborts:
         obs = MemoryObserver()
         system = faulty_pair_system("slow", {"delay": 0.5},
                                     FixedStepPolicy(0.2))
-        with pytest.raises(BarrierTimeout, match="barrier"):
+        with pytest.raises(BarrierTimeout, match="barrier") as err:
             run_system(system, observers=[obs], registry=test_registry,
                        step_timeout=0.05)
         assert "barrier" in obs.end_reason
+        assert "'probe'" in str(err.value)
+        assert obs.records == []
 
-    def test_wrong_end_time_aborts(self):
+    @pytest.mark.parametrize("reported, aborts", [
+        (lambda t, dt: t + 1.5 * dt, True),
+        (lambda t, dt: math.nan, True),
+        (lambda t, dt: (t + dt) + 0.5 * TIME_RTOL * max(1.0, abs(t + dt)),
+         False),
+    ], ids=["ahead", "nan", "within_tolerance"])
+    def test_wrong_end_time_aborts(self, reported, aborts):
         class WrongClock(ModelSlave):
             DESCRIPTOR = SlaveDescriptor(
                 model_id="wrong_clock",
@@ -283,14 +291,17 @@ class TestAborts:
 
             def do_step(self, t, dt):
                 outcome = super().do_step(t, dt)
-                # report a clock 50% ahead of where it really ended
-                return StepOutcome(outcome.status, t + 1.5 * dt)
+                # report a clock other than where it really ended
+                return StepOutcome(outcome.status, reported(t, dt))
 
         reg = extended_registry()
         reg.register(WrongClock)
         system = faulty_pair_system("wrong_clock", {}, FixedStepPolicy(0.2))
-        with pytest.raises(RunAborted, match="expected"):
-            run_system(system, registry=reg)
+        if aborts:
+            with pytest.raises(RunAborted, match="expected"):
+                run_system(system, registry=reg)
+        else:
+            assert run_system(system, registry=reg).steps == 5
 
     def test_abort_terminates_slaves_once(self, test_registry):
         system = faulty_pair_system("fail_after", {"t_fail": 0.5},

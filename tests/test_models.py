@@ -230,6 +230,17 @@ class TestMsdHybrid:
         assert slave.inputs == {"v": 0.5}
         assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
 
+    def test_causality_switch_keeps_the_step_flag(self):
+        # The slave reads supports_variable_step once, at initialize, so
+        # both causalities must give the same value.
+        slave = self.make()
+        integral = slave.descriptor()
+        slave.switch_causality("differential")
+        differential = slave.descriptor()
+        assert integral is not differential
+        assert (integral.supports_variable_step
+                == differential.supports_variable_step)
+
     def test_switch_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             self.make().switch_causality("sideways")

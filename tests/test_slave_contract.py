@@ -86,6 +86,26 @@ class TestLifecycle:
             with pytest.raises(InvalidState):
                 slave.bind(["tau"], ["x"])
 
+    def test_terminated_slave_refuses_its_binding(self):
+        def terminated():
+            slave = fresh()
+            slave.setup(0.0, 1.0)
+            slave.initialize()
+            slave.bind(["tau"], ["x"])
+            slave.terminate()
+            return slave
+
+        calls = (
+            ("set_inputs", lambda s: s.set_inputs([0.0])),
+            ("get_outputs", lambda s: s.get_outputs()),
+            ("do_step", lambda s: s.do_step(0.0, 0.1)),
+        )
+        for what, call in calls:
+            with pytest.raises(InvalidState) as err:
+                call(terminated())
+            assert str(err.value) == f"{what} not allowed in state 'terminated'"
+            assert "before bind" not in str(err.value)
+
     def test_terminate_legal_from_any_live_state(self):
         fresh().terminate()
         slave = fresh()
