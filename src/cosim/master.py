@@ -226,10 +226,12 @@ class SimulationRun:
                 log.warning("observer %r failed in %s; disabling", obs, method, exc_info=True)
                 self.observers.remove(obs)
 
-    def _abort(self, reason: str, exc_type: type[RunAborted] = RunAborted):
+    def _abort(self, reason: str, exc_type: type[RunAborted] = RunAborted, cause=None):
         if not self._terminated:
             self._notify("on_end", f"aborted: {reason}")
             self.terminate()
+        if cause is not None:
+            raise exc_type(reason) from cause
         raise exc_type(reason)
 
     def gather_outputs(self) -> list[float]:
@@ -308,14 +310,18 @@ def initialize_run(
 def step_once(run: SimulationRun, dt: float) -> StepRecord:
     """Advance the whole system by one macro step of size dt.
 
-    A lost slave connection aborts the run the same way a rejected step
-    does: observers get the end notification, everything terminates, and
-    the caller sees a RunAborted.
+    Any exception out of the step aborts the run the same way a rejected
+    step does: observers get the end notification, everything
+    terminates, and the caller sees a RunAborted caused by it.
     """
     try:
         return _step_once(run, dt)
+    except RunAborted:
+        raise
     except ConnectionLost as exc:
-        run._abort(f"connection lost: {exc}")
+        run._abort(f"connection lost: {exc}", cause=exc)
+    except Exception as exc:
+        run._abort(f"{type(exc).__name__}: {exc}", cause=exc)
 
 
 def _step_once(run: SimulationRun, dt: float) -> StepRecord:

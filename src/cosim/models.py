@@ -1,14 +1,18 @@
 """Built-in demonstration models, most with an internal fixed-step RK4 solver.
 
 Each integrating model subdivides a macro step into equal micro steps
-of size at most ``h`` (parameter; 0 means one tenth of the macro step)
-and integrates with the classical 4th-order Runge-Kutta scheme.  Inputs
-are held constant over the macro step, so the right-hand sides close
-over the latched values and the parameters, read once per step.
-``rk4_integrate`` unrolls the 2- and 3-state cases into scalar code
-bit-identical to ``rk4_step``; one-state models take the generic loop.
-``msd_differential`` integrates its one state exactly; the sources,
-``sum_delay`` and ``gain_block`` have no state to integrate.
+of size at most ``h`` (parameter; 0 means one tenth of the macro step,
+``micro_grid`` fixes the count) and integrates with the classical
+4th-order Runge-Kutta scheme.  Inputs are held constant over the macro
+step and parameters are read once per step.  Every 2- and 3-state
+model runs its own fused kernel: the micro-step loop as straight-line
+scalar code with the right-hand side inline, doing each operation of
+``rk4_step`` in the same order, so its bits equal the ``rk4_step`` loop.
+Terms that are constant over the step are computed once.  The one-state
+generators, like any other model, use ``rk4_integrate``, the generic
+loop over ``rk4_step``.  ``msd_differential`` integrates its one state
+exactly; the sources, ``sum_delay`` and ``gain_block`` have no state to
+integrate.
 """
 
 from __future__ import annotations
@@ -44,44 +48,57 @@ def rk4_step(f, t, y, h):
     ]
 
 
-def rk4_integrate(f, t0, y, dt, h):
-    """Integrate over [t0, t0+dt] in ceil(dt/h) equal micro steps.
-
-    Two and three states run as straight-line scalar code that performs
-    each operation of ``rk4_step`` in the same order, so the result is
-    bit-identical; other sizes loop over ``rk4_step``.
-    """
+def micro_grid(dt: float, h: float) -> tuple[int, float]:
+    """The micro steps of a macro step: n = ceil(dt/h), at least 1, of size dt/n."""
     n = max(1, math.ceil(dt / h - 1e-9))
-    hh = dt / n
-    h2 = hh / 2
-    h6 = hh / 6
-    size = len(y)
-    if size == 2:
-        y0, y1 = y
-        for i in range(n):
-            t = t0 + i * hh
-            a0, a1 = f(t, [y0, y1])
-            b0, b1 = f(t + h2, [y0 + h2 * a0, y1 + h2 * a1])
-            c0, c1 = f(t + h2, [y0 + h2 * b0, y1 + h2 * b1])
-            d0, d1 = f(t + hh, [y0 + hh * c0, y1 + hh * c1])
-            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
-            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
-        return [y0, y1]
-    if size == 3:
-        y0, y1, y2 = y
-        for i in range(n):
-            t = t0 + i * hh
-            a0, a1, a2 = f(t, [y0, y1, y2])
-            b0, b1, b2 = f(t + h2, [y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2])
-            c0, c1, c2 = f(t + h2, [y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2])
-            d0, d1, d2 = f(t + hh, [y0 + hh * c0, y1 + hh * c1, y2 + hh * c2])
-            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
-            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
-            y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
-        return [y0, y1, y2]
+    return n, dt / n
+
+
+def rk4_integrate(f, t0, y, dt, h):
+    """Integrate y' = f(t, y) over [t0, t0+dt] with ``rk4_step`` on ``micro_grid``.
+
+    The generic loop for any state size; the built-in 2- and 3-state
+    models run fused kernels that give the same bits.
+    """
+    n, hh = micro_grid(dt, h)
     for i in range(n):
         y = rk4_step(f, t0 + i * hh, y, hh)
     return y
+
+
+def _msd_kernel(x, v, tau, m, d, k, dt, h):
+    """x' = v, v' = (tau - d*v - k*x)/m over one macro step."""
+    n, hh = micro_grid(dt, h)
+    h2, h6 = hh / 2, hh / 6
+    for _ in range(n):
+        a1 = (tau - d * v - k * x) / m
+        x2, v2 = x + h2 * v, v + h2 * a1
+        a2 = (tau - d * v2 - k * x2) / m
+        x3, v3 = x + h2 * v2, v + h2 * a2
+        a3 = (tau - d * v3 - k * x3) / m
+        x4, v4 = x + hh * v3, v + hh * a3
+        a4 = (tau - d * v4 - k * x4) / m
+        x, v = x + h6 * (v + 2 * v2 + 2 * v3 + v4), v + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+    return [x, v]
+
+
+def _wheel_kernel(x, v, F, z_road, kt, m2, dt, h):
+    """x' = v, v' = (F - kt*(x - z_road))/m2 over one macro step.
+
+    With ``z_road = 0.0`` this is the bare wheel: ``x - 0.0`` is x, bit for bit.
+    """
+    n, hh = micro_grid(dt, h)
+    h2, h6 = hh / 2, hh / 6
+    for _ in range(n):
+        a1 = (F - kt * (x - z_road)) / m2
+        x2, v2 = x + h2 * v, v + h2 * a1
+        a2 = (F - kt * (x2 - z_road)) / m2
+        x3, v3 = x + h2 * v2, v + h2 * a2
+        a3 = (F - kt * (x3 - z_road)) / m2
+        x4, v4 = x + hh * v3, v + hh * a3
+        a4 = (F - kt * (x4 - z_road)) / m2
+        x, v = x + h6 * (v + 2 * v2 + 2 * v3 + v4), v + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+    return [x, v]
 
 
 def micro_step(params: dict[str, float], dt: float) -> float:
@@ -116,13 +133,9 @@ class MsdIntegral(ModelSlave):
         self._publish()
 
     def _step(self, t, dt):
-        m, d, k = self.params["m"], self.params["d"], self.params["k"]
+        p = self.params
         tau = self.inputs["tau"]
-
-        def f(_t, y):
-            return [y[1], (tau - d * y[1] - k * y[0]) / m]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(self.params, dt))
+        self.state = _msd_kernel(*self.state, tau, p["m"], p["d"], p["k"], dt, micro_step(p, dt))
         self._publish()
 
     def _publish(self):
@@ -267,24 +280,26 @@ class MsdHybrid(ModelSlave):
         h = micro_step(self.params, dt)
         self._last_h = h
         if self._mode == "integral":
-            tau = self.inputs["tau"]
-
-            def f(_t, y):
-                return [y[1], (tau - d * y[1] - k * y[0]) / m]
-
-            self.x, self.vel = rk4_integrate(f, t, [self.x, self.vel], dt, h)
+            self.x, self.vel = _msd_kernel(self.x, self.vel, self.inputs["tau"], m, d, k, dt, h)
             self.outputs["x"] = self.x
             self.outputs["v"] = self.vel
-        else:
-            v = self.inputs["v"]
-            T = self._filter_tc()
-
-            def f(_t, y):
-                return [v, (v - y[1]) / T]
-
-            self.x, self.w = rk4_integrate(f, t, [self.x, self.w], dt, h)
-            self.outputs["x"] = self.x
-            self.outputs["tau"] = m * (v - self.w) / T + d * v + k * self.x
+            return
+        # x' = v, w' = (v - w)/T: x gains the same amount every micro step
+        v = self.inputs["v"]
+        T = self._filter_tc()
+        n, hh = micro_grid(dt, h)
+        h2, h6 = hh / 2, hh / 6
+        x, w = self.x, self.w
+        dx = h6 * (v + 2 * v + 2 * v + v)
+        for _ in range(n):
+            a1 = (v - w) / T
+            a2 = (v - (w + h2 * a1)) / T
+            a3 = (v - (w + h2 * a2)) / T
+            a4 = (v - (w + hh * a3)) / T
+            x, w = x + dx, w + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        self.x, self.w = x, w
+        self.outputs["x"] = x
+        self.outputs["tau"] = m * (v - w) / T + d * v + k * x
 
     def energy(self) -> float:
         vel = self.vel if self._mode == "integral" else self.inputs["v"]
@@ -310,13 +325,16 @@ class QuarterCarChassis(ModelSlave):
         self._publish()
 
     def _step(self, t, dt):
-        m1 = self.params["m1"]
-        F = self.inputs["F"]
-
-        def f(_t, y):
-            return [y[1], -F / m1]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(self.params, dt))
+        # z1' = v1, v1' = -F/m1: the acceleration is fixed over the step
+        n, hh = micro_grid(dt, micro_step(self.params, dt))
+        h2, h6 = hh / 2, hh / 6
+        a = -self.inputs["F"] / self.params["m1"]
+        ah2, ahh, dv = h2 * a, hh * a, h6 * (a + 2 * a + 2 * a + a)
+        z, v = self.state
+        for _ in range(n):
+            v2 = v + ah2
+            z, v = z + h6 * (v + 2 * v2 + 2 * v2 + (v + ahh)), v + dv
+        self.state = [z, v]
         self._publish()
 
     def _publish(self):
@@ -358,17 +376,26 @@ class QuarterCarWheelSusp(ModelSlave):
         self._publish(0.0)
 
     def _step(self, t, dt):
+        # (y, x, v) = (z1, z2, v2), u = v1 held: y' = u, x' = v, v' = (F - kt*x)/m2
         p = self.params
         k, d, kt, m2 = p["k"], p["d"], p["kt"], p["m2"]
-        v1 = self.inputs["v1"]
-
-        def f(_t, y):
-            z1, z2, v2 = y
-            F = k * (z1 - z2) + d * (v1 - v2)
-            return [v1, v2, (F - kt * z2) / m2]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
-        self._publish(v1)
+        u = self.inputs["v1"]
+        n, hh = micro_grid(dt, micro_step(p, dt))
+        h2, h6 = hh / 2, hh / 6
+        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
+        y, x, v = self.state
+        for _ in range(n):
+            a1 = (k * (y - x) + d * (u - v) - kt * x) / m2
+            y2, x2, v2 = y + uh2, x + h2 * v, v + h2 * a1
+            a2 = (k * (y2 - x2) + d * (u - v2) - kt * x2) / m2
+            x3, v3 = x + h2 * v2, v + h2 * a2
+            a3 = (k * (y2 - x3) + d * (u - v3) - kt * x3) / m2
+            y4, x4, v4 = y + uhh, x + hh * v3, v + hh * a3
+            a4 = (k * (y4 - x4) + d * (u - v4) - kt * x4) / m2
+            y, x, v = (y + dy, x + h6 * (v + 2 * v2 + 2 * v3 + v4),
+                       v + h6 * (a1 + 2 * a2 + 2 * a3 + a4))
+        self.state = [y, x, v]
+        self._publish(u)
 
     def _publish(self, v1):
         z1, z2, v2 = self.state
@@ -407,17 +434,26 @@ class QuarterCarChassisSusp(ModelSlave):
         self._publish(0.0)
 
     def _step(self, t, dt):
+        # (x, v, y) = (z1, v1, z2), u = v2 held: x' = v, v' = -F/m1, y' = u
         p = self.params
         k, d, m1 = p["k"], p["d"], p["m1"]
-        v2 = self.inputs["v2"]
-
-        def f(_t, y):
-            z1, v1, z2 = y
-            F = k * (z1 - z2) + d * (v1 - v2)
-            return [v1, -F / m1, v2]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
-        self._publish(v2)
+        u = self.inputs["v2"]
+        n, hh = micro_grid(dt, micro_step(p, dt))
+        h2, h6 = hh / 2, hh / 6
+        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
+        x, v, y = self.state
+        for _ in range(n):
+            a1 = -(k * (x - y) + d * (v - u)) / m1
+            x2, v2, y2 = x + h2 * v, v + h2 * a1, y + uh2
+            a2 = -(k * (x2 - y2) + d * (v2 - u)) / m1
+            x3, v3 = x + h2 * v2, v + h2 * a2
+            a3 = -(k * (x3 - y2) + d * (v3 - u)) / m1
+            x4, v4, y4 = x + hh * v3, v + hh * a3, y + uhh
+            a4 = -(k * (x4 - y4) + d * (v4 - u)) / m1
+            x, v, y = (x + h6 * (v + 2 * v2 + 2 * v3 + v4),
+                       v + h6 * (a1 + 2 * a2 + 2 * a3 + a4), y + dy)
+        self.state = [x, v, y]
+        self._publish(u)
 
     def _publish(self, v2):
         z1, v1, z2 = self.state
@@ -445,13 +481,8 @@ class QuarterCarWheel(ModelSlave):
 
     def _step(self, t, dt):
         p = self.params
-        kt, m2 = p["kt"], p["m2"]
         F = self.inputs["F"]
-
-        def f(_t, y):
-            return [y[1], (F - kt * y[0]) / m2]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
+        self.state = _wheel_kernel(*self.state, F, 0.0, p["kt"], p["m2"], dt, micro_step(p, dt))
         self._publish()
 
     def _publish(self):
@@ -483,15 +514,9 @@ class QuarterCarWheelRoad(ModelSlave):
         self._publish()
 
     def _step(self, t, dt):
-        p = self.params
-        kt, m2 = p["kt"], p["m2"]
-        F = self.inputs["F"]
-        z_road = self.inputs["z_road"]
-
-        def f(_t, y):
-            return [y[1], (F - kt * (y[0] - z_road)) / m2]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
+        p, u = self.params, self.inputs
+        h = micro_step(p, dt)
+        self.state = _wheel_kernel(*self.state, u["F"], u["z_road"], p["kt"], p["m2"], dt, h)
         self._publish()
 
     def _publish(self):
@@ -601,15 +626,19 @@ class ElMotor(ModelSlave):
         R, Ke, L = p["R"], p["Ke"], p["L"]
         Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
         V = self.inputs["V"]
-
-        def f(_t, y):
-            I, omega = y
-            return [
-                (V - R * I - Ke * omega) / L,
-                (Kt * I - b * omega - tau_load) / J,
-            ]
-
-        self.state = rk4_integrate(f, t, self.state, dt, micro_step(p, dt))
+        n, hh = micro_grid(dt, micro_step(p, dt))
+        h2, h6 = hh / 2, hh / 6
+        i, w = self.state
+        for _ in range(n):
+            p1, q1 = (V - R * i - Ke * w) / L, (Kt * i - b * w - tau_load) / J
+            i2, w2 = i + h2 * p1, w + h2 * q1
+            p2, q2 = (V - R * i2 - Ke * w2) / L, (Kt * i2 - b * w2 - tau_load) / J
+            i3, w3 = i + h2 * p2, w + h2 * q2
+            p3, q3 = (V - R * i3 - Ke * w3) / L, (Kt * i3 - b * w3 - tau_load) / J
+            i4, w4 = i + hh * p3, w + hh * q3
+            p4, q4 = (V - R * i4 - Ke * w4) / L, (Kt * i4 - b * w4 - tau_load) / J
+            i, w = i + h6 * (p1 + 2 * p2 + 2 * p3 + p4), w + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+        self.state = [i, w]
         self._publish()
 
     def _publish(self):

@@ -11,7 +11,7 @@ import cosim
 import cosim.master
 from cosim.cli import main
 from cosim.net import Provider, ProviderConfig
-from cosim.models import registry
+from cosim.models import MsdIntegral, registry
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,6 +143,27 @@ class TestRun:
                       "--out", str(blocker / "out"))
         assert code == 2
         assert steps == 0
+
+    def test_step_fault_is_runtime_abort(self, tmp_path, monkeypatch,
+                                         capsys):
+        calls = 0
+        get_outputs = MsdIntegral.get_outputs
+
+        def faulty(self):
+            nonlocal calls
+            calls += 1
+            if calls == 50:  # well past the settle passes
+                raise ValueError("bad read")
+            return get_outputs(self)
+
+        monkeypatch.setattr(MsdIntegral, "get_outputs", faulty)
+        code = invoke("run", str(CONFIG_DIR / "msd_pair.cfg"),
+                      "--out", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "run aborted: ValueError: bad read" in captured.err
+        assert "Traceback" not in captured.err
+        assert "completed" not in captured.out
 
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),

@@ -2,11 +2,14 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosim.config import parse_config
 from cosim.errors import BarrierTimeout, InvalidSystem, RunAborted
+from cosim.function_units import EvalOp
 from cosim.master import (
     LocalResolver,
     _add_exact,
@@ -15,7 +18,7 @@ from cosim.master import (
     step_once,
 )
 from cosim.models import registry as standard_registry
-from cosim.observers import MemoryObserver
+from cosim.observers import CsvObserver, MemoryObserver
 from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave, StepOutcome
 from cosim.system import (
     AdaptiveStepPolicy,
@@ -37,6 +40,7 @@ from conftest import extended_registry, msd_pair_system, run_system
 
 IN = Causality.INPUT
 OUT = Causality.OUTPUT
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def source_only_system(policy, t_start=0.0, t_end=1.0):
@@ -312,6 +316,102 @@ class TestAborts:
             run_to_end(run)
         # idempotent: a second terminate must not blow up
         run.terminate()
+
+
+def fail_on_call(k, exc, fn):
+    """``fn`` wrapped to raise ``exc`` on its k-th call."""
+    calls = 0
+
+    def wrapper(*args):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise exc
+        return fn(*args)
+
+    return wrapper
+
+
+class EndLog:
+    """Observer that keeps every end notification it gets."""
+
+    def __init__(self):
+        self.reasons = []
+
+    def on_start(self, info):
+        pass
+
+    def on_step(self, record):
+        pass
+
+    def on_end(self, reason):
+        self.reasons.append(reason)
+
+
+class TestStepFaults:
+    """Any exception out of a step ends the run through the abort path."""
+
+    def abort(self, system, tmp_path, inject):
+        """Run ``system`` with a fault from ``inject(run)``; check the abort.
+
+        Returns the ``RunAborted`` and the ``MemoryObserver``.
+        """
+        csv, memory, ends = CsvObserver(tmp_path), MemoryObserver(), EndLog()
+        run = initialize_run(system, LocalResolver(standard_registry),
+                             observers=[csv, memory, ends])
+        terminated = []
+
+        def counted(name, terminate):
+            def wrapper():
+                terminated.append(name)
+                terminate()
+
+            return wrapper
+
+        for name, slave in run.slaves.items():
+            slave.terminate = counted(name, slave.terminate)
+        files = []
+        on_start = csv.on_start
+
+        def opened(info):
+            on_start(info)
+            files.extend((csv._signals, csv._energy))
+
+        csv.on_start = opened
+        inject(run)
+        with pytest.raises(RunAborted) as err:
+            run_to_end(run)
+        assert len(ends.reasons) == 1
+        assert ends.reasons[0].startswith("aborted:")
+        assert sorted(terminated) == sorted(run.slaves)
+        assert len(files) == 2 and all(f.closed for f in files)
+        return err.value, memory
+
+    def test_slave_read_fault_aborts(self, tmp_path):
+        fault = ValueError("bad read")
+
+        def inject(run):
+            left = run.slaves["left"]
+            left.get_outputs = fail_on_call(8, fault, left.get_outputs)
+
+        system = msd_pair_system(FixedStepPolicy(0.01), t_end=1.0)
+        aborted, memory = self.abort(system, tmp_path, inject)
+        assert aborted.__cause__ is fault
+        assert "bad read" in memory.end_reason
+        assert len(memory.records) == 7
+
+    def test_function_unit_fault_aborts(self, tmp_path):
+        fault = ArithmeticError("no sum")
+
+        def inject(run):
+            (op,) = [op for op in run.plan.ops if isinstance(op, EvalOp)]
+            op.fu.evaluate = fail_on_call(3, fault, op.fu.evaluate)
+
+        system = parse_config((CONFIG_DIR / "fu_sum.cfg").read_text())
+        aborted, memory = self.abort(system, tmp_path, inject)
+        assert aborted.__cause__ is fault
+        assert "no sum" in memory.end_reason
+        assert len(memory.records) == 2
 
 
 class TestInitialize:

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import single_slave
 from cosim.errors import InvalidState, NotAnInput
-from cosim.models import rk4_integrate, rk4_step
+from cosim.models import registry, rk4_integrate, rk4_step
 
 
 def march(slave, t_end, dt, inputs=None):
@@ -381,3 +381,186 @@ class TestRk4Kernels:
             got = rk4_integrate(f, t0, list(y), dt, h)
             want = self.reference(f, t0, list(y), dt, h)
             assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# The right-hand sides the fused kernels replaced, as the closures each
+# model passed to ``rk4_integrate``: rhs(params, inputs, h) -> f(t, y),
+# with h the micro step the model asked for.
+def _msd_rhs(p, u, h):
+    m, d, k, tau = p["m"], p["d"], p["k"], u["tau"]
+
+    def f(_t, y):
+        return [y[1], (tau - d * y[1] - k * y[0]) / m]
+
+    return f
+
+
+def _msd_differential_rhs(p, u, h):
+    v, T = u["v"], 10.0 * h
+
+    def f(_t, y):
+        return [v, (v - y[1]) / T]
+
+    return f
+
+
+def _chassis_rhs(p, u, h):
+    m1, F = p["m1"], u["F"]
+
+    def f(_t, y):
+        return [y[1], -F / m1]
+
+    return f
+
+
+def _wheel_susp_rhs(p, u, h):
+    k, d, kt, m2, v1 = p["k"], p["d"], p["kt"], p["m2"], u["v1"]
+
+    def f(_t, y):
+        z1, z2, v2 = y
+        F = k * (z1 - z2) + d * (v1 - v2)
+        return [v1, v2, (F - kt * z2) / m2]
+
+    return f
+
+
+def _chassis_susp_rhs(p, u, h):
+    k, d, m1, v2 = p["k"], p["d"], p["m1"], u["v2"]
+
+    def f(_t, y):
+        z1, v1, z2 = y
+        F = k * (z1 - z2) + d * (v1 - v2)
+        return [v1, -F / m1, v2]
+
+    return f
+
+
+def _wheel_rhs(p, u, h):
+    kt, m2, F = p["kt"], p["m2"], u["F"]
+
+    def f(_t, y):
+        return [y[1], (F - kt * y[0]) / m2]
+
+    return f
+
+
+def _wheel_road_rhs(p, u, h):
+    kt, m2, F, z_road = p["kt"], p["m2"], u["F"], u["z_road"]
+
+    def f(_t, y):
+        return [y[1], (F - kt * (y[0] - z_road)) / m2]
+
+    return f
+
+
+def _motor_rhs(p, u, h):
+    R, Ke, L = p["R"], p["Ke"], p["L"]
+    Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
+    V = u["V"]
+
+    def f(_t, y):
+        I, omega = y
+        return [
+            (V - R * I - Ke * omega) / L,
+            (Kt * I - b * omega - tau_load) / J,
+        ]
+
+    return f
+
+
+# (model id, causality mode or None, rhs, state attributes or None for
+# the ``state`` list, outputs(params, inputs, h, y) as the model publishes)
+FUSED = [
+    ("msd_integral", None, _msd_rhs, None,
+     lambda p, u, h, y: {"x": y[0], "v": y[1]}),
+    ("msd_hybrid", "integral", _msd_rhs, ("x", "vel"),
+     lambda p, u, h, y: {"x": y[0], "v": y[1]}),
+    ("msd_hybrid", "differential", _msd_differential_rhs, ("x", "w"),
+     lambda p, u, h, y: {"x": y[0], "tau": p["m"] * (u["v"] - y[1]) / (10.0 * h)
+                         + p["d"] * u["v"] + p["k"] * y[0]}),
+    ("quarter_car_chassis", None, _chassis_rhs, None,
+     lambda p, u, h, y: {"z1": y[0], "v1": y[1]}),
+    ("quarter_car_wheel_susp", None, _wheel_susp_rhs, None,
+     lambda p, u, h, y: {"F": p["k"] * (y[0] - y[1]) + p["d"] * (u["v1"] - y[2]),
+                         "z2": y[1]}),
+    ("quarter_car_chassis_susp", None, _chassis_susp_rhs, None,
+     lambda p, u, h, y: {"F": p["k"] * (y[0] - y[2]) + p["d"] * (y[1] - u["v2"]),
+                         "z1": y[0]}),
+    ("quarter_car_wheel", None, _wheel_rhs, None,
+     lambda p, u, h, y: {"z2": y[0], "v2": y[1]}),
+    ("quarter_car_wheel_road", None, _wheel_road_rhs, None,
+     lambda p, u, h, y: {"z2": y[0], "v2": y[1]}),
+    ("el_motor", None, _motor_rhs, None,
+     lambda p, u, h, y: {"I": y[0], "omega": y[1], "tau_m": p["Kt"] * y[0]}),
+]
+
+
+def _signed(rng, x):
+    """x, sometimes negated, now and then replaced by a signed zero."""
+    r = rng.random()
+    if r < 0.05:
+        return 0.0
+    if r < 0.1:
+        return -0.0
+    return -x if r < 0.2 else x
+
+
+def _hexes(values):
+    return [x.hex() for x in values]
+
+
+class TestFusedKernels:
+    """Each fused ``_step`` gives the bits of the ``rk4_step`` loop it replaced."""
+
+    @staticmethod
+    def outcome(fn):
+        """What fn() returns, or the name of the exception it raises."""
+        try:
+            return fn()
+        except ArithmeticError as exc:
+            return type(exc).__name__
+
+    @pytest.mark.parametrize("model_id, mode, rhs, attrs, publish", FUSED,
+                             ids=[f"{m}-{c}" if c else m for m, c, *_ in FUSED])
+    def test_step_is_bit_identical_to_the_rk4_step_loop(self, model_id, mode, rhs,
+                                                         attrs, publish):
+        rng = random.Random(f"fused {model_id} {mode}")
+        defaults = registry.describe(model_id).parameters
+        coefficients = [name for name in defaults
+                        if name != "h" and not name.endswith("0")]
+        grids = set()
+        for _ in range(600):
+            p = {name: _signed(rng, (defaults[name] or 1.0) * rng.uniform(0.2, 5.0))
+                 for name in coefficients}
+            dt = rng.choice([1e-3, 1e-2, rng.uniform(1e-4, 0.05)])
+            p["h"] = rng.choice([0.0, dt, dt / 10, dt / rng.uniform(1.0, 7.5)])
+            slave = single_slave(model_id)
+            if mode == "differential":
+                slave.switch_causality("differential")
+            slave.params.update(p)
+            p = slave.params
+            h = p["h"] if p["h"] > 0.0 else dt / 10.0
+            grids.add(max(1, math.ceil(dt / h - 1e-9)) > 1)
+            for name in slave.inputs:
+                slave.inputs[name] = _signed(rng, 10.0 ** rng.uniform(-3.0, 3.0))
+            u = dict(slave.inputs)
+            size = len(slave.state) if attrs is None else len(attrs)
+            y0 = [_signed(rng, 10.0 ** rng.uniform(-3.0, 1.0)) for _ in range(size)]
+            if attrs is None:
+                slave.state = list(y0)
+            else:
+                for attr, value in zip(attrs, y0):
+                    setattr(slave, attr, value)
+            t0 = rng.uniform(0.0, 10.0)
+
+            def fused():
+                slave._step(t0, dt)
+                y = slave.state if attrs is None else [getattr(slave, a) for a in attrs]
+                return _hexes(y), {k: v.hex() for k, v in slave.outputs.items()}
+
+            def reference():
+                y = TestRk4Kernels.reference(rhs(p, u, h), t0, list(y0), dt, h)
+                return _hexes(y), {k: v.hex() for k, v in publish(p, u, h, y).items()}
+
+            assert self.outcome(fused) == self.outcome(reference), (p, u, y0, dt)
+        assert grids == {False, True}  # both n = 1 and n > 1 were drawn
