@@ -15,7 +15,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import AlgebraicLoop
 from .system import (
     Causality,
     FunctionUnitSpec,
@@ -24,8 +23,8 @@ from .system import (
     SystemDescription,
     VariableDescriptor,
     VarKind,
-    _find_cycle,
     _same_instant_edges,
+    _topological_order,
 )
 from .units import AMPERE, METER, NEWTON, NEWTON_METER, VOLT, conversion_factor, parse_unit
 
@@ -291,7 +290,7 @@ class EvaluationPlan:
 
     @property
     def n_init(self) -> int:
-        return 1 + self.chain_length
+        return 1 + self.chain_length  # the cap on settle passes
 
 
 def _copy_factor(src_v: VariableDescriptor, dst_v: VariableDescriptor) -> float:
@@ -342,26 +341,9 @@ def build_plan(
     ports = (*outputs, *inputs, *fu_ports)
     slot = {ref: i for i, ref in enumerate(ports)}
 
-    # One topological pass over the same-instant graph, taking every
-    # ready node in sorted batches so the order is deterministic.  A
-    # node's batch is the node count of the longest chain ending at it,
-    # so the batch count is the longest chain; a stall means a loop.
-    edges = _same_instant_edges(system, slave_desc, fu_desc)
-    preds: dict[str, set[str]] = {name: set() for name in fus}
-    for src, dsts in edges.items():
-        preds.setdefault(src, set())
-        for dst in dsts:
-            preds.setdefault(dst, set()).add(src)
-    order: list[str] = []
-    placed: set[str] = set()
-    batches = 0
-    while len(placed) < len(preds):
-        ready = sorted(n for n, p in preds.items() if n not in placed and p <= placed)
-        if not ready:
-            raise AlgebraicLoop(_find_cycle(edges))
-        placed.update(ready)
-        order.extend(n for n in ready if n in fus)
-        batches += 1
+    # FU order and longest chain in one pass; a loop raises AlgebraicLoop.
+    preds = _same_instant_edges(system, slave_desc, fu_desc)
+    order, batches = _topological_order({name: set() for name in fus} | preds)
 
     # Collect every directed copy: bond legs first, then signals, in
     # declaration order, which fixes evaluation determinism.  Each bond's
@@ -405,10 +387,9 @@ def build_plan(
         return tuple(slot[PortRef(fu.spec.name, v.name)] for v in variables)
 
     emit_copies(lambda src: src.owner not in fus)
-    for name in order:
-        fu = fus[name]
+    for fu in (fus[name] for name in order if name in fus):
         ops.append(EvalOp(fu, slots(fu, fu.desc.inputs()), slots(fu, fu.desc.outputs())))
-        emit_copies(lambda src, name=name: src.owner == name)
+        emit_copies(lambda src, name=fu.spec.name: src.owner == name)
 
     return EvaluationPlan(
         ports=ports,
@@ -417,7 +398,7 @@ def build_plan(
         slaves=tuple(slaves),
         bonds=tuple(bonds),
         ops=tuple(ops),
-        chain_length=batches if edges else 0,
+        chain_length=batches if preds else 0,
     )
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import logging
 import math
 import time
+import traceback
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +46,7 @@ from .errors import (
     StepRejected,
     UnknownModel,
 )
-from .function_units import EvaluationPlan, build_plan, evaluate_plan
+from .function_units import EvalOp, EvaluationPlan, build_plan, evaluate_plan
 from .slave import ModelRegistry, SlaveInstance, time_matches
 from .system import (
     FixedStepPolicy,
@@ -264,10 +266,10 @@ def initialize_run(
 ) -> SimulationRun:
     """Validate, instantiate, set up, initialize, and settle a system.
 
-    The evaluation plan is applied repeatedly at t_start (once plus one
-    pass per node on the longest same-instant chain) so feedthrough
-    chains reach their fixed point before the first step.  On any
-    failure every slave created so far is terminated.
+    Settle passes at t_start push the assigned inputs and apply the plan
+    to the outputs again, until one leaves them the same bit for bit or
+    ``n_init`` have run, so feedthrough chains settle before the first
+    step.  On any failure every slave created so far is terminated.
     """
     desc_map = {}
     for spec in system.slaves:
@@ -298,7 +300,9 @@ def initialize_run(
         for _ in range(plan.n_init):
             run.push_inputs(assigned)
             snapshot = run.gather_outputs()
-            assigned = evaluate_plan(plan, snapshot, system.t_start)
+            pushed, assigned = assigned, evaluate_plan(plan, snapshot, system.t_start)
+            if array("d", assigned).tobytes() == array("d", pushed).tobytes():
+                break
     except Exception:
         _terminate_all(slaves)
         raise
@@ -321,7 +325,25 @@ def step_once(run: SimulationRun, dt: float) -> StepRecord:
     except ConnectionLost as exc:
         run._abort(f"connection lost: {exc}", cause=exc)
     except Exception as exc:
-        run._abort(f"{type(exc).__name__}: {exc}", cause=exc)
+        run._abort(f"{_fault_site(run, exc)}{type(exc).__name__}: {exc}", cause=exc)
+
+
+def _fault_site(run: SimulationRun, exc: Exception) -> str:
+    """The slave call or function unit a step fault left, or ''; read from
+    the loop variable its frame still holds, on the abort path only."""
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        local, call = frame.f_locals, _SLAVE_CALLS.get(frame.f_code)
+        if call is not None:
+            name = next(n for n, s in run.slaves.items() if s is local["slave"])
+            return f"slave {name!r} {call}: "
+        if frame.f_code is _PLAN_CODE and isinstance(local.get("op"), EvalOp):
+            return f"function unit {local['op'].fu.spec.name!r}: "
+    return ""
+
+
+_SLAVE_CALLS = {SimulationRun.gather_outputs.__code__: "get_outputs",
+                SimulationRun.push_inputs.__code__: "set_inputs"}
+_PLAN_CODE = evaluate_plan.__code__
 
 
 def _step_once(run: SimulationRun, dt: float) -> StepRecord:
@@ -347,6 +369,8 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
                 raise
         except StepRejected as exc:
             run._abort(f"slave {name!r} rejected the step: {exc}")
+        except Exception as exc:
+            run._abort(f"slave {name!r} do_step: {type(exc).__name__}: {exc}", cause=exc)
         now = time.monotonic()
         if now >= deadline:
             run._abort(

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DimensionMismatch
+from .errors import AlgebraicLoop, DimensionMismatch
 from .units import Unit, is_power_conjugate
 
 
@@ -369,9 +369,10 @@ def validate_system(
                 add("input-wired-twice", f"input has {n} sources", str(ref))
 
     # Same-instant dependency graph over FUs and feedthrough outputs.
-    cycle = _find_cycle(_same_instant_edges(system, slave_desc, fu_desc))
-    if cycle is not None:
-        add("algebraic-loop", "algebraic loop " + " -> ".join(cycle + [cycle[0]]))
+    try:
+        _topological_order(_same_instant_edges(system, slave_desc, fu_desc))
+    except AlgebraicLoop as loop:
+        add("algebraic-loop", str(loop))
 
     # Step policy sanity.
     pol = system.step_policy
@@ -408,11 +409,12 @@ def _same_instant_edges(
     slave_desc: dict[str, SlaveDescriptor],
     fu_desc: dict[str, SlaveDescriptor],
 ) -> dict[str, set[str]]:
-    """Edges of the same-instant dependency graph between owner names.
+    """The same-instant dependency graph, as each node's predecessors.
 
-    An edge u -> v means v's same-instant value needs u's.  Only FUs and
-    slaves with direct-feedthrough outputs propagate within an instant;
-    connections into a non-feedthrough slave terminate the chain.
+    u in preds[v] means v's same-instant value needs u's; every node
+    with an edge is a key.  Only FUs and slaves with direct-feedthrough
+    outputs propagate within an instant; connections into a
+    non-feedthrough slave terminate the chain.
     """
 
     def propagates(owner: str) -> bool:
@@ -423,7 +425,7 @@ def _same_instant_edges(
             return False
         return any(v.direct_feedthrough for v in d.outputs())
 
-    edges: dict[str, set[str]] = {}
+    preds: dict[str, set[str]] = {}
     pairs: list[tuple[str, str]] = []
     for sig in system.signals:
         pairs.append((sig.source.owner, sig.target.owner))
@@ -432,40 +434,31 @@ def _same_instant_edges(
         pairs.append((bond.side_b.slave, bond.side_a.slave))
     for src, dst in pairs:
         if propagates(src) and propagates(dst):
-            edges.setdefault(src, set()).add(dst)
-    return edges
+            preds.setdefault(src, set())
+            preds.setdefault(dst, set()).add(src)
+    return preds
 
 
-def _find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
-    """One cycle of the same-instant graph, or None when it is acyclic."""
-    nodes = set(edges)
-    for nbrs in edges.values():
-        nodes.update(nbrs)
+def _topological_order(preds: dict[str, set[str]]) -> tuple[list[str], int]:
+    """Order a predecessor graph in one pass; return the order and the batch count.
 
-    # DFS with three colors; nodes visited in sorted order so the
-    # reported cycle is deterministic.  Systems are small, so the
-    # recursion depth is never a concern.
-    color: dict[str, int] = {}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = 1
-        path.append(node)
-        for nbr in sorted(edges.get(node, ())):
-            c = color.get(nbr, 0)
-            if c == 1:
-                return path[path.index(nbr):]
-            if c == 0:
-                cycle = visit(nbr)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        color[node] = 2
-        return None
-
-    for node in sorted(nodes):
-        if color.get(node, 0) == 0:
-            cycle = visit(node)
-            if cycle is not None:
-                return cycle
-    return None
+    Ready nodes are taken in sorted batches, so the order is
+    deterministic and the batch count is the longest chain.  On a stall
+    every unplaced node waits on another, so walking back through
+    unplaced predecessors, smallest first, repeats a node: the walk from
+    it is the cycle AlgebraicLoop names, reversed into edge order.
+    """
+    order: list[str] = []
+    placed: set[str] = set()
+    batches = 0
+    while len(placed) < len(preds):
+        ready = sorted(n for n, p in preds.items() if n not in placed and p <= placed)
+        if not ready:
+            walk = [min(n for n in preds if n not in placed)]
+            while (node := min(preds[walk[-1]] - placed)) not in walk:
+                walk.append(node)
+            raise AlgebraicLoop([node, *reversed(walk[walk.index(node) + 1 :])])
+        placed.update(ready)
+        order += ready
+        batches += 1
+    return order, batches

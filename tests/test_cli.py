@@ -161,7 +161,7 @@ class TestRun:
                       "--out", str(tmp_path))
         assert code == 2
         captured = capsys.readouterr()
-        assert "run aborted: ValueError: bad read" in captured.err
+        assert "run aborted: slave 'left' get_outputs: ValueError: bad read" in captured.err
         assert "Traceback" not in captured.err
         assert "completed" not in captured.out
 

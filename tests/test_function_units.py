@@ -16,17 +16,27 @@ from cosim.function_units import (
 )
 from cosim.models import registry
 from cosim.system import (
+    Causality,
     FixedStepPolicy,
     FunctionUnitSpec,
     PortRef,
     SignalConnection,
+    SlaveDescriptor,
     SlaveSpec,
     SystemDescription,
+    VariableDescriptor,
     VarKind,
+    validate_system,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DESCRIPTORS = registry.descriptors()
+# A two-input direct-feedthrough block, so a slave loop can have a tail.
+LOOP_DESCRIPTORS = {**DESCRIPTORS, "mix_block": SlaveDescriptor("mix_block", (
+    VariableDescriptor("u1", Causality.INPUT, VarKind.SIGNAL, None),
+    VariableDescriptor("u2", Causality.INPUT, VarKind.SIGNAL, None),
+    VariableDescriptor("y", Causality.OUTPUT, VarKind.SIGNAL, None, direct_feedthrough=True),
+))}
 
 
 def fu(kind, **params):
@@ -213,7 +223,7 @@ class TestPlan:
         assert got[PortRef("a", "tau")] == 7.0
         assert got[PortRef("b", "tau")] == 3.0
 
-    @pytest.mark.parametrize("system, names", [
+    @pytest.mark.parametrize("system, cycle", [
         pytest.param(
             system_of(
                 slaves=[SlaveSpec("a", "msd_integral", {})],
@@ -223,7 +233,7 @@ class TestPlan:
                 fus=[FunctionUnitSpec("f1", "gain", {}),
                      FunctionUnitSpec("f2", "gain", {})],
             ),
-            ("f1", "f2"),
+            ["f1", "f2"],
             id="fu_loop",
         ),
         pytest.param(
@@ -237,15 +247,83 @@ class TestPlan:
                          SignalConnection(PortRef("g3", "y"), PortRef("g1", "u"))],
                 fus=[],
             ),
-            ("g1", "g2", "g3"),
+            ["g1", "g2", "g3"],
             id="feedthrough_loop",
         ),
+        # Each tailed loop has a node feeding into it (a_in) and one fed
+        # by it (a_out), both named to sort before every loop member.
+        pytest.param(
+            system_of(
+                slaves=[SlaveSpec("src", "sine_source", {}),
+                        SlaveSpec("osc", "msd_integral", {})],
+                signals=[SignalConnection(PortRef("src", "y"), PortRef("a_in", "u")),
+                         SignalConnection(PortRef("a_in", "y"), PortRef("f1", "u1")),
+                         SignalConnection(PortRef("f2", "y"), PortRef("f1", "u2")),
+                         SignalConnection(PortRef("f1", "y"), PortRef("f2", "u")),
+                         SignalConnection(PortRef("f2", "y"), PortRef("a_out", "u")),
+                         SignalConnection(PortRef("a_out", "y"), PortRef("osc", "tau"))],
+                fus=[FunctionUnitSpec("a_in", "gain", {}),
+                     FunctionUnitSpec("a_out", "gain", {}),
+                     FunctionUnitSpec("f1", "sum", {"n": 2}),
+                     FunctionUnitSpec("f2", "gain", {})],
+            ),
+            ["f1", "f2"],
+            id="fu_loop_with_tail",
+        ),
+        pytest.param(
+            system_of(
+                slaves=[SlaveSpec("src", "sine_source", {}),
+                        SlaveSpec("a_in", "gain_block", {}),
+                        SlaveSpec("a_out", "gain_block", {}),
+                        SlaveSpec("g1", "mix_block", {}),
+                        SlaveSpec("g2", "gain_block", {}),
+                        SlaveSpec("g3", "gain_block", {})],
+                signals=[SignalConnection(PortRef("src", "y"), PortRef("a_in", "u")),
+                         SignalConnection(PortRef("a_in", "y"), PortRef("g1", "u1")),
+                         SignalConnection(PortRef("g3", "y"), PortRef("g1", "u2")),
+                         SignalConnection(PortRef("g1", "y"), PortRef("g2", "u")),
+                         SignalConnection(PortRef("g2", "y"), PortRef("g3", "u")),
+                         SignalConnection(PortRef("g3", "y"), PortRef("a_out", "u"))],
+                fus=[],
+            ),
+            ["g1", "g2", "g3"],
+            id="feedthrough_loop_with_tail",
+        ),
+        pytest.param(
+            # g1 (slave) -> f (FU) -> g2 (slave) -> g1
+            system_of(
+                slaves=[SlaveSpec("src", "sine_source", {}),
+                        SlaveSpec("a_in", "gain_block", {}),
+                        SlaveSpec("g1", "mix_block", {}),
+                        SlaveSpec("g2", "gain_block", {}),
+                        SlaveSpec("osc", "msd_integral", {})],
+                signals=[SignalConnection(PortRef("src", "y"), PortRef("a_in", "u")),
+                         SignalConnection(PortRef("a_in", "y"), PortRef("g1", "u1")),
+                         SignalConnection(PortRef("g2", "y"), PortRef("g1", "u2")),
+                         SignalConnection(PortRef("g1", "y"), PortRef("f", "u")),
+                         SignalConnection(PortRef("f", "y"), PortRef("g2", "u")),
+                         SignalConnection(PortRef("g2", "y"), PortRef("a_out", "u")),
+                         SignalConnection(PortRef("a_out", "y"), PortRef("osc", "tau"))],
+                fus=[FunctionUnitSpec("a_out", "gain", {}),
+                     FunctionUnitSpec("f", "gain", {})],
+            ),
+            ["g1", "f", "g2"],
+            id="mixed_loop_with_tail",
+        ),
     ])
-    def test_fu_cycle_raises_and_names_cycle(self, system, names):
+    def test_fu_cycle_raises_and_names_cycle(self, system, cycle):
         with pytest.raises(AlgebraicLoop) as err:
-            build_plan(system, DESCRIPTORS)
-        for name in names:
+            build_plan(system, LOOP_DESCRIPTORS)
+        # exactly the loop's members in edge order, from any of them
+        got = err.value.cycle
+        start = cycle.index(got[0])
+        assert got == cycle[start:] + cycle[:start]
+        for name in cycle:
             assert name in str(err.value)
+        # validation names the same loop
+        report = validate_system(system, LOOP_DESCRIPTORS)
+        assert [f.message for f in report.findings if f.code == "algebraic-loop"] \
+            == [str(err.value)]
 
     def test_linear_network_equals_matrix(self):
         # y1 = 2 u1 + 0.5 u2 ; y2 = -u1 + 3 u2, assembled from gains + sums

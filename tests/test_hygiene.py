@@ -2,9 +2,11 @@
 
 No linter ships with the project, so an import left behind by deleted
 code would go unnoticed; this test parses each module and reports every
-imported name the module never uses.
+imported name the module never uses.  The runtime stays pure stdlib, so
+it also reports every absolute import outside the standard library.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,29 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue  # not an import, or a relative one
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if m.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_checker_sees_a_third_party_import():
+    source = ("from __future__ import annotations\nimport os.path, numpy\n"
+              "from . import units\nfrom .net import wire\nfrom json import dumps\n"
+              "from scipy.linalg import solve\n")
+    assert non_stdlib_imports(source) == ["line 2: numpy", "line 6: scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_runtime_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []

@@ -25,6 +25,7 @@ from cosim.system import (
     BondSide,
     Causality,
     FixedStepPolicy,
+    FunctionUnitSpec,
     PortRef,
     PowerBond,
     SignalConnection,
@@ -229,6 +230,79 @@ class TestSettling:
         finally:
             run.terminate()
 
+    def signed_zero_chain(self):
+        # y(0) = -0.0 + 0.0*sin(-pi/2) = -0.0, and each -1 gain flips the
+        # sign of a zero, so settle passes differ in signed zeros only;
+        # ``==`` would call the first pass settled and latch osc.tau = +0.0
+        return SystemDescription(
+            slaves=(SlaveSpec("src", "sine_source",
+                              {"amp": 0.0, "bias": -0.0, "phase": -math.pi / 2}),
+                    SlaveSpec("g1", "gain_block", {"c": -1.0}),
+                    SlaveSpec("g2", "gain_block", {"c": -1.0}),
+                    SlaveSpec("osc", "msd_integral", {"h": 1e-3})),
+            signals=(SignalConnection(PortRef("src", "y"), PortRef("g1", "u")),
+                     SignalConnection(PortRef("g1", "y"), PortRef("g2", "u")),
+                     SignalConnection(PortRef("g2", "y"), PortRef("osc", "tau"))),
+            step_policy=FixedStepPolicy(0.1), t_start=0.0, t_end=1.0,
+        )
+
+    def test_settle_stops_at_the_bitwise_fixed_point(self):
+        run = initialize_run(self.signed_zero_chain(),
+                             LocalResolver(standard_registry))
+        try:
+            latched = {str(ref): x.hex() for ref, x in zip(run.plan.inputs, run.latched)}
+            assert latched == {"g1.u": "-0x0.0p+0", "g2.u": "0x0.0p+0",
+                               "osc.tau": "-0x0.0p+0"}
+        finally:
+            run.terminate()
+
+    @staticmethod
+    def set_inputs_calls(system):
+        """Each slave's ``set_inputs`` call count over ``initialize_run``."""
+        calls = {}
+
+        class CountingResolver(LocalResolver):
+            def create(self, spec):
+                slave = super().create(spec)
+                set_inputs = slave.set_inputs
+                calls[spec.name] = 0
+
+                def counted(values):
+                    calls[spec.name] += 1
+                    set_inputs(values)
+
+                slave.set_inputs = counted
+                return slave
+
+        initialize_run(system, CountingResolver(standard_registry)).terminate()
+        return calls
+
+    def test_settle_stops_after_one_pass_on_a_function_unit_chain(self):
+        # src -> g1 -> g2 -> g3 (gain FUs) -> osc: n_init is 4, but the
+        # FUs resolve inside one plan evaluation
+        system = SystemDescription(
+            slaves=(SlaveSpec("src", "sine_source", {"phase": 0.5}),
+                    SlaveSpec("osc", "msd_integral", {"h": 1e-3})),
+            signals=(SignalConnection(PortRef("src", "y"), PortRef("g1", "u")),
+                     SignalConnection(PortRef("g1", "y"), PortRef("g2", "u")),
+                     SignalConnection(PortRef("g2", "y"), PortRef("g3", "u")),
+                     SignalConnection(PortRef("g3", "y"), PortRef("osc", "tau"))),
+            function_units=tuple(FunctionUnitSpec(n, "gain", {"c": 0.5})
+                                 for n in ("g1", "g2", "g3")),
+            step_policy=FixedStepPolicy(0.1), t_start=0.0, t_end=1.0,
+        )
+        run = initialize_run(system, LocalResolver(standard_registry))
+        try:
+            assert run.plan.n_init == 4
+            assert run.latched == [0.125 * math.sin(0.5)]
+        finally:
+            run.terminate()
+        assert self.set_inputs_calls(system) == {"src": 0, "osc": 1}
+
+    def test_feedthrough_chain_takes_every_pass(self):
+        assert self.set_inputs_calls(self.feedthrough_chain()) == {
+            "src": 0, "g1": 4, "g2": 4, "g3": 4, "osc": 4}
+
 
 class TestAborts:
     def test_invalid_system_raises_before_any_instance(self):
@@ -397,8 +471,23 @@ class TestStepFaults:
         system = msd_pair_system(FixedStepPolicy(0.01), t_end=1.0)
         aborted, memory = self.abort(system, tmp_path, inject)
         assert aborted.__cause__ is fault
-        assert "bad read" in memory.end_reason
+        assert str(aborted) == "slave 'left' get_outputs: ValueError: bad read"
+        assert memory.end_reason == "aborted: slave 'left' get_outputs: ValueError: bad read"
         assert len(memory.records) == 7
+
+    @pytest.mark.parametrize("call", ["set_inputs", "do_step"])
+    def test_slave_fault_names_the_slave_and_call(self, tmp_path, call):
+        fault = ValueError("bad call")
+
+        def inject(run):
+            right = run.slaves["right"]
+            setattr(right, call, fail_on_call(3, fault, getattr(right, call)))
+
+        system = msd_pair_system(FixedStepPolicy(0.01), t_end=1.0)
+        aborted, memory = self.abort(system, tmp_path, inject)
+        assert aborted.__cause__ is fault
+        assert memory.end_reason == f"aborted: slave 'right' {call}: ValueError: bad call"
+        assert len(memory.records) == 2
 
     def test_function_unit_fault_aborts(self, tmp_path):
         fault = ArithmeticError("no sum")
@@ -410,7 +499,8 @@ class TestStepFaults:
         system = parse_config((CONFIG_DIR / "fu_sum.cfg").read_text())
         aborted, memory = self.abort(system, tmp_path, inject)
         assert aborted.__cause__ is fault
-        assert "no sum" in memory.end_reason
+        assert str(aborted) == "function unit 'adder': ArithmeticError: no sum"
+        assert memory.end_reason == "aborted: function unit 'adder': ArithmeticError: no sum"
         assert len(memory.records) == 2
 
 
