@@ -322,10 +322,15 @@ def step_once(run: SimulationRun, dt: float) -> StepRecord:
         return _step_once(run, dt)
     except RunAborted:
         raise
-    except ConnectionLost as exc:
-        run._abort(f"connection lost: {exc}", cause=exc)
     except Exception as exc:
-        run._abort(f"{_fault_site(run, exc)}{type(exc).__name__}: {exc}", cause=exc)
+        run._abort(_fault_reason(_fault_site(run, exc), exc), cause=exc)
+
+
+def _fault_reason(site: str, exc: Exception) -> str:
+    """Why ``exc`` at ``site`` aborts; a lost connection says so first."""
+    if isinstance(exc, ConnectionLost):
+        return f"connection lost: {site}{exc}"
+    return f"{site}{type(exc).__name__}: {exc}"
 
 
 def _fault_site(run: SimulationRun, exc: Exception) -> str:
@@ -334,11 +339,15 @@ def _fault_site(run: SimulationRun, exc: Exception) -> str:
     for frame, _ in traceback.walk_tb(exc.__traceback__):
         local, call = frame.f_locals, _SLAVE_CALLS.get(frame.f_code)
         if call is not None:
-            name = next(n for n, s in run.slaves.items() if s is local["slave"])
-            return f"slave {name!r} {call}: "
+            return _slave_site(run, local["slave"], call)
         if frame.f_code is _PLAN_CODE and isinstance(local.get("op"), EvalOp):
             return f"function unit {local['op'].fu.spec.name!r}: "
     return ""
+
+
+def _slave_site(run: SimulationRun, slave: SlaveInstance, call: str) -> str:
+    name = next(n for n, s in run.slaves.items() if s is slave)
+    return f"slave {name!r} {call}: "
 
 
 _SLAVE_CALLS = {SimulationRun.gather_outputs.__code__: "get_outputs",
@@ -357,20 +366,21 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # one clock read per slave checks the deadline and sets the time left
     deadline = time.monotonic() + run.step_timeout
     for slave in run.slaves.values():
-        slave.start_step(t, dt)
+        try:
+            slave.start_step(t, dt)
+        except Exception as exc:
+            run._abort(_fault_reason(_slave_site(run, slave, "start_step"), exc), cause=exc)
     t_next = t + dt
     now = time.monotonic()
     for name, slave in run.slaves.items():
         try:
             outcome = slave.finish_step(t, dt, max(deadline - now, 0.0))
-        except ConnectionLost:
-            # a reply read cut off by the deadline is a missed barrier
-            if time.monotonic() < deadline:
-                raise
         except StepRejected as exc:
             run._abort(f"slave {name!r} rejected the step: {exc}")
         except Exception as exc:
-            run._abort(f"slave {name!r} do_step: {type(exc).__name__}: {exc}", cause=exc)
+            # a reply read cut off by the deadline is a missed barrier
+            if not isinstance(exc, ConnectionLost) or time.monotonic() < deadline:
+                run._abort(_fault_reason(f"slave {name!r} do_step: ", exc), cause=exc)
         now = time.monotonic()
         if now >= deadline:
             run._abort(

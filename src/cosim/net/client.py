@@ -1,10 +1,13 @@
 """Client side of the provider protocol: catalogue access and remote slaves.
 
-A RemoteSlave satisfies the same contract as an in-process slave; every
-call maps to one request/response exchange, and reals cross the wire as
-exact binary64, so a distributed run reproduces an in-process run bit for
-bit.  ``bind`` sends the input and output names once, in a BIND frame;
-SET_INPUTS and OUTPUTS then carry values only, in the bound order.
+``ProviderClient.spawn`` sends SPAWN on a connection of its own, which the
+provider then serves as the slave's session; the RemoteSlave it returns
+owns that socket.  A RemoteSlave satisfies the same contract as an
+in-process slave; every call maps to one request/response exchange, and
+reals cross the wire as exact binary64, so a distributed run reproduces an
+in-process run bit for bit.  ``bind`` sends the input and output names
+once, in a BIND frame; SET_INPUTS and OUTPUTS then carry values only, in
+the bound order.
 """
 from __future__ import annotations
 
@@ -52,27 +55,31 @@ def _request(sock: socket.socket, msg_type: int, payload: bytes,
     return Reader(body)
 
 
+def _connect(address: str, timeout: float) -> socket.socket:
+    """A connection to the provider at ``address`` that has passed HELLO."""
+    sock = socket.create_connection(_split_address(address), timeout=timeout)
+    try:
+        r = _request(sock, MT.HELLO,
+                     Writer().u64(wire.PROTOCOL_VERSION).payload(), MT.HELLO_OK)
+        version = r.u64()
+        r.done()
+        if version != wire.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"provider answered HELLO_OK with version {version}, "
+                f"expected {wire.PROTOCOL_VERSION}")
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 class ProviderClient:
     """Control connection to one provider."""
 
     def __init__(self, address: str, timeout: float = CONTROL_TIMEOUT):
         self.address = address
-        host, port = _split_address(address)
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.settimeout(timeout)
-        try:
-            r = _request(self._sock, MT.HELLO,
-                         Writer().u64(wire.PROTOCOL_VERSION).payload(),
-                         MT.HELLO_OK)
-            version = r.u64()
-            r.done()
-            if version != wire.PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"provider answered HELLO_OK with version {version}, "
-                    f"expected {wire.PROTOCOL_VERSION}")
-        except BaseException:
-            self._sock.close()
-            raise
+        self._timeout = timeout
+        self._sock = _connect(address, timeout)
 
     def list_models(self) -> tuple[str, ...]:
         r = _request(self._sock, MT.LIST_MODELS, b"", MT.MODEL_LIST)
@@ -87,7 +94,9 @@ class ProviderClient:
         r.done()
         return desc
 
-    def spawn(self, model_id: str, parameters: dict[str, float] | None = None) -> str:
+    def spawn(self, model_id: str,
+              parameters: dict[str, float] | None = None) -> "RemoteSlave":
+        """A new slave, whose session is a connection of its own."""
         w = Writer().string(model_id)
         parameters = parameters or {}
         w.count(len(parameters))
@@ -98,10 +107,15 @@ class ProviderClient:
                     f"remote slaves take numeric parameters only")
             w.string(name)
             w.f64(value)
-        r = _request(self._sock, MT.SPAWN, w.payload(), MT.SPAWNED)
-        endpoint = r.string()
-        r.done()
-        return endpoint
+        sock = _connect(self.address, self._timeout)
+        try:
+            r = _request(sock, MT.SPAWN, w.payload(), MT.SPAWNED)
+            desc = wire.read_descriptor(r)
+            r.done()
+        except BaseException:
+            sock.close()
+            raise
+        return RemoteSlave(sock, desc)
 
     def close(self) -> None:
         try:
@@ -117,17 +131,14 @@ class ProviderClient:
 
 
 class RemoteSlave(SlaveInstance):
-    """Proxy for a spawned slave living behind a provider."""
+    """Proxy for a spawned slave; owns its session socket, whose timeout
+    bounds every request but STEP."""
 
-    def __init__(self, endpoint: str, descriptor: SlaveDescriptor,
-                 control_timeout: float = CONTROL_TIMEOUT):
-        self.endpoint = endpoint
+    def __init__(self, sock: socket.socket, descriptor: SlaveDescriptor):
+        self._sock = sock
         self._desc = descriptor
         self._n_outputs = 0  # outputs the provider answers with once bound
-        self._control_timeout = control_timeout
-        host, port = _split_address(endpoint)
-        self._sock = socket.create_connection((host, port), timeout=control_timeout)
-        self._sock.settimeout(control_timeout)
+        self._control_timeout = sock.gettimeout()
         self._closed = False
         self._reply_owed = False  # a STEP went out and its reply is unread
 
@@ -242,19 +253,17 @@ class NetworkResolver:
     """Builds slaves locally or on providers, per each spec's provider field.
 
     Control connections are opened lazily and shared across specs that name
-    the same provider address.
+    the same provider address; each remote slave has a connection of its own.
     """
 
-    def __init__(self, registry: ModelRegistry,
-                 control_timeout: float = CONTROL_TIMEOUT):
+    def __init__(self, registry: ModelRegistry):
         self.registry = registry
-        self._control_timeout = control_timeout
         self._clients: dict[str, ProviderClient] = {}
 
     def _client(self, address: str) -> ProviderClient:
         client = self._clients.get(address)
         if client is None:
-            client = ProviderClient(address, timeout=self._control_timeout)
+            client = ProviderClient(address)
             self._clients[address] = client
         return client
 
@@ -265,13 +274,7 @@ class NetworkResolver:
 
     def create(self, spec: SlaveSpec) -> SlaveInstance:
         if spec.provider:
-            client = self._client(spec.provider)
-            endpoint = client.spawn(spec.model_id, spec.parameters)
-            return RemoteSlave(
-                endpoint,
-                client.describe(spec.model_id),
-                control_timeout=self._control_timeout,
-            )
+            return self._client(spec.provider).spawn(spec.model_id, spec.parameters)
         return self.registry.create(spec.model_id, spec.parameters)
 
     def close(self) -> None:

@@ -1,10 +1,12 @@
 """Slave-provider daemon: publishes models over TCP and spawns live slaves.
 
-One listening socket answers control requests (HELLO, LIST_MODELS,
-DESCRIBE, SPAWN); every spawned slave gets a dedicated ephemeral listening
-socket whose address travels back in SPAWNED.  Each slave endpoint accepts
-exactly one connection and serves it single-threaded, so per-slave request
-ordering is trivially strict.
+One listening socket is the provider's only port.  Each connection it
+accepts is served on its own thread and answers control requests (HELLO,
+LIST_MODELS, DESCRIBE, SPAWN).  A successful SPAWN replies SPAWNED with the
+slave's descriptor and turns that connection into the slave's session,
+served on the same thread, so per-slave request ordering is trivially
+strict.  When the session ends, by TERMINATE or a dropped connection, the
+slave is terminated and its slot freed, once.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ class Provider:
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         self._live_slaves = 0
-        self._slave_sockets: set[socket.socket] = set()
+        self._conns: set[socket.socket] = set()
         self._closing = False
         self._thread: threading.Thread | None = None
 
@@ -82,10 +84,11 @@ class Provider:
             except OSError:
                 pass
         with self._lock:
-            leftovers = list(self._slave_sockets)
-        for s in leftovers:
+            conns = list(self._conns)
+        for conn in conns:
             try:
-                s.close()
+                # Wakes the serving thread, which ends the session.
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
 
@@ -116,24 +119,34 @@ class Provider:
             threading.Thread(
                 target=self._serve_control,
                 args=(conn, peer),
-                name=f"control:{peer}",
+                name=f"conn:{peer}",
                 daemon=True,
             ).start()
 
     def _serve_control(self, conn: socket.socket, peer) -> None:
+        with self._lock:
+            if self._closing:
+                conn.close()
+                return
+            self._conns.add(conn)
         try:
             with conn:
                 if not self._handshake(conn):
                     return
-                while True:
+                spawned = None
+                while spawned is None:
                     msg_type, payload = wire.recv_frame(conn)
-                    self._dispatch_control(conn, msg_type, payload)
+                    spawned = self._dispatch_control(conn, msg_type, payload)
+                self._serve_slave(conn, *spawned)
         except ConnectionLost:
             pass
         except ProtocolError as exc:
-            log.warning("control connection from %s dropped: %s", peer, exc)
+            log.warning("connection from %s dropped: %s", peer, exc)
         except Exception:
-            log.exception("control connection from %s crashed", peer)
+            log.exception("connection from %s crashed", peer)
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
 
     def _handshake(self, conn: socket.socket) -> bool:
         msg_type, payload = wire.recv_frame(conn)
@@ -152,7 +165,8 @@ class Provider:
                         Writer().u64(wire.PROTOCOL_VERSION).payload())
         return True
 
-    def _dispatch_control(self, conn: socket.socket, msg_type: int, payload: bytes) -> None:
+    def _dispatch_control(self, conn: socket.socket, msg_type: int, payload: bytes):
+        """Handle one control request; a spawn returns (instance, descriptor)."""
         try:
             if msg_type == MT.LIST_MODELS:
                 Reader(payload).done()
@@ -176,14 +190,14 @@ class Provider:
                     name = r.string()
                     parameters[name] = r.f64()
                 r.done()
-                endpoint = self._spawn(conn, model_id, parameters)
-                wire.send_frame(conn, MT.SPAWNED,
-                                Writer().string(endpoint).payload())
+                desc = self._describe(model_id)  # refuses unpublished models
+                return self._spawn(model_id, parameters), desc
             else:
                 _send_error(conn, ProtocolError(
                     f"unexpected control message type {msg_type}"))
         except CosimError as exc:
             _send_error(conn, exc)
+        return None
 
     def _describe(self, model_id: str):
         # Hide registry entries this provider was told not to publish.
@@ -191,73 +205,38 @@ class Provider:
             raise UnknownModel(f"unknown model {model_id!r}")
         return self.registry.describe(model_id)
 
-    def _spawn(self, conn: socket.socket, model_id: str, parameters: dict) -> str:
-        if model_id not in self.model_ids:
-            raise UnknownModel(f"unknown model {model_id!r}")
+    def _spawn(self, model_id: str, parameters: dict) -> SlaveInstance:
         with self._lock:
             if self._live_slaves >= self.config.max_slaves:
                 raise SpawnLimitExceeded(
                     f"provider is at its limit of {self.config.max_slaves} slaves")
             self._live_slaves += 1
         try:
-            instance = self.registry.create(model_id, parameters)
-            listener = socket.create_server((self.config.host, 0))
+            return self.registry.create(model_id, parameters)
         except BaseException:
             with self._lock:
                 self._live_slaves -= 1
             raise
-        with self._lock:
-            self._slave_sockets.add(listener)
-        host = self.config.host
-        if host in ("", "0.0.0.0", "::"):
-            # Advertise the interface the client actually reached us on.
-            host = conn.getsockname()[0]
-        port = listener.getsockname()[1]
-        threading.Thread(
-            target=self._serve_slave,
-            args=(listener, instance),
-            name=f"slave:{model_id}:{port}",
-            daemon=True,
-        ).start()
-        return f"{host}:{port}"
 
-    def _release(self, listener: socket.socket, instance: SlaveInstance) -> None:
-        with self._lock:
-            self._slave_sockets.discard(listener)
-            self._live_slaves -= 1
+    def _serve_slave(self, conn: socket.socket, instance: SlaveInstance,
+                     desc) -> None:
+        """Reply SPAWNED, then serve the slave until TERMINATE or a drop;
+        however the session ends, the slave is released here, once."""
         try:
-            listener.close()
-        except OSError:
-            pass
-        try:
-            instance.terminate()
-        except CosimError:
-            pass  # already terminated through the protocol
-
-    def _serve_slave(self, listener: socket.socket, instance: SlaveInstance) -> None:
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            self._release(listener, instance)
-            return
-        # Track the live session socket too so shutdown() severs it;
-        # closing only the listener would leave the session running.
-        with self._lock:
-            self._slave_sockets.add(conn)
-        try:
-            with conn:
-                while True:
-                    msg_type, payload = wire.recv_frame(conn)
-                    if not self._dispatch_slave(conn, instance, msg_type, payload):
-                        break
-        except ConnectionLost:
-            pass
-        except Exception:
-            log.exception("slave connection crashed")
+            w = Writer()
+            wire.write_descriptor(w, desc)
+            wire.send_frame(conn, MT.SPAWNED, w.payload())
+            while True:
+                msg_type, payload = wire.recv_frame(conn)
+                if not self._dispatch_slave(conn, instance, msg_type, payload):
+                    break
         finally:
             with self._lock:
-                self._slave_sockets.discard(conn)
-            self._release(listener, instance)
+                self._live_slaves -= 1
+            try:
+                instance.terminate()
+            except CosimError:
+                pass  # already terminated through the protocol
 
     def _dispatch_slave(self, conn, instance: SlaveInstance,
                         msg_type: int, payload: bytes) -> bool:

@@ -29,7 +29,7 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 2  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 3  # unsigned 16-bit semantics, carried as a u64 field
 
 MAX_FRAME = 1 << 24  # 16 MiB; nothing legitimate comes close
 

@@ -416,15 +416,11 @@ def _same_instant_edges(
     outputs propagate within an instant; connections into a
     non-feedthrough slave terminate the chain.
     """
-
-    def propagates(owner: str) -> bool:
-        if owner in fu_desc:
-            return True
-        d = slave_desc.get(owner)
-        if d is None:
-            return False
-        return any(v.direct_feedthrough for v in d.outputs())
-
+    propagates = set(fu_desc)
+    propagates.update(
+        name for name, d in slave_desc.items()
+        if any(v.direct_feedthrough and v.causality is Causality.OUTPUT
+               for v in d.variables))
     preds: dict[str, set[str]] = {}
     pairs: list[tuple[str, str]] = []
     for sig in system.signals:
@@ -433,7 +429,7 @@ def _same_instant_edges(
         pairs.append((bond.side_a.slave, bond.side_b.slave))
         pairs.append((bond.side_b.slave, bond.side_a.slave))
     for src, dst in pairs:
-        if propagates(src) and propagates(dst):
+        if src in propagates and dst in propagates:
             preds.setdefault(src, set())
             preds.setdefault(dst, set()).add(src)
     return preds

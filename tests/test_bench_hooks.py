@@ -47,3 +47,11 @@ def test_tracer_patches_and_restores_its_targets(tracer, which):
             assert getattr(module, name) is not original, name
     for (module, name), original in zip(targets, originals):
         assert getattr(module, name) is original, name
+
+
+@pytest.mark.parametrize("module", ["micro", "workloads"])
+def test_benchmark_modules_import(monkeypatch, module):
+    # Both bind kernel names at import, e.g. the MessageType members of
+    # micro.STEP_FRAMES, so a src/ edit that drops one fails here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module(module)

@@ -475,7 +475,7 @@ class TestStepFaults:
         assert memory.end_reason == "aborted: slave 'left' get_outputs: ValueError: bad read"
         assert len(memory.records) == 7
 
-    @pytest.mark.parametrize("call", ["set_inputs", "do_step"])
+    @pytest.mark.parametrize("call", ["set_inputs", "start_step", "do_step"])
     def test_slave_fault_names_the_slave_and_call(self, tmp_path, call):
         fault = ValueError("bad call")
 

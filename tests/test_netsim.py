@@ -1,6 +1,7 @@
 """Networked slaves: provider daemon, client proxies, distributed runs."""
 import dataclasses
 import socket
+import sys
 import threading
 import time
 
@@ -22,12 +23,14 @@ from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import registry as standard_registry
 from cosim.net import (
     MessageType as MT,
+    PROTOCOL_VERSION,
     NetworkResolver,
     Provider,
     ProviderClient,
     ProviderConfig,
     RemoteSlave,
     discover,
+    wire,
 )
 from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
@@ -88,7 +91,7 @@ class TestControlChannel:
         finally:
             prov.shutdown()
 
-    @pytest.mark.parametrize("version", [1, 999])
+    @pytest.mark.parametrize("version", [1, 2, 999])
     def test_version_mismatch_rejected(self, provider, version):
         host, port = provider.address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as sock:
@@ -114,6 +117,46 @@ class TestControlChannel:
             with pytest.raises(ProtocolError):
                 client.spawn("msd_integral", {"m": "heavy"})
 
+    def test_spawned_descriptor_matches_describe(self, provider):
+        with ProviderClient(provider.address) as client:
+            models = client.list_models()
+            assert models
+            for model_id in models:
+                slave = client.spawn(model_id, {})
+                try:
+                    assert slave.descriptor() == client.describe(model_id), model_id
+                finally:
+                    slave.terminate()
+
+    def test_abandoned_spawn_frees_its_slot(self):
+        # A client that spawns and then goes away must not keep the slot.
+        prov = Provider(
+            standard_registry,
+            ProviderConfig(host="127.0.0.1", port=0, max_slaves=1),
+        ).start()
+        try:
+            host, port = prov.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                send_frame(sock, MT.HELLO,
+                           Writer().u64(PROTOCOL_VERSION).payload())
+                assert recv_frame(sock)[0] == MT.HELLO_OK
+                send_frame(sock, MT.SPAWN,
+                           Writer().string("sine_source").count(0).payload())
+                assert recv_frame(sock)[0] == MT.SPAWNED
+            closed = time.monotonic()
+            with ProviderClient(prov.address) as client:
+                while True:
+                    try:
+                        slave = client.spawn("sine_source", {})
+                        break
+                    except SpawnLimitExceeded:
+                        if time.monotonic() - closed > 1.0:
+                            pytest.fail("slot not freed within 1 s")
+                        time.sleep(0.01)
+                slave.terminate()
+        finally:
+            prov.shutdown()
+
 
 class TestRemoteSlave:
     def test_full_lifecycle_matches_local(self, provider):
@@ -135,16 +178,13 @@ class TestRemoteSlave:
             return out
 
         with ProviderClient(provider.address) as client:
-            desc = client.describe("msd_integral")
-            endpoint = client.spawn("msd_integral", params)
-            remote = history(RemoteSlave(endpoint, desc))
+            remote = history(client.spawn("msd_integral", params))
         local = history(standard_registry.create("msd_integral", params))
         assert remote == local  # bit-identical, not merely close
 
     def test_typed_errors_cross_the_wire(self, provider):
         with ProviderClient(provider.address) as client:
-            desc = client.describe("msd_integral")
-            slave = RemoteSlave(client.spawn("msd_integral", {}), desc)
+            slave = client.spawn("msd_integral", {})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
@@ -171,17 +211,14 @@ class TestRemoteSlave:
 
     def test_terminate_twice_rejected_locally(self, provider):
         with ProviderClient(provider.address) as client:
-            desc = client.describe("sine_source")
-            slave = RemoteSlave(client.spawn("sine_source", {}), desc)
+            slave = client.spawn("sine_source", {})
         slave.terminate()
         with pytest.raises(InvalidState):
             slave.terminate()
 
     def test_step_failure_reports_diagnostic(self, provider):
         with ProviderClient(provider.address) as client:
-            desc = client.describe("fail_after")
-            slave = RemoteSlave(client.spawn("fail_after", {"t_fail": 0.1}),
-                                desc)
+            slave = client.spawn("fail_after", {"t_fail": 0.1})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
@@ -198,8 +235,7 @@ class TestRemoteSlave:
         ).start()
         try:
             with ProviderClient(prov.address) as client:
-                desc = client.describe("sine_source")
-                first = RemoteSlave(client.spawn("sine_source", {}), desc)
+                first = client.spawn("sine_source", {})
                 with pytest.raises(SpawnLimitExceeded):
                     client.spawn("sine_source", {})
                 first.terminate()
@@ -207,14 +243,66 @@ class TestRemoteSlave:
                 import time
                 for _ in range(50):
                     try:
-                        second = RemoteSlave(client.spawn("sine_source", {}),
-                                             desc)
+                        second = client.spawn("sine_source", {})
                         break
                     except SpawnLimitExceeded:
                         time.sleep(0.02)
                 else:
                     pytest.fail("slot never released")
                 second.terminate()
+        finally:
+            prov.shutdown()
+
+    def test_concurrent_sessions_free_each_slot_once(self):
+        # Sessions that end by TERMINATE or by a dropped connection, from
+        # more threads than cores, each free their slot exactly once: at
+        # the end the provider takes ``limit`` spawns again, and no more.
+        limit = 3
+        prov = Provider(
+            standard_registry,
+            ProviderConfig(host="127.0.0.1", port=0, max_slaves=limit),
+        ).start()
+        spawned, errors = [], []
+
+        def worker(k):
+            try:
+                with ProviderClient(prov.address) as client:
+                    for i in range(15):
+                        try:
+                            slave = client.spawn("sine_source", {})
+                        except SpawnLimitExceeded:
+                            continue
+                        spawned.append(k)
+                        if (k + i) % 2:
+                            slave.terminate()
+                        else:
+                            slave._sock.close()  # drop without TERMINATE
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30.0)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert errors == [] and spawned
+            give_up = time.monotonic() + 5.0
+            while prov._live_slaves and time.monotonic() < give_up:
+                time.sleep(0.01)
+            with ProviderClient(prov.address) as client:
+                slaves = [client.spawn("sine_source", {}) for _ in range(limit)]
+                with pytest.raises(SpawnLimitExceeded):
+                    client.spawn("sine_source", {})
+                for slave in slaves:
+                    slave.terminate()
         finally:
             prov.shutdown()
 
@@ -230,6 +318,22 @@ class TestDiscovery:
 
 
 class TestDistributedRuns:
+    def test_setup_sends_one_describe_per_remote_slave(self, provider,
+                                                       monkeypatch):
+        sent = []
+        send = wire.send_frame
+
+        def counting(sock, msg_type, payload=b""):
+            sent.append(msg_type)
+            send(sock, msg_type, payload)
+
+        monkeypatch.setattr(wire, "send_frame", counting)
+        with NetworkResolver(registry=standard_registry) as resolver:
+            initialize_run(remote_pair_system(provider.address),
+                           resolver).terminate()
+        assert sent.count(MT.SPAWN) == 2
+        assert sent.count(MT.DESCRIBE) == 2
+
     def test_remote_run_matches_in_process_bitwise(self, provider):
         system_local = msd_pair_system(FixedStepPolicy(1e-2), t_end=2.0)
         local = run_system(system_local)
@@ -295,7 +399,7 @@ class TestDistributedRuns:
                                      step_timeout=10.0)
                 with pytest.raises(RunAborted, match="connection lost"):
                     run_to_end(run)
-            assert killer.reason.startswith("aborted: connection lost")
+            assert killer.reason.startswith("aborted: connection lost: slave '")
         finally:
             prov.shutdown()
 
@@ -329,22 +433,21 @@ class TestDistributedRuns:
             # The provider frees the slot once the slow step returns and
             # it finds the connection closed.
             with ProviderClient(prov.address) as client:
-                desc = client.describe("sine_source")
                 give_up = time.monotonic() + 10.0
                 while True:
                     try:
-                        endpoint = client.spawn("sine_source", {})
+                        slave = client.spawn("sine_source", {})
                         break
                     except SpawnLimitExceeded:
                         if time.monotonic() > give_up:
                             pytest.fail("slot never released")
                         time.sleep(0.05)
-                RemoteSlave(endpoint, desc).terminate()
+                slave.terminate()
         finally:
             prov.shutdown()
 
     def test_truncated_step_reply_aborts_as_connection_lost(self):
-        # A fake slave endpoint answers the lifecycle and exchange requests,
+        # A fake slave session answers the lifecycle and exchange requests,
         # then answers STEP with a header promising 8 payload bytes, sends 3
         # and closes its side.
         threads_before = set(threading.enumerate())
@@ -387,7 +490,8 @@ class TestDistributedRuns:
         class FakeEndpointResolver(LocalResolver):
             def create(self, spec):
                 if spec.name == "left":
-                    return RemoteSlave(f"{host}:{port}", self.describe(spec))
+                    sock = socket.create_connection((host, port), timeout=5.0)
+                    return RemoteSlave(sock, self.describe(spec))
                 return super().create(spec)
 
         obs = MemoryObserver()
@@ -407,6 +511,7 @@ class TestDistributedRuns:
             listener.close()
         assert elapsed < step_timeout + 0.5
         assert len(ends) == 1 and ends[0].startswith("aborted: connection lost")
+        assert "slave 'left' do_step" in ends[0]
         assert obs.records == []
         assert MT.STEP in received and MT.TERMINATE not in received
         assert set(threading.enumerate()) <= threads_before
