@@ -13,6 +13,7 @@ from .energy import (
     BondEnergy,
     EnergyReport,
     StepController,
+    account_step,
     bracket_powers,
     error_indicator,
     residual_energy,

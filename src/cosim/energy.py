@@ -19,6 +19,8 @@ from typing import NamedTuple
 E_FLOOR = 1e-12
 EPS_TINY = 1e-15
 
+_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
+
 
 class BondEnergy(NamedTuple):
     """Energy bookkeeping for one bond over one accepted step.
@@ -86,6 +88,40 @@ def error_indicator(
         r = de / max(scale, e_floor)
         acc += r * r
     return math.sqrt(acc / len(bonds))
+
+
+def account_step(
+    bonds, held: list[float], fresh: list[float], dt: float, cumulative: list[float]
+) -> EnergyReport:
+    """One step's residual-energy accounting, in one pass over the bonds.
+
+    ``bonds`` are the plan's ``BondLegs``: positions in ``held`` (the
+    inputs latched over the step) and ``fresh`` (the outputs at its end)
+    and their scales to SI.  ``cumulative`` holds each bond's running dE
+    and is advanced in place.  The arithmetic is that of
+    ``bracket_powers``, ``residual_power``, ``residual_energy`` and
+    ``error_indicator``, inline and in their operation order, so the
+    bits are theirs.
+    """
+    reports = []
+    acc = 0.0
+    for i, (name, sign, e_out, f_out, e_in, f_in,
+            e_out_si, f_out_si, e_in_si, f_in_si) in enumerate(bonds):
+        e_held = held[e_in] * e_in_si
+        f_held = held[f_in] * f_in_si
+        e_new = fresh[e_out] * e_out_si
+        f_new = fresh[f_out] * f_out_si
+        p1 = sign * e_held * f_new
+        p2 = -sign * e_new * f_held
+        dp = -(p1 + p2)
+        de = dp * dt
+        cumulative[i] = cum = cumulative[i] + de
+        reports.append(_new_tuple(BondEnergy, (name, p1, p2, dp, de, cum)))
+        scale = 0.5 * (abs(p1) + abs(p2)) * dt
+        r = de / (E_FLOOR if E_FLOOR > scale else scale)  # max(scale, E_FLOOR)
+        acc += r * r
+    epsilon = math.sqrt(acc / len(reports)) if reports else 0.0
+    return _new_tuple(EnergyReport, (tuple(reports), epsilon))
 
 
 @dataclass(frozen=True)

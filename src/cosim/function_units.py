@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .system import (
     Causality,
@@ -248,12 +249,12 @@ class EvalOp:
     outputs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BondLegs:
+class BondLegs(NamedTuple):
     """A bond's four legs as list positions, with their scales to SI.
 
     ``e_out``/``f_out`` index the slave outputs (``plan.outputs`` order),
-    ``e_in``/``f_in`` the slave inputs (``plan.inputs`` order).
+    ``e_in``/``f_in`` the slave inputs (``plan.inputs`` order).  A named
+    tuple, so the accounting unpacks it in one go.
     """
 
     name: str
@@ -287,6 +288,9 @@ class EvaluationPlan:
     bonds: tuple[BondLegs, ...]
     ops: tuple[CopyOp | EvalOp, ...]
     chain_length: int  # nodes on the longest same-instant chain
+    # ``ops`` as plain (fu, a, b, factor) tuples for ``evaluate_plan``: a
+    # copy is (None, src, dst, factor), an evaluation (fu, inputs, outputs, None)
+    flat_ops: tuple[tuple, ...]
 
     @property
     def n_init(self) -> int:
@@ -399,6 +403,8 @@ def build_plan(
         bonds=tuple(bonds),
         ops=tuple(ops),
         chain_length=batches if preds else 0,
+        flat_ops=tuple((None, op.src, op.dst, op.factor) if isinstance(op, CopyOp)
+                       else (op.fu, op.inputs, op.outputs, None) for op in ops),
     )
 
 
@@ -412,11 +418,13 @@ def evaluate_plan(
     """
     n = len(plan.outputs)
     values = outputs + [0.0] * (len(plan.ports) - n)
-    for op in plan.ops:
-        if isinstance(op, CopyOp):
-            values[op.dst] = values[op.src] * op.factor
+    for fu, a, b, factor in plan.flat_ops:
+        if fu is None:
+            values[b] = values[a] * factor
         else:
-            outs = op.fu.evaluate([values[i] for i in op.inputs], t)
-            for i, y in zip(op.outputs, outs):
+            u = []  # a plain loop is cheaper than a list comprehension here
+            for i in a:
+                u.append(values[i])
+            for i, y in zip(b, fu.evaluate(u, t)):
                 values[i] = y
     return values[n : n + len(plan.inputs)]

@@ -55,6 +55,13 @@ class StepOutcome(NamedTuple):
         return self.status is StepStatus.OK
 
 
+# Read on every step: a module global is several times cheaper than an
+# enum class attribute, and ``tuple.__new__`` than the named tuple's own
+# ``__new__``.
+OK = StepStatus.OK
+_new_tuple = tuple.__new__
+
+
 def time_matches(expected: float, actual: float) -> bool:
     return abs(expected - actual) <= TIME_RTOL * max(1.0, abs(expected))
 
@@ -100,6 +107,9 @@ class _State(enum.Enum):
     SET_UP = "set up"
     READY = "ready"
     TERMINATED = "terminated"
+
+
+_READY = _State.READY
 
 
 class ModelSlave(SlaveInstance):
@@ -161,18 +171,26 @@ class ModelSlave(SlaveInstance):
             if self._variable(name).causality is not Causality.OUTPUT:
                 raise NotAnOutput(f"{name} is not an output")
         self._binding = (list(inputs), list(outputs))
+        # Decided once: only a model that overrides the hook has one to run.
+        self._feedthrough = (type(self)._refresh_feedthrough
+                             is not ModelSlave._refresh_feedthrough)
 
     def set_inputs(self, values: list[float]) -> None:
-        names = self._bound("set_inputs")[0]
+        binding = self._binding
+        if binding is None:
+            self._raise_unbound("set_inputs")
+        names = binding[0]
         if len(values) != len(names):
             raise InvalidState(f"{len(values)} values for {len(names)} bound inputs")
+        inputs = self.inputs
         for name, value in zip(names, values):
-            self.inputs[name] = float(value)
-        self._refresh_feedthrough()
+            inputs[name] = float(value)
+        if self._feedthrough:
+            self._refresh_feedthrough()
 
     def do_step(self, t: float, dt: float) -> StepOutcome:
-        if self._state is not _State.READY:
-            self._require(_State.READY, "do_step")
+        if self._state is not _READY:
+            self._require(_READY, "do_step")
         if not dt > 0.0:
             raise StepRejected(f"step size must be positive (got {dt})")
         if t != self._time and not time_matches(t, self._time):
@@ -192,11 +210,20 @@ class ModelSlave(SlaveInstance):
             raise
         except Exception as exc:  # solver blow-ups become a failed outcome
             return StepOutcome(StepStatus.FAILED, self._time, f"{type(exc).__name__}: {exc}")
-        self._time = t + dt
-        return StepOutcome(StepStatus.OK, self._time)
+        self._time = end = t + dt
+        return _new_tuple(StepOutcome, (OK, end, ""))
 
     def get_outputs(self) -> list[float]:
-        return [self.outputs[name] for name in self._bound("get_outputs")[1]]
+        binding = self._binding
+        if binding is None:
+            self._raise_unbound("get_outputs")
+        # A plain loop: in Python 3.11 a list comprehension is a function
+        # call of its own, the larger cost for one or two outputs.
+        outputs = self.outputs
+        values = []
+        for name in binding[1]:
+            values.append(outputs[name])
+        return values
 
     def terminate(self) -> None:
         if self._state is _State.TERMINATED:
@@ -225,12 +252,11 @@ class ModelSlave(SlaveInstance):
         except KeyError:
             raise UnknownVariable(f"no variable named {name!r}") from None
 
-    def _bound(self, what: str) -> tuple[list[str], list[str]]:
-        # Only a ready slave holds a binding: ``terminate`` clears it.
-        if self._binding is None:
-            self._require(_State.READY, what)
-            raise InvalidState(f"{what} before bind")
-        return self._binding
+    def _raise_unbound(self, what: str):
+        """Raise why there is no binding: only a ready slave holds one,
+        as ``terminate`` clears it."""
+        self._require(_READY, what)
+        raise InvalidState(f"{what} before bind")
 
     def _require(self, state: _State, what: str):
         if self._state is not state:

@@ -293,9 +293,14 @@ def validate_system(
             return None
         return v
 
-    # Power bonds: complementary effort/flow roles and the watt check.
+    # Power bonds: unique names, complementary effort/flow roles and the
+    # watt check.
+    bond_names: set[str] = set()
     for bond in system.bonds:
         where = f"bond {bond.name}"
+        if bond.name in bond_names:
+            add("duplicate-name", "name also used by another bond", where)
+        bond_names.add(bond.name)
         if bond.positive_side not in ("a", "b"):
             add("bad-orientation", f"positive_side must be 'a' or 'b'", where)
         side_vars = []

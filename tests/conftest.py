@@ -1,6 +1,7 @@
 """Shared fixtures: canned systems, test-only models, run helpers."""
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from cosim.master import (
 )
 from cosim.models import registry as standard_registry
 from cosim.observers import MemoryObserver
-from cosim.slave import ModelRegistry, ModelSlave
+from cosim.slave import ModelRegistry, ModelSlave, StepOutcome, StepStatus
 from cosim.system import (
     BondSide,
     Causality,
@@ -94,11 +95,79 @@ class SlowModel(ModelSlave):
         time.sleep(self.params["delay"])
 
 
+class InjectedFault(Exception):
+    """Raised by ``FaultyModel`` on the call it is set to break."""
+
+
+class FaultyModel(ModelSlave):
+    """Misbehaves once: on call number ``call`` of one stage.
+
+    ``stage`` indexes STAGES and ``mode`` MODES: raise ``InjectedFault``,
+    return a failed outcome, or return OK with a NaN end time.  The last
+    two are step outcomes, so they apply to ``do_step`` only.  Otherwise
+    a unit mass driven by its force input.
+    """
+
+    STAGES = ("set_inputs", "do_step", "get_outputs", "terminate")
+    MODES = ("raise", "fail", "nan_end")
+    DESCRIPTOR = SlaveDescriptor(
+        model_id="faulty",
+        variables=(
+            VariableDescriptor("tau", IN, VarKind.EFFORT, NEWTON),
+            VariableDescriptor("v", OUT, VarKind.FLOW, METER_PER_SECOND),
+        ),
+        parameters={"stage": 1.0, "call": 1.0, "mode": 0.0},
+    )
+
+    def __init__(self, parameters=None):
+        super().__init__(parameters)
+        self.calls = 0
+
+    def _breaks(self, stage):
+        """Count a call of ``stage``; True on the one that misbehaves."""
+        if self.STAGES[int(self.params["stage"])] != stage:
+            return False
+        self.calls += 1
+        return self.calls == self.params["call"]
+
+    def set_inputs(self, values):
+        if self._breaks("set_inputs"):
+            raise InjectedFault(f"set_inputs call {self.calls}")
+        super().set_inputs(values)
+
+    def do_step(self, t, dt):
+        outcome = super().do_step(t, dt)
+        if not self._breaks("do_step"):
+            return outcome
+        mode = self.MODES[int(self.params["mode"])]
+        if mode == "fail":
+            return StepOutcome(StepStatus.FAILED, t, "injected failure")
+        if mode == "nan_end":
+            return StepOutcome(StepStatus.OK, math.nan)
+        raise InjectedFault(f"do_step call {self.calls}")
+
+    def get_outputs(self):
+        if self._breaks("get_outputs"):
+            raise InjectedFault(f"get_outputs call {self.calls}")
+        return super().get_outputs()
+
+    def terminate(self):
+        super().terminate()
+        if self._breaks("terminate"):
+            raise InjectedFault(f"terminate call {self.calls}")
+
+    def _initialize(self, t0):
+        self.outputs["v"] = 0.0
+
+    def _step(self, t, dt):
+        self.outputs["v"] += dt * self.inputs["tau"]
+
+
 def extended_registry() -> ModelRegistry:
     """The standard registry plus the test-only models above."""
     reg = ModelRegistry()
     reg._entries.update(standard_registry._entries)
-    for cls in (FailAfterModel, RejectAfterModel, SlowModel):
+    for cls in (FailAfterModel, RejectAfterModel, SlowModel, FaultyModel):
         reg.register(cls)
     return reg
 

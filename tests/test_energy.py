@@ -1,18 +1,23 @@
 """Energy residual bookkeeping and the adaptive step controller."""
 import math
+import struct
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cosim.energy import (
     E_FLOOR,
     EPS_TINY,
+    BondEnergy,
+    EnergyReport,
     StepController,
+    account_step,
     bracket_powers,
     error_indicator,
     residual_energy,
     residual_power,
 )
+from cosim.function_units import BondLegs
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -96,6 +101,57 @@ class TestIndicator:
         de = residual_energy(residual_power(p1, p2), dt)
         if 0.5 * (abs(p1) + abs(p2)) * dt > E_FLOOR:
             assert error_indicator([(de, p1, p2)], dt) <= 2.0 + 1e-12
+
+
+# Any double: the ones IEEE arithmetic treats apart, plain values whose
+# rounding shows, and the whole range.
+any_double = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                       finite, st.floats())
+bond_values = st.tuples(st.sampled_from([1.0, -1.0]),  # both orientations
+                        *[any_double] * 4,  # e/f held, e/f fresh
+                        *[st.sampled_from([1.0, 1e-3, 0.0254, 1e3])] * 4,  # to SI
+                        any_double)  # cumulative dE so far
+
+
+def _bits(value):
+    """A report, or any nest of tuples, with every float as its 8 bytes."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+class TestFusedAccounting:
+    """``account_step`` against the public helpers it fuses."""
+
+    @settings(max_examples=300)
+    @given(bonds=st.lists(bond_values, max_size=4), dt=st.one_of(positive, any_double))
+    def test_bit_for_bit_with_the_helpers(self, bonds, dt):
+        # Bond k reads held[2k], held[2k+1] and fresh[2k+1], fresh[2k].
+        held, fresh, legs, cumulative = [], [], [], []
+        for k, (sign, e_held, f_held, e_new, f_new, *si, cum) in enumerate(bonds):
+            held += [e_held, f_held]
+            fresh += [f_new, e_new]
+            legs.append(BondLegs(f"b{k}", sign, 2 * k + 1, 2 * k, 2 * k, 2 * k + 1, *si))
+            cumulative.append(cum)
+        entries, reports = [], []
+        for b, before in zip(legs, cumulative):
+            p1, p2 = bracket_powers(b.sign, held[b.e_in] * b.e_in_si,
+                                    held[b.f_in] * b.f_in_si,
+                                    fresh[b.e_out] * b.e_out_si,
+                                    fresh[b.f_out] * b.f_out_si)
+            dp = residual_power(p1, p2)
+            de = residual_energy(dp, dt)
+            entries.append((de, p1, p2))
+            reports.append(BondEnergy(b.name, p1, p2, dp, de, before + de))
+        expected = EnergyReport(tuple(reports), error_indicator(entries, dt))
+
+        report = account_step(tuple(legs), held, fresh, dt, cumulative)
+        assert _bits(report) == _bits(expected)
+        assert type(report) is EnergyReport
+        assert all(type(b) is BondEnergy for b in report.bonds)
+        assert _bits(tuple(cumulative)) == _bits(tuple(b.cumulative_de for b in reports))
 
 
 class TestController:

@@ -3,7 +3,9 @@
 No linter ships with the project, so an import left behind by deleted
 code would go unnoticed; this test parses each module and reports every
 imported name the module never uses.  The runtime stays pure stdlib, so
-it also reports every absolute import outside the standard library.
+it also reports every absolute import outside the standard library.  The
+runtime generates no code, so it also reports every call of the builtins
+``exec``, ``eval`` and ``compile``.
 """
 import ast
 import sys
@@ -65,3 +67,25 @@ def test_checker_sees_a_third_party_import():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
 def test_runtime_imports_only_the_standard_library(path):
     assert non_stdlib_imports(path.read_text()) == []
+
+
+CODEGEN_BUILTINS = ("exec", "eval", "compile")
+
+
+def codegen_calls(source: str) -> list[str]:
+    # A bare name only: ``re.compile`` and other attributes are fine.
+    return [f"line {node.lineno}: {node.func.id}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CODEGEN_BUILTINS]
+
+
+def test_checker_sees_a_codegen_call():
+    source = ("import re\nPAT = re.compile('x')\nexec('y = 1')\n"
+              "f = eval\ncode = compile(src, '<plan>', 'exec')\neval('2')\n")
+    assert codegen_calls(source) == ["line 3: exec", "line 5: compile", "line 6: eval"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_runtime_generates_no_code(path):
+    assert codegen_calls(path.read_text()) == []

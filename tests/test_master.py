@@ -1,6 +1,7 @@
 """Master loop: scheduling, exact span accounting, determinism, aborts."""
 import dataclasses
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -37,7 +38,14 @@ from cosim.system import (
 )
 from cosim.units import METER_PER_SECOND, NEWTON
 
-from conftest import extended_registry, msd_pair_system, run_system
+from conftest import (
+    FaultyModel,
+    InjectedFault,
+    ThreadCounter,
+    extended_registry,
+    msd_pair_system,
+    run_system,
+)
 
 IN = Causality.INPUT
 OUT = Causality.OUTPUT
@@ -406,6 +414,29 @@ def fail_on_call(k, exc, fn):
     return wrapper
 
 
+def counted_call(calls, name, fn):
+    """``fn`` wrapped to append ``name`` to ``calls`` before each call."""
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
+
+
+def nan_output_after(slave, k, name):
+    """Make ``slave`` leave output ``name`` NaN after each step past its k-th."""
+    step, calls = slave._step, 0
+
+    def wrapper(t, dt):
+        nonlocal calls
+        step(t, dt)
+        calls += 1
+        if calls > k:
+            slave.outputs[name] = math.nan
+
+    slave._step = wrapper
+
+
 class EndLog:
     """Observer that keeps every end notification it gets."""
 
@@ -434,16 +465,8 @@ class TestStepFaults:
         run = initialize_run(system, LocalResolver(standard_registry),
                              observers=[csv, memory, ends])
         terminated = []
-
-        def counted(name, terminate):
-            def wrapper():
-                terminated.append(name)
-                terminate()
-
-            return wrapper
-
         for name, slave in run.slaves.items():
-            slave.terminate = counted(name, slave.terminate)
+            slave.terminate = counted_call(terminated, name, slave.terminate)
         files = []
         on_start = csv.on_start
 
@@ -502,6 +525,47 @@ class TestStepFaults:
         assert str(aborted) == "function unit 'adder': ArithmeticError: no sum"
         assert memory.end_reason == "aborted: function unit 'adder': ArithmeticError: no sum"
         assert len(memory.records) == 2
+
+
+FAULTS = [("set_inputs", "raise"), ("do_step", "raise"), ("do_step", "fail"),
+          ("do_step", "nan_end"), ("get_outputs", "raise"), ("terminate", "raise")]
+
+
+class TestFaultMatrix:
+    """One in-process slave breaks once, at each stage in each way; the
+    run ends once, terminates every slave once and leaves no thread."""
+
+    @pytest.mark.parametrize("stage,mode", FAULTS, ids=["-".join(f) for f in FAULTS])
+    def test_fault_ends_the_run_once(self, stage, mode, caplog):
+        # The 4th call of an exchange or step comes after the settle pass.
+        params = {"stage": FaultyModel.STAGES.index(stage),
+                  "call": 1 if stage == "terminate" else 4,
+                  "mode": FaultyModel.MODES.index(mode)}
+        system = faulty_pair_system("faulty", params, FixedStepPolicy(0.01))
+        memory, ends, threads = MemoryObserver(), EndLog(), ThreadCounter()
+        before = threading.active_count()
+        run = initialize_run(system, LocalResolver(extended_registry()),
+                             observers=[memory, ends, threads])
+        terminated = []
+        for name, slave in run.slaves.items():
+            slave.terminate = counted_call(terminated, name, slave.terminate)
+        with caplog.at_level("DEBUG", logger="cosim.master"):
+            if stage == "terminate":
+                # A failing terminate is logged; the run itself completed.
+                run_to_end(run)
+                (reason,) = [r.getMessage() for r in caplog.records]
+                assert isinstance(caplog.records[0].exc_info[1], InjectedFault)
+                assert ends.reasons == ["completed"]
+            else:
+                with pytest.raises(RunAborted) as err:
+                    run_to_end(run)
+                (reason,) = ends.reasons
+                assert reason == f"aborted: {err.value}"
+                assert len(memory.records) >= 1  # the fault came while stepping
+        assert "slave 'probe'" in reason and stage in reason
+        assert sorted(terminated) == sorted(run.slaves)
+        assert threads.peak <= before
+        assert threading.active_count() == before
 
 
 class TestInitialize:
@@ -578,6 +642,33 @@ class TestAdaptive:
         assert any("variable steps" in m for m in caplog.messages)
         # every step stays at dt0; only the fitted tail may differ by ulps
         assert all(abs(r.dt - 1e-2) < 1e-12 for r in result.records)
+
+    def test_non_finite_indicator_ends_the_run_naming_the_bond(self):
+        # A NaN wheel velocity makes the indicator NaN; the controller must
+        # not turn it into a NaN step that the next slave is blamed for.
+        system = parse_config((CONFIG_DIR / "quarter_car_adaptive.cfg").read_text())
+        memory, ends = MemoryObserver(), EndLog()
+        run = initialize_run(system, LocalResolver(standard_registry),
+                             observers=[memory, ends])
+        nan_output_after(run.slaves["wheel"], 5, "v2")
+        with pytest.raises(RunAborted) as err:
+            run_to_end(run)
+        reason = "error indicator is nan: bond 'susp' residual energy is nan"
+        assert str(err.value) == reason
+        assert ends.reasons == [f"aborted: {reason}"]
+        assert len(memory.records) == 5
+
+    def test_fixed_step_runs_on_through_a_non_finite_indicator(self):
+        system = parse_config((CONFIG_DIR / "quarter_car.cfg").read_text())
+        system = dataclasses.replace(system, t_end=system.t_start + 0.01)
+        memory, ends = MemoryObserver(), EndLog()
+        run = initialize_run(system, LocalResolver(standard_registry),
+                             observers=[memory, ends])
+        nan_output_after(run.slaves["wheel"], 5, "v2")
+        run_to_end(run)
+        assert ends.reasons == ["completed"]
+        assert math.isnan(memory.records[5].energy.epsilon)
+        assert len(memory.records) == run.index > 5
 
     def test_controller_wired_from_policy(self):
         system = msd_pair_system(

@@ -230,6 +230,25 @@ class TestMsdHybrid:
         assert slave.inputs == {"v": 0.5}
         assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
 
+    def test_rebinding_after_a_switch_moves_the_new_ports(self):
+        slave = self.make(x0=0.3)
+        slave.bind(["tau"], ["v", "x"])
+        slave.set_inputs([1.0])
+        march(slave, 0.1, 0.01)
+        slave.switch_causality("differential")
+        slave.bind(["v"], ["x", "tau"])
+        slave.set_inputs([0.25])
+        assert slave.inputs == {"v": 0.25}
+        assert slave.get_outputs() == [slave.outputs["x"], slave.outputs["tau"]]
+        slave.do_step(0.1, 0.01)
+        x, tau = slave.get_outputs()
+        assert (x, tau) == (slave.x, slave.outputs["tau"])
+        slave.switch_causality("integral")
+        slave.bind(["tau"], ["x", "v"])
+        slave.set_inputs([-0.5])
+        assert slave.inputs == {"tau": -0.5}
+        assert slave.get_outputs() == [slave.x, 0.25]
+
     def test_causality_switch_keeps_the_step_flag(self):
         # The slave reads supports_variable_step once, at initialize, so
         # both causalities must give the same value.
@@ -349,6 +368,23 @@ class TestBlocks:
         slave.set_inputs([4.0])
         slave.do_step(0.0, 0.1)
         assert slave.get_outputs() == [-10.0]
+
+
+    def test_gain_block_refreshes_on_every_set_inputs(self):
+        # No step between: the output follows each input as it is set.
+        slave = single_slave("gain_block", {"c": -2.5})
+        slave.bind(["u"], ["y"])
+        for u in (4.0, -1.0, 0.0, 8.0):
+            slave.set_inputs([u])
+            assert slave.get_outputs() == [-2.5 * u]
+
+    def test_models_without_feedthrough_keep_outputs_on_set_inputs(self):
+        slave = single_slave("sum_delay")
+        slave.bind(["u1", "u2"], ["y"])
+        slave.set_inputs([2.0, 3.0])
+        slave.do_step(0.0, 0.1)
+        slave.set_inputs([7.0, 1.0])
+        assert slave.get_outputs() == [5.0]
 
 
 class TestRk4Kernels:

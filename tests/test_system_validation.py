@@ -50,6 +50,20 @@ def test_duplicate_slave_name():
     assert "duplicate-name" in codes(system)
 
 
+def test_duplicate_bond_name():
+    # Each bond's cumulative residual is its own; two bonds of one name
+    # would read as one in every record and CSV row.
+    slaves, bonds = [], []
+    for i in range(2):
+        slaves += [SlaveSpec(f"l{i}", "msd_integral", {}),
+                   SlaveSpec(f"r{i}", "msd_differential", {})]
+        bonds.append(PowerBond("link", BondSide(f"l{i}", "v", "tau"),
+                               BondSide(f"r{i}", "tau", "v"), positive_side="a"))
+    system = build(slaves=slaves, bonds=bonds)
+    report = validate_system(system, DESCRIPTORS)
+    assert [(f.code, f.where) for f in report.findings] == [("duplicate-name", "bond link")]
+
+
 def test_unknown_model():
     system = build(slaves=[SlaveSpec("a", "nosuchmodel", {})])
     assert "unknown-model" in codes(system)
