@@ -11,7 +11,7 @@ as ``in.<var> = owner.port`` / ``out.<var> = owner.port`` keys inside the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import CosimError
 from .system import (
@@ -122,13 +122,6 @@ def _port(value: str, line: int, diags: list[Diagnostic]) -> PortRef | None:
     return PortRef(owner.strip(), var.strip())
 
 
-_FIXED_KEYS = {"t_start", "t_end", "step", "dt"}
-_ADAPTIVE_KEYS = {
-    "t_start", "t_end", "step", "dt0", "dt_min", "dt_max", "tolerance",
-    "safety", "alpha", "theta_min", "theta_max",
-}
-
-
 def _simulation(sec: _Section, diags: list[Diagnostic]):
     def fval(key, default=None, required=False):
         if key not in sec.entries:
@@ -147,26 +140,19 @@ def _simulation(sec: _Section, diags: list[Diagnostic]):
     if step_raw and step not in ("fixed", "adaptive"):
         diags.append(Diagnostic(step_raw[1], f"step must be fixed or adaptive, got {step!r}"))
         step = "fixed"
-    allowed = _ADAPTIVE_KEYS if step == "adaptive" else _FIXED_KEYS
+    # The policy's fields are its keys; a field without a default is required.
+    policy_cls = AdaptiveStepPolicy if step == "adaptive" else FixedStepPolicy
+    allowed = {"t_start", "t_end", "step", *(f.name for f in fields(policy_cls))}
     for key, (_, line) in sec.entries.items():
         if key not in allowed:
             diags.append(Diagnostic(line, f"unknown [simulation] key {key!r} for step = {step}"))
 
     t_start = fval("t_start", 0.0)
     t_end = fval("t_end", required=True)
-    if step == "adaptive":
-        policy = AdaptiveStepPolicy(
-            dt0=fval("dt0", required=True) or 0.0,
-            dt_min=fval("dt_min", required=True) or 0.0,
-            dt_max=fval("dt_max", required=True) or 0.0,
-            tolerance=fval("tolerance", required=True) or 0.0,
-            safety=fval("safety", 0.8),
-            alpha=fval("alpha", 0.5),
-            theta_min=fval("theta_min", 0.5),
-            theta_max=fval("theta_max", 2.0),
-        )
-    else:
-        policy = FixedStepPolicy(dt=fval("dt", required=True) or 0.0)
+    policy = policy_cls(**{
+        f.name: (fval(f.name, required=True) or 0.0) if f.default is MISSING
+        else fval(f.name, f.default)
+        for f in fields(policy_cls)})
     return t_start if t_start is not None else 0.0, t_end, policy
 
 
@@ -328,14 +314,9 @@ def emit_config(system: SystemDescription) -> str:
     out.append(f"t_start = {_fmt(system.t_start)}")
     out.append(f"t_end = {_fmt(system.t_end)}")
     pol = system.step_policy
-    if isinstance(pol, AdaptiveStepPolicy):
-        out.append("step = adaptive")
-        for key in ("dt0", "dt_min", "dt_max", "tolerance",
-                    "safety", "alpha", "theta_min", "theta_max"):
-            out.append(f"{key} = {_fmt(getattr(pol, key))}")
-    else:
-        out.append("step = fixed")
-        out.append(f"dt = {_fmt(pol.dt)}")
+    out.append(f"step = {'adaptive' if isinstance(pol, AdaptiveStepPolicy) else 'fixed'}")
+    for f in fields(pol):
+        out.append(f"{f.name} = {_fmt(getattr(pol, f.name))}")
 
     for spec in system.slaves:
         out += ["", f"[slave {spec.name}]", f"model = {spec.model_id}"]

@@ -235,20 +235,6 @@ def make_fu(spec: FunctionUnitSpec) -> FunctionUnit:
     return cls(spec)
 
 
-@dataclass(frozen=True)
-class CopyOp:
-    src: int  # slot in ``EvaluationPlan.ports``
-    dst: int
-    factor: float  # unit conversion, exactly 1.0 for identical units
-
-
-@dataclass(frozen=True)
-class EvalOp:
-    fu: FunctionUnit
-    inputs: tuple[int, ...]  # slots in ``EvaluationPlan.ports``, descriptor order
-    outputs: tuple[int, ...]
-
-
 class BondLegs(NamedTuple):
     """A bond's four legs as list positions, with their scales to SI.
 
@@ -279,6 +265,11 @@ class EvaluationPlan:
     names each slave's inputs and outputs in that order, so a slave's
     share of ``inputs`` and of ``outputs`` is one contiguous run;
     ``bonds`` holds each bond's legs as positions in those lists.
+
+    ``ops`` are the plain tuples ``evaluate_plan`` runs, slots as above:
+    a copy is ``(None, src, dst, factor)``, with ``factor`` the unit
+    conversion (exactly 1.0 for identical units); an evaluation is
+    ``(fu, inputs, outputs, None)``, its slots in descriptor order.
     """
 
     ports: tuple[PortRef, ...]
@@ -286,11 +277,8 @@ class EvaluationPlan:
     inputs: tuple[PortRef, ...]  # the slave inputs that follow them
     slaves: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]  # (name, ins, outs)
     bonds: tuple[BondLegs, ...]
-    ops: tuple[CopyOp | EvalOp, ...]
+    ops: tuple[tuple, ...]
     chain_length: int  # nodes on the longest same-instant chain
-    # ``ops`` as plain (fu, a, b, factor) tuples for ``evaluate_plan``: a
-    # copy is (None, src, dst, factor), an evaluation (fu, inputs, outputs, None)
-    flat_ops: tuple[tuple, ...]
 
     @property
     def n_init(self) -> int:
@@ -349,11 +337,19 @@ def build_plan(
     preds = _same_instant_edges(system, slave_desc, fu_desc)
     order, batches = _topological_order({name: set() for name in fus} | preds)
 
-    # Collect every directed copy: bond legs first, then signals, in
-    # declaration order, which fixes evaluation determinism.  Each bond's
-    # legs are also kept as list positions for energy accounting.
+    # File every directed copy by its source as it is collected, bond
+    # legs first, then signals, in declaration order, which fixes
+    # evaluation determinism: copies out of a slave run before every
+    # evaluation, copies out of an FU right after it.  Each bond's legs
+    # are also kept as list positions for energy accounting.
+    ops: list[tuple] = []
+    after: dict[str, list[tuple]] = {name: [] for name in fus}
+
+    def copy(src: PortRef, dst: PortRef):
+        factor = _copy_factor(var_of[src], var_of[dst])
+        after.get(src.owner, ops).append((None, slot[src], slot[dst], factor))
+
     n_out = len(outputs)
-    copies: list[tuple[PortRef, PortRef]] = []
     bonds: list[BondLegs] = []
     for bond in system.bonds:
         a, b = bond.side_a, bond.side_b
@@ -371,29 +367,17 @@ def build_plan(
             pos["e_out"], pos["f_out"], pos["e_in"], pos["f_in"],
             si["e_out"], si["f_out"], si["e_in"], si["f_in"],
         ))
-        copies.append((PortRef(a.slave, a.output), PortRef(b.slave, b.input)))
-        copies.append((PortRef(b.slave, b.output), PortRef(a.slave, a.input)))
+        copy(PortRef(a.slave, a.output), PortRef(b.slave, b.input))
+        copy(PortRef(b.slave, b.output), PortRef(a.slave, a.input))
     for sig in system.signals:
-        copies.append((sig.source, sig.target))
-
-    ops: list[CopyOp | EvalOp] = []
-    emitted: set[int] = set()
-
-    def emit_copies(pred):
-        for i, (src, dst) in enumerate(copies):
-            if i in emitted or not pred(src):
-                continue
-            factor = _copy_factor(var_of[src], var_of[dst])
-            ops.append(CopyOp(slot[src], slot[dst], factor))
-            emitted.add(i)
+        copy(sig.source, sig.target)
 
     def slots(fu, variables):
         return tuple(slot[PortRef(fu.spec.name, v.name)] for v in variables)
 
-    emit_copies(lambda src: src.owner not in fus)
     for fu in (fus[name] for name in order if name in fus):
-        ops.append(EvalOp(fu, slots(fu, fu.desc.inputs()), slots(fu, fu.desc.outputs())))
-        emit_copies(lambda src, name=fu.spec.name: src.owner == name)
+        ops.append((fu, slots(fu, fu.desc.inputs()), slots(fu, fu.desc.outputs()), None))
+        ops += after[fu.spec.name]
 
     return EvaluationPlan(
         ports=ports,
@@ -403,8 +387,6 @@ def build_plan(
         bonds=tuple(bonds),
         ops=tuple(ops),
         chain_length=batches if preds else 0,
-        flat_ops=tuple((None, op.src, op.dst, op.factor) if isinstance(op, CopyOp)
-                       else (op.fu, op.inputs, op.outputs, None) for op in ops),
     )
 
 
@@ -418,7 +400,7 @@ def evaluate_plan(
     """
     n = len(plan.outputs)
     values = outputs + [0.0] * (len(plan.ports) - n)
-    for fu, a, b, factor in plan.flat_ops:
+    for fu, a, b, factor in plan.ops:
         if fu is None:
             values[b] = values[a] * factor
         else:

@@ -26,7 +26,7 @@ import math
 import time
 import traceback
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .energy import EnergyReport, StepController, account_step
@@ -123,7 +123,8 @@ class LocalResolver:
 class SimulationRun:
     """A live run: slaves, plan, step sum, latched inputs, controller.
 
-    Each slave is bound once, from ``plan.slaves``; the plan fixes which
+    ``slaves`` is in ``plan.slaves`` order, as ``initialize_run`` builds
+    it.  Each slave is bound once, from ``plan.slaves``; the plan fixes which
     ports each slave exchanges, where they sit in ``latched`` and
     ``outputs``, and which of them are bond legs (``plan.bonds``).
     ``time`` is ``t_start`` plus the exact sum of the steps taken,
@@ -170,24 +171,15 @@ class SimulationRun:
                     policy.dt0,
                 )
             else:
-                self.controller = StepController(
-                    tolerance=policy.tolerance,
-                    dt_min=policy.dt_min,
-                    dt_max=policy.dt_max,
-                    safety=policy.safety,
-                    alpha=policy.alpha,
-                    theta_min=policy.theta_min,
-                    theta_max=policy.theta_max,
-                )
+                self.controller = StepController(**{
+                    f.name: getattr(policy, f.name) for f in fields(StepController)})
 
         # A slave's inputs are one run of ``plan.inputs``, so its share of
         # a latched list is a slice; a slave without inputs gets no share.
-        self._plan_slaves: list[SlaveInstance] = []
         self._fed: list[tuple[SlaveInstance, slice]] = []
         start = 0
         for name, ins, outs in plan.slaves:
             slaves[name].bind(list(ins), list(outs))
-            self._plan_slaves.append(slaves[name])
             if ins:
                 self._fed.append((slaves[name], slice(start, start + len(ins))))
             start += len(ins)
@@ -235,7 +227,7 @@ class SimulationRun:
     def gather_outputs(self) -> list[float]:
         """Every slave output, in ``plan.outputs`` order."""
         values: list[float] = []
-        for slave in self._plan_slaves:
+        for slave in self.slaves.values():
             values += slave.get_outputs()
         return values
 
@@ -250,8 +242,9 @@ def _terminate_all(slaves: dict[str, SlaveInstance]) -> None:
     for name, slave in slaves.items():
         try:
             slave.terminate()
-        except Exception:
-            log.debug("terminate failed for slave %r", name, exc_info=True)
+        except Exception as exc:
+            log.warning("terminate failed for slave %r: %s: %s",
+                        name, type(exc).__name__, exc, exc_info=True)
 
 
 def initialize_run(

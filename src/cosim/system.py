@@ -252,9 +252,11 @@ def validate_system(
             add("unknown-model", f"model {s.model_id!r} not in registry", s.name)
             continue
         slave_desc[s.name] = d
-        for pname in s.parameters:
+        for pname, value in s.parameters.items():
             if pname not in d.parameters:
                 add("unknown-parameter", f"model {s.model_id!r} has no parameter {pname!r}", s.name)
+            if not isinstance(value, (int, float)):
+                add("bad-parameter", f"parameter {pname!r} must be a number, got {value!r}", s.name)
 
     fu_desc: dict[str, SlaveDescriptor] = {}
     for fu in system.function_units:
@@ -263,18 +265,15 @@ def validate_system(
         except (KeyError, ValueError, DimensionMismatch) as exc:
             add("bad-function-unit", str(exc), fu.name)
 
-    def lookup_var(ref: PortRef) -> VariableDescriptor | None:
-        d = slave_desc.get(ref.owner) or fu_desc.get(ref.owner)
-        try:
-            return d.variable(ref.var) if d is not None else None
-        except KeyError:
-            return None
+    # One port table; a name held by a slave and an FU resolves to the slave.
+    var_of = {PortRef(owner, v.name): v
+              for owner, d in (fu_desc | slave_desc).items() for v in d.variables}
 
     # Wiring bookkeeping: every input must end up wired exactly once.
     wired: dict[PortRef, int] = {}
 
     def wire(ref: PortRef, what: str):
-        v = lookup_var(ref)
+        v = var_of.get(ref)
         if v is None:
             add("unknown-port", f"{what} references unknown port {ref}", str(ref))
             return
@@ -284,7 +283,7 @@ def validate_system(
         wired[ref] = wired.get(ref, 0) + 1
 
     def check_source(ref: PortRef, what: str) -> VariableDescriptor | None:
-        v = lookup_var(ref)
+        v = var_of.get(ref)
         if v is None:
             add("unknown-port", f"{what} references unknown port {ref}", str(ref))
             return None
@@ -311,7 +310,7 @@ def validate_system(
             in_ref = PortRef(side.slave, side.input)
             out_v = check_source(out_ref, where)
             wire(in_ref, where)
-            in_v = lookup_var(in_ref)
+            in_v = var_of.get(in_ref)
             side_vars.append((out_v, in_v))
         (out_a, in_a), (out_b, in_b) = side_vars
         if None in (out_a, in_a, out_b, in_b):
@@ -353,7 +352,7 @@ def validate_system(
         where = f"signal {sig.source} -> {sig.target}"
         out_v = check_source(sig.source, where)
         wire(sig.target, where)
-        in_v = lookup_var(sig.target)
+        in_v = var_of.get(sig.target)
         if out_v is not None and in_v is not None:
             if out_v.unit is not None and in_v.unit is not None:
                 if out_v.unit.dimension != in_v.unit.dimension:

@@ -2,8 +2,8 @@
 
 ``perfbench/spans.py`` swaps module-level functions by name while a
 traced run steps (``perfbench/run.py --trace 1``).  A kernel edit that
-renames or deletes one of them would only show there, so this test
-enters and leaves both patch sets without running anything.
+renames or deletes one of them would only show there, so these tests
+enter and leave both patch sets, and step a live run under them.
 """
 import importlib
 from pathlib import Path
@@ -13,8 +13,12 @@ import pytest
 import cosim.master
 import cosim.models
 import cosim.net.wire
+from cosim.config import parse_config
+from cosim.master import LocalResolver, initialize_run
+from cosim.observers import CsvObserver
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 TARGETS = {
     "step": [
@@ -55,3 +59,28 @@ def test_benchmark_modules_import(monkeypatch, module):
     # micro.STEP_FRAMES, so a src/ edit that drops one fails here.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     importlib.import_module(module)
+
+
+def test_tracer_times_a_live_run(tracer, tmp_path):
+    # ``before_steps`` wraps the run's own exchange methods and reads the
+    # plan's op count, which a traced benchmark run would otherwise be
+    # the first to exercise.
+    system = parse_config((ROOT / "configs" / "fu_sum.cfg").read_text())
+    resolver = tracer.traced_resolver(LocalResolver(cosim.models.registry))
+    run = initialize_run(system, resolver, observers=[CsvObserver(tmp_path)])
+    try:
+        tracer.before_steps(run)
+        run._notify("on_start", run.start_info())
+        with tracer.step_patches():
+            for _ in range(3):
+                cosim.master.step_once(run, system.step_policy.dt)
+        run._notify("on_end", "completed")
+    finally:
+        run.terminate()
+    assert len(tracer.steps) == 3
+    metrics = tracer.step_metrics()
+    assert metrics["function_units.ops_per_eval"] == len(run.plan.ops) > 0
+    for key in ("master.push_inputs_us", "master.gather_outputs_us",
+                "master.barrier_us", "function_units.evaluate_plan_us",
+                "energy.accounting_us", "observers.on_step_us", "models.step_us"):
+        assert key in metrics, key

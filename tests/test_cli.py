@@ -165,6 +165,39 @@ class TestRun:
         assert "Traceback" not in captured.err
         assert "completed" not in captured.out
 
+    def test_non_numeric_parameter_is_a_finding(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_param.cfg"
+        text = (CONFIG_DIR / "msd_pair.cfg").read_text()
+        cfg.write_text(text.replace("m = 1.0", "m = abc").replace("m = 0.2", "m = abc"))
+        for argv in (("validate", str(cfg)),
+                     ("run", str(cfg), "--out", str(tmp_path / "out"))):
+            assert invoke(*argv) == 1
+            err = capsys.readouterr().err
+            assert "[bad-parameter] left:" in err and "[bad-parameter] right:" in err
+            assert "Traceback" not in err
+
+    def test_failing_terminate_is_reported(self, tmp_path):
+        # The outputs are complete, so the run still succeeds; the
+        # slave that could not be terminated is named on stderr.
+        src = str(Path(cosim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        script = ("import sys\n"
+                  "from cosim.cli import main\n"
+                  "from cosim.models import MsdIntegral\n"
+                  "def stuck(self):\n"
+                  "    raise RuntimeError('stuck')\n"
+                  "MsdIntegral.terminate = stuck\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", str(CONFIG_DIR / "msd_pair.cfg"),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0
+        assert "completed 2000 steps" in proc.stdout
+        assert "slave 'left'" in proc.stderr and "RuntimeError: stuck" in proc.stderr
+        assert "slave 'right'" not in proc.stderr
+
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),
                       "--out", str(tmp_path))

@@ -8,8 +8,6 @@ import pytest
 from cosim.config import parse_config
 from cosim.errors import AlgebraicLoop, DimensionMismatch
 from cosim.function_units import (
-    CopyOp,
-    EvalOp,
     build_plan,
     evaluate_plan,
     make_fu,
@@ -174,15 +172,40 @@ class TestPlan:
         )
 
     def test_chain_orders_copy_eval_copy(self):
+        # A copy is (None, src, dst, factor), an evaluation (fu, inputs, outputs, None).
         plan = build_plan(self.chain_system(), DESCRIPTORS)
-        assert [type(op) for op in plan.ops] == [CopyOp, EvalOp, CopyOp]
+        assert [(op[0] is None, op[3] is None) for op in plan.ops] == [
+            (True, False), (False, True), (True, False)]
         first, mid, last = plan.ops
         ports = plan.ports
-        assert (ports[first.src], ports[first.dst]) == (PortRef("src", "y"), PortRef("g", "u"))
-        assert mid.fu.spec.name == "g"
-        assert [ports[i] for i in mid.inputs] == [PortRef("g", "u")]
-        assert [ports[i] for i in mid.outputs] == [PortRef("g", "y")]
-        assert (ports[last.src], ports[last.dst]) == (PortRef("g", "y"), PortRef("osc", "tau"))
+        assert (ports[first[1]], ports[first[2]]) == (PortRef("src", "y"), PortRef("g", "u"))
+        assert mid[0].spec.name == "g"
+        assert [ports[i] for i in mid[1]] == [PortRef("g", "u")]
+        assert [ports[i] for i in mid[2]] == [PortRef("g", "y")]
+        assert (ports[last[1]], ports[last[2]]) == (PortRef("g", "y"), PortRef("osc", "tau"))
+
+    def test_copies_follow_their_source(self):
+        # Declared against the order they run in: FU outputs first, the
+        # slave outputs last and in reverse.
+        system = system_of(
+            slaves=[SlaveSpec("src_a", "sine_source", {}),
+                    SlaveSpec("src_b", "sine_source", {}),
+                    SlaveSpec("osc", "msd_integral", {}),
+                    SlaveSpec("osc2", "msd_integral", {})],
+            signals=[SignalConnection(PortRef("g", "y"), PortRef("osc", "tau")),
+                     SignalConnection(PortRef("add", "y"), PortRef("osc2", "tau")),
+                     SignalConnection(PortRef("add", "y"), PortRef("g", "u")),
+                     SignalConnection(PortRef("src_b", "y"), PortRef("add", "u2")),
+                     SignalConnection(PortRef("src_a", "y"), PortRef("add", "u1"))],
+            fus=[FunctionUnitSpec("g", "gain", {}),
+                 FunctionUnitSpec("add", "sum", {})],
+        )
+        plan = build_plan(system, DESCRIPTORS)
+        ports = plan.ports
+        got = [f"{ports[a]} -> {ports[b]}" if fu is None else fu.spec.name
+               for fu, a, b, _ in plan.ops]
+        assert got == ["src_b.y -> add.u2", "src_a.y -> add.u1", "add",
+                       "add.y -> osc2.tau", "add.y -> g.u", "g", "g.y -> osc.tau"]
 
     def test_chain_evaluates(self):
         plan = build_plan(self.chain_system(), DESCRIPTORS)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from cosim.config import parse_config
 from cosim.errors import BarrierTimeout, InvalidSystem, RunAborted
-from cosim.function_units import EvalOp
 from cosim.master import (
     LocalResolver,
     _add_exact,
@@ -516,8 +515,8 @@ class TestStepFaults:
         fault = ArithmeticError("no sum")
 
         def inject(run):
-            (op,) = [op for op in run.plan.ops if isinstance(op, EvalOp)]
-            op.fu.evaluate = fail_on_call(3, fault, op.fu.evaluate)
+            (fu,) = [fu for fu, *_ in run.plan.ops if fu is not None]
+            fu.evaluate = fail_on_call(3, fault, fu.evaluate)
 
         system = parse_config((CONFIG_DIR / "fu_sum.cfg").read_text())
         aborted, memory = self.abort(system, tmp_path, inject)
@@ -681,6 +680,7 @@ class TestAdaptive:
             assert (c.safety, c.alpha) == (0.9, 0.25)
             assert (c.theta_min, c.theta_max) == (0.2, 4.0)
             assert (c.dt_min, c.dt_max) == (1e-4, 0.5)
+            assert c.tolerance == 1e-3
         finally:
             run.terminate()
 

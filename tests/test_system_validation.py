@@ -74,6 +74,33 @@ def test_unknown_parameter():
     assert "unknown-parameter" in codes(system)
 
 
+def test_non_numeric_slave_parameter():
+    # Models take numbers; a string would only fail once the slave is built.
+    system = build(slaves=[SlaveSpec("a", "sine_source", {"amp": "abc"})])
+    report = validate_system(system, DESCRIPTORS)
+    assert [(f.code, f.where) for f in report.findings] == [("bad-parameter", "a")]
+    assert "'amp'" in report.findings[0].message
+
+
+def test_slave_and_function_unit_sharing_a_name():
+    # A name held by both resolves to the slave's ports only; the FU's
+    # input is still walked, so it is reported unwired.
+    system = build(
+        slaves=[SlaveSpec("g", "msd_integral", {})],
+        signals=[SignalConnection(PortRef("g", "x"), PortRef("g", "u")),
+                 SignalConnection(PortRef("g", "y"), PortRef("g", "tau"))],
+        fus=[FunctionUnitSpec("g", "gain", {})],
+    )
+    report = validate_system(system, DESCRIPTORS)
+    assert [(f.code, f.where) for f in report.findings] == [
+        ("duplicate-name", "g"),
+        ("unknown-port", "g.u"),
+        ("unknown-port", "g.y"),
+        ("unwired-input", "g.u"),
+        ("algebraic-loop", ""),
+    ]
+
+
 def test_unknown_port_in_signal():
     system = build(
         slaves=[SlaveSpec("a", "sine_source", {}),
