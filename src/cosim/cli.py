@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation findings, 2 runtime abort, 3 usage
-error.
+error, 130 run interrupted (SIGINT).
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,6 +126,8 @@ def _cmd_run(args) -> int:
         return EXIT_FINDINGS
     except RunAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
+        if isinstance(exc.__cause__, KeyboardInterrupt):
+            return EXIT_INTERRUPTED
         return EXIT_RUNTIME
     except (CosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

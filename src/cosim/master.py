@@ -433,7 +433,9 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
 
     Each step record goes to the observers and is not kept here: the
     returned summary carries the step count and the span.  Attach a
-    ``MemoryObserver`` to keep the records.
+    ``MemoryObserver`` to keep the records.  An interrupt (Ctrl-C) ends
+    the run as an abort, ``"interrupted"``, caused by the
+    ``KeyboardInterrupt``.
     """
     t_end = run.system.t_end
     t_start = run.system.t_start
@@ -450,6 +452,8 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
                 dt = rem
             step_once(run, dt)
         run._notify("on_end", "completed")
+    except KeyboardInterrupt as exc:
+        run._abort("interrupted", cause=exc)
     finally:
         run.terminate()
     return SimulationResult(run.index, t_start, t_end)

@@ -3,25 +3,25 @@
 ``ProviderClient.spawn`` sends SPAWN on a connection of its own, which the
 provider then serves as the slave's session; the RemoteSlave it returns
 owns that socket.  A RemoteSlave satisfies the same contract as an
-in-process slave; every call maps to one request/response exchange, and
-reals cross the wire as exact binary64, so a distributed run reproduces an
-in-process run bit for bit.  ``bind`` sends the input and output names
-once, in a BIND frame; SET_INPUTS and OUTPUTS then carry values only, in
-the bound order.
+in-process slave, and reals cross the wire as exact binary64, so a
+distributed run reproduces an in-process run bit for bit.  ``bind`` sends
+the input and output names once, in a BIND frame; later frames carry
+values only, in the bound order.  A step is one round trip: STEP carries
+the inputs ``set_inputs`` stored, and its reply the outputs
+``get_outputs`` returns.  Only reads before any step send GET_OUTPUTS.
 """
 from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
 
-from ..errors import ConnectionLost, CosimError, InvalidState, ProtocolError
+from ..errors import ConnectionLost, InvalidState, ProtocolError
 from ..slave import ModelRegistry, SlaveInstance, StepOutcome, StepStatus
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
 from .wire import MessageType as MT, Reader, Writer
 
 CONTROL_TIMEOUT = 5.0
-STEP_TIMEOUT = 60.0
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -34,25 +34,24 @@ def _split_address(address: str) -> tuple[str, int]:
         raise ProtocolError(f"bad port in {address!r}") from exc
 
 
-def _error(body: bytes) -> CosimError:
-    """The typed exception an ERROR frame's body carries."""
-    r = Reader(body)
-    code = r.u64()
-    text = r.string()
-    r.done()
-    return wire.make_error(code, text)
+def _reply(got: int, body: bytes, *expect: int) -> Reader:
+    """A reply of an expected type; ERROR frames raise as typed exceptions."""
+    if got == MT.ERROR:
+        r = Reader(body)
+        code, text = r.u64(), r.string()
+        r.done()
+        raise wire.make_error(code, text)
+    if got not in expect:
+        names = " or ".join(MT(e).name for e in expect)
+        raise ProtocolError(f"expected {names}, got message type {got}")
+    return Reader(body)
 
 
 def _request(sock: socket.socket, msg_type: int, payload: bytes,
              expect: int) -> Reader:
     """One round trip; ERROR frames come back as typed exceptions."""
     wire.send_frame(sock, msg_type, payload)
-    got, body = wire.recv_frame(sock)
-    if got == MT.ERROR:
-        raise _error(body)
-    if got != expect:
-        raise ProtocolError(f"expected {MT(expect).name}, got message type {got}")
-    return Reader(body)
+    return _reply(*wire.recv_frame(sock), expect)
 
 
 def _connect(address: str, timeout: float) -> socket.socket:
@@ -132,25 +131,59 @@ class ProviderClient:
 
 class RemoteSlave(SlaveInstance):
     """Proxy for a spawned slave; owns its session socket, whose timeout
-    bounds every request but STEP."""
+    bounds every reply but a STEP reply that the master reads."""
 
     def __init__(self, sock: socket.socket, descriptor: SlaveDescriptor):
         self._sock = sock
         self._desc = descriptor
-        self._n_outputs = 0  # outputs the provider answers with once bound
-        self._control_timeout = sock.gettimeout()
+        self._n_inputs: int | None = None  # bound counts; None until bound
+        self._n_outputs = 0
+        self._inputs: list[float] = []  # stored since the last request
+        self._outputs: list[float] | None = None  # as last read, while current
+        self._timeout = sock.gettimeout()
         self._closed = False
-        self._reply_owed = False  # a STEP went out and its reply is unread
+        self._reply_owed = False  # a request went out; its reply is unread
 
     def descriptor(self) -> SlaveDescriptor:
         return self._desc
 
+    def _send(self, msg_type: int, payload: bytes = b"") -> None:
+        # Only reads are timed: a request goes out after the whole previous
+        # reply, so the provider has drained the buffer it goes into.
+        self._reply_owed = True
+        wire.send_frame(self._sock, msg_type, payload)
+
+    def _read(self, timeout: float, *expect: int) -> tuple[int, Reader]:
+        """The reply owed, waited for up to ``timeout`` seconds."""
+        self._sock.settimeout(timeout)
+        got, body = wire.recv_frame(self._sock)
+        self._reply_owed = False
+        return got, _reply(got, body, *expect)
+
+    def _request(self, msg_type: int, payload: bytes = b"",
+                 expect: int = MT.OK) -> Reader:
+        self._send(msg_type, payload)
+        return self._read(self._timeout, expect)[1]
+
+    def _with_inputs(self, w: Writer) -> bytes:
+        """``w``'s payload, ending with the inputs stored since the last request."""
+        w.f64s(self._inputs)
+        self._inputs = []
+        return w.payload()
+
+    def _keep_outputs(self, r: Reader) -> None:
+        values = r.f64s()
+        r.done()
+        if len(values) != self._n_outputs:
+            raise ProtocolError(f"bound {self._n_outputs} outputs, got {len(values)}")
+        self._outputs = values
+
     def setup(self, t_start: float, t_end: float) -> None:
         payload = Writer().f64(t_start).f64(t_end).payload()
-        _request(self._sock, MT.SETUP, payload, MT.OK).done()
+        self._request(MT.SETUP, payload).done()
 
     def initialize(self) -> None:
-        _request(self._sock, MT.INITIALIZE, b"", MT.OK).done()
+        self._request(MT.INITIALIZE).done()
 
     def bind(self, inputs: list[str], outputs: list[str]) -> None:
         w = Writer()
@@ -158,61 +191,51 @@ class RemoteSlave(SlaveInstance):
             w.count(len(names))
             for name in names:
                 w.string(name)
-        _request(self._sock, MT.BIND, w.payload(), MT.OK).done()
-        self._n_outputs = len(outputs)
+        self._request(MT.BIND, w.payload()).done()
+        self._n_inputs, self._n_outputs = len(inputs), len(outputs)
+        self._inputs, self._outputs = [], None
 
     def set_inputs(self, values: list[float]) -> None:
-        w = Writer().count(len(values))
-        for value in values:
-            w.f64(value)
-        _request(self._sock, MT.SET_INPUTS, w.payload(), MT.OK).done()
+        if self._n_inputs is None:
+            raise InvalidState("set_inputs before bind")
+        if len(values) != self._n_inputs:
+            raise InvalidState(f"{len(values)} values for {self._n_inputs} bound inputs")
+        self._inputs = list(values)
+        self._outputs = None
 
     def do_step(self, t: float, dt: float) -> StepOutcome:
         self.start_step(t, dt)
-        return self.finish_step(t, dt, STEP_TIMEOUT)
+        return self.finish_step(t, dt, self._timeout)
 
     def start_step(self, t: float, dt: float) -> None:
-        self._reply_owed = True
-        wire.send_frame(self._sock, MT.STEP, Writer().f64(t).f64(dt).payload())
+        self._outputs = None
+        self._send(MT.STEP, self._with_inputs(Writer().f64(t).f64(dt)))
 
     def finish_step(self, t: float, dt: float, timeout: float) -> StepOutcome:
-        self._sock.settimeout(timeout)
-        try:
-            got, body = wire.recv_frame(self._sock)
-        finally:
-            self._sock.settimeout(self._control_timeout)
-        self._reply_owed = False
-        r = Reader(body)
+        got, r = self._read(timeout, MT.STEP_OK, MT.STEP_FAIL)
+        end_time = r.f64()
         if got == MT.STEP_OK:
-            end_time = r.f64()
-            r.done()
+            self._keep_outputs(r)
             return StepOutcome(StepStatus.OK, end_time)
-        if got == MT.STEP_FAIL:
-            end_time = r.f64()
-            diagnostic = r.string()
-            r.done()
-            return StepOutcome(StepStatus.FAILED, end_time, diagnostic)
-        if got == MT.ERROR:
-            raise _error(body)
-        raise ProtocolError(f"unexpected STEP response type {got}")
+        diagnostic = r.string()
+        r.done()
+        return StepOutcome(StepStatus.FAILED, end_time, diagnostic)
 
     def get_outputs(self) -> list[float]:
-        r = _request(self._sock, MT.GET_OUTPUTS, b"", MT.OUTPUTS)
-        count = r.count()
-        if count != self._n_outputs:
-            raise ProtocolError(f"bound {self._n_outputs} outputs, got {count}")
-        values = [r.f64() for _ in range(count)]
-        r.done()
-        return values
+        # Unbound, the provider says why there are no outputs to read.
+        if self._outputs is None or self._n_inputs is None:
+            self._send(MT.GET_OUTPUTS, self._with_inputs(Writer()))
+            self._keep_outputs(self._read(self._timeout, MT.OUTPUTS)[1])
+        return list(self._outputs)
 
     def terminate(self) -> None:
         if self._closed:
             raise InvalidState("slave is already terminated")
         try:
-            # An owed STEP reply desyncs the stream, so only close; the
-            # provider frees the slave once its abandoned step returns.
+            # An owed reply desyncs the stream, so only close; the provider
+            # frees the slave once the call it is serving returns.
             if not self._reply_owed:
-                _request(self._sock, MT.TERMINATE, b"", MT.TERMINATED).done()
+                self._request(MT.TERMINATE, expect=MT.TERMINATED).done()
         finally:
             self._closed = True
             try:

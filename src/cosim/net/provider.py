@@ -5,8 +5,9 @@ accepts is served on its own thread and answers control requests (HELLO,
 LIST_MODELS, DESCRIBE, SPAWN).  A successful SPAWN replies SPAWNED with the
 slave's descriptor and turns that connection into the slave's session,
 served on the same thread, so per-slave request ordering is trivially
-strict.  When the session ends, by TERMINATE or a dropped connection, the
-slave is terminated and its slot freed, once.
+strict.  A step is one request: STEP carries the inputs, and STEP_OK the
+bound outputs.  When the session ends, by TERMINATE or a dropped
+connection, the slave is terminated and its slot freed, once.
 """
 from __future__ import annotations
 
@@ -80,9 +81,11 @@ class Provider:
         self._closing = True
         if self._sock is not None:
             try:
-                self._sock.close()
+                # Wakes the accept loop, which closing alone leaves blocked.
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._sock.close()
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -226,10 +229,10 @@ class Provider:
             w = Writer()
             wire.write_descriptor(w, desc)
             wire.send_frame(conn, MT.SPAWNED, w.payload())
-            while True:
+            bound = False
+            while bound is not None:
                 msg_type, payload = wire.recv_frame(conn)
-                if not self._dispatch_slave(conn, instance, msg_type, payload):
-                    break
+                bound = self._dispatch_slave(conn, instance, bound, msg_type, payload)
         finally:
             with self._lock:
                 self._live_slaves -= 1
@@ -238,9 +241,10 @@ class Provider:
             except CosimError:
                 pass  # already terminated through the protocol
 
-    def _dispatch_slave(self, conn, instance: SlaveInstance,
-                        msg_type: int, payload: bytes) -> bool:
-        """Handle one request; False ends the session."""
+    def _dispatch_slave(self, conn, instance: SlaveInstance, bound: bool,
+                        msg_type: int, payload: bytes) -> bool | None:
+        """Handle one request; returns whether the slave is bound (only a
+        bound slave's STEP_OK has outputs), or None to end the session."""
         try:
             if msg_type == MT.SETUP:
                 r = Reader(payload)
@@ -258,36 +262,29 @@ class Provider:
                 outputs = [r.string() for _ in range(r.count())]
                 r.done()
                 instance.bind(inputs, outputs)
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.SET_INPUTS:
-                r = Reader(payload)
-                values = [r.f64() for _ in range(r.count())]
-                r.done()
-                instance.set_inputs(values)
+                bound = True
                 wire.send_frame(conn, MT.OK)
             elif msg_type == MT.STEP:
                 r = Reader(payload)
                 t, dt = r.f64(), r.f64()
-                r.done()
+                _set_inputs(instance, r)
                 outcome = instance.do_step(t, dt)
                 if outcome.ok:
-                    wire.send_frame(conn, MT.STEP_OK,
-                                    Writer().f64(outcome.end_time).payload())
+                    w = Writer().f64(outcome.end_time)
+                    w.f64s(instance.get_outputs() if bound else ())
+                    wire.send_frame(conn, MT.STEP_OK, w.payload())
                 else:
                     w = Writer().f64(outcome.end_time).string(outcome.diagnostic)
                     wire.send_frame(conn, MT.STEP_FAIL, w.payload())
             elif msg_type == MT.GET_OUTPUTS:
-                Reader(payload).done()
-                values = instance.get_outputs()
-                w = Writer().count(len(values))
-                for value in values:
-                    w.f64(value)
+                _set_inputs(instance, Reader(payload))
+                w = Writer().f64s(instance.get_outputs())
                 wire.send_frame(conn, MT.OUTPUTS, w.payload())
             elif msg_type == MT.TERMINATE:
                 Reader(payload).done()
                 instance.terminate()
                 wire.send_frame(conn, MT.TERMINATED)
-                return False
+                return None
             else:
                 _send_error(conn, ProtocolError(
                     f"unexpected slave message type {msg_type}"))
@@ -296,7 +293,15 @@ class Provider:
         except Exception as exc:  # keep serving; report the failure
             log.exception("slave operation failed")
             _send_error(conn, CosimError(f"{type(exc).__name__}: {exc}"))
-        return True
+        return bound
+
+
+def _set_inputs(instance: SlaveInstance, r: Reader) -> None:
+    """Set the values that end a request; none leaves the inputs as they are."""
+    values = r.f64s()
+    r.done()
+    if values:
+        instance.set_inputs(values)
 
 
 def _send_error(conn: socket.socket, exc: BaseException) -> None:

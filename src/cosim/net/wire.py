@@ -29,7 +29,7 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 3  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 4  # unsigned 16-bit semantics, carried as a u64 field
 
 MAX_FRAME = 1 << 24  # 16 MiB; nothing legitimate comes close
 
@@ -50,7 +50,7 @@ class MessageType(enum.IntEnum):
     SPAWNED = 8
     SETUP = 9
     INITIALIZE = 10
-    SET_INPUTS = 11
+    SET_INPUTS = 11  # reserved: inputs ride on STEP and GET_OUTPUTS
     STEP = 12
     STEP_OK = 13
     STEP_FAIL = 14
@@ -91,6 +91,12 @@ class Writer:
         self._buf += _U32.pack(n)
         return self
 
+    def f64s(self, values) -> "Writer":
+        self.count(len(values))
+        for value in values:
+            self._buf += _F64.pack(value)
+        return self
+
     def payload(self) -> bytes:
         return bytes(self._buf)
 
@@ -125,6 +131,9 @@ class Reader:
 
     def count(self) -> int:
         return _U32.unpack(self._take(4))[0]
+
+    def f64s(self) -> list[float]:
+        return [self.f64() for _ in range(self.count())]
 
     def done(self) -> None:
         if self._pos != len(self._buf):

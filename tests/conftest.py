@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from cosim.errors import StepRejected
+from cosim.errors import SpawnLimitExceeded, StepRejected
 from cosim.master import (
     LocalResolver,
     SimulationResult,
@@ -17,6 +17,7 @@ from cosim.master import (
     run_to_end,
 )
 from cosim.models import registry as standard_registry
+from cosim.net import ProviderClient
 from cosim.observers import MemoryObserver
 from cosim.slave import ModelRegistry, ModelSlave, StepOutcome, StepStatus
 from cosim.system import (
@@ -103,13 +104,16 @@ class FaultyModel(ModelSlave):
     """Misbehaves once: on call number ``call`` of one stage.
 
     ``stage`` indexes STAGES and ``mode`` MODES: raise ``InjectedFault``,
-    return a failed outcome, or return OK with a NaN end time.  The last
-    two are step outcomes, so they apply to ``do_step`` only.  Otherwise
-    a unit mass driven by its force input.
+    return a failed outcome, return OK with a NaN end time, or hang until
+    ``released`` is set (the ``release_hangs`` fixture sets it at
+    teardown), then go on.  The failed outcome and the NaN end time are
+    step outcomes, so they apply to ``do_step`` only; elsewhere they
+    raise.  Otherwise a unit mass driven by its force input.
     """
 
     STAGES = ("set_inputs", "do_step", "get_outputs", "terminate")
-    MODES = ("raise", "fail", "nan_end")
+    MODES = ("raise", "fail", "nan_end", "hang")
+    released = threading.Event()
     DESCRIPTOR = SlaveDescriptor(
         model_id="faulty",
         variables=(
@@ -130,9 +134,15 @@ class FaultyModel(ModelSlave):
         self.calls += 1
         return self.calls == self.params["call"]
 
+    def _misbehave(self, stage):
+        """Raise, or hang until released and then go on."""
+        if self.MODES[int(self.params["mode"])] != "hang":
+            raise InjectedFault(f"{stage} call {self.calls}")
+        self.released.wait()
+
     def set_inputs(self, values):
         if self._breaks("set_inputs"):
-            raise InjectedFault(f"set_inputs call {self.calls}")
+            self._misbehave("set_inputs")
         super().set_inputs(values)
 
     def do_step(self, t, dt):
@@ -144,17 +154,18 @@ class FaultyModel(ModelSlave):
             return StepOutcome(StepStatus.FAILED, t, "injected failure")
         if mode == "nan_end":
             return StepOutcome(StepStatus.OK, math.nan)
-        raise InjectedFault(f"do_step call {self.calls}")
+        self._misbehave("do_step")
+        return outcome
 
     def get_outputs(self):
         if self._breaks("get_outputs"):
-            raise InjectedFault(f"get_outputs call {self.calls}")
+            self._misbehave("get_outputs")
         return super().get_outputs()
 
     def terminate(self):
         super().terminate()
         if self._breaks("terminate"):
-            raise InjectedFault(f"terminate call {self.calls}")
+            self._misbehave("terminate")
 
     def _initialize(self, t0):
         self.outputs["v"] = 0.0
@@ -175,6 +186,15 @@ def extended_registry() -> ModelRegistry:
 @pytest.fixture
 def test_registry() -> ModelRegistry:
     return extended_registry()
+
+
+@pytest.fixture
+def release_hangs():
+    """Let every ``FaultyModel`` hang of the test return at teardown, so
+    no thread that serves one outlives the test."""
+    FaultyModel.released.clear()
+    yield FaultyModel.released
+    FaultyModel.released.set()
 
 
 def quarter_car_system(policy, h=1e-4, t_end=10.0, reticulation="b",
@@ -265,6 +285,21 @@ def run_system(system, observers=None, registry=None, step_timeout=60.0):
     assert len(memory.records) == result.steps
     assert threads.peak <= before
     return RecordedRun(result, memory.records)
+
+
+def spawn_within(address, seconds):
+    """Spawn and terminate one slave at ``address``, retrying while the
+    provider is at its limit; fail after ``seconds``."""
+    give_up = time.monotonic() + seconds
+    with ProviderClient(address) as client:
+        while True:
+            try:
+                client.spawn("sine_source", {}).terminate()
+                return
+            except SpawnLimitExceeded:
+                if time.monotonic() > give_up:
+                    pytest.fail(f"no slot freed within {seconds} s")
+                time.sleep(0.01)
 
 
 def single_slave(model_id, parameters=None, registry=None):

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 import csv
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,16 @@ def invoke(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def child_env():
+    """The environment for a child that must import the same cosim this
+    process did, whether pytest found it through PYTHONPATH or its own
+    pythonpath setting."""
+    src = str(Path(cosim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture
@@ -179,9 +191,6 @@ class TestRun:
     def test_failing_terminate_is_reported(self, tmp_path):
         # The outputs are complete, so the run still succeeds; the
         # slave that could not be terminated is named on stderr.
-        src = str(Path(cosim.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         script = ("import sys\n"
                   "from cosim.cli import main\n"
                   "from cosim.models import MsdIntegral\n"
@@ -192,11 +201,42 @@ class TestRun:
         proc = subprocess.run(
             [sys.executable, "-c", script, "run", str(CONFIG_DIR / "msd_pair.cfg"),
              "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0
         assert "completed 2000 steps" in proc.stdout
         assert "slave 'left'" in proc.stderr and "RuntimeError: stuck" in proc.stderr
         assert "slave 'right'" not in proc.stderr
+
+    def test_interrupt_ends_the_run_as_an_abort(self, tmp_path):
+        # A long quarter_car run gets SIGINT once it has written rows.  The
+        # child restores the default SIGINT handler, as a shell that starts
+        # it in the background may have left SIGINT ignored.
+        config = tmp_path / "long.cfg"
+        config.write_text((CONFIG_DIR / "quarter_car.cfg").read_text()
+                          .replace("t_end = 10.0", "t_end = 1000.0"))
+        script = ("import signal, sys\n"
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "from cosim.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "run", str(config), "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+        try:
+            signals = tmp_path / "signals.csv"
+            give_up = time.monotonic() + 60.0
+            while not (signals.exists() and signals.read_text().count("\n") > 1):
+                assert proc.poll() is None and time.monotonic() < give_up
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert err == "run aborted: interrupted\n"
+        assert out == ""
+        for name in ("signals.csv", "energy.csv"):
+            assert (tmp_path / name).read_text().endswith("\n")  # closed whole
 
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),
@@ -301,13 +341,8 @@ class TestUsage:
         assert invoke("provider", "serve") == 3
 
     def test_console_entry_point(self):
-        # The child must import the same cosim this process did, whether
-        # pytest found it through PYTHONPATH or its own pythonpath setting.
-        src = str(Path(cosim.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "cosim", "list-models"],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0
         assert "msd_integral" in proc.stdout

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cosim.master import (
     step_once,
 )
 from cosim.models import registry as standard_registry
+from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.observers import CsvObserver, MemoryObserver
 from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave, StepOutcome
 from cosim.system import (
@@ -44,6 +46,7 @@ from conftest import (
     extended_registry,
     msd_pair_system,
     run_system,
+    spawn_within,
 )
 
 IN = Causality.INPUT
@@ -531,8 +534,9 @@ FAULTS = [("set_inputs", "raise"), ("do_step", "raise"), ("do_step", "fail"),
 
 
 class TestFaultMatrix:
-    """One in-process slave breaks once, at each stage in each way; the
-    run ends once, terminates every slave once and leaves no thread."""
+    """One slave, in process or on a provider, breaks once, at each stage
+    in each way; the run ends once, terminates every slave once and
+    leaves no thread."""
 
     @pytest.mark.parametrize("stage,mode", FAULTS, ids=["-".join(f) for f in FAULTS])
     def test_fault_ends_the_run_once(self, stage, mode, caplog):
@@ -565,6 +569,52 @@ class TestFaultMatrix:
         assert sorted(terminated) == sorted(run.slaves)
         assert threads.peak <= before
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("stage,mode", FAULTS, ids=["-".join(f) for f in FAULTS])
+    def test_fault_on_a_provider_ends_the_run_once(self, stage, mode, caplog):
+        # The provider counts the same calls, so the 4th still comes after
+        # the settle pass.  A remote reason may read ``CosimError:
+        # InjectedFault: ...``, so only the slave and the stage are checked.
+        before = set(threading.enumerate())
+        prov = Provider(extended_registry(), ProviderConfig(max_slaves=1)).start()
+        params = {"stage": FaultyModel.STAGES.index(stage),
+                  "call": 1 if stage == "terminate" else 4,
+                  "mode": FaultyModel.MODES.index(mode)}
+        system = faulty_pair_system("faulty", params, FixedStepPolicy(0.01))
+        probe = dataclasses.replace(system.slaves[0], provider=prov.address)
+        system = dataclasses.replace(system, slaves=(probe, system.slaves[1]))
+        memory, ends = MemoryObserver(), EndLog()
+        step_timeout = 0.5
+        try:
+            with NetworkResolver(standard_registry) as resolver:
+                run = initialize_run(system, resolver, observers=[memory, ends],
+                                     step_timeout=step_timeout)
+                terminated = []
+                for name, slave in run.slaves.items():
+                    slave.terminate = counted_call(terminated, name, slave.terminate)
+                started = time.monotonic()
+                with caplog.at_level("DEBUG", logger="cosim.master"):
+                    if stage == "terminate":
+                        run_to_end(run)
+                        (reason,) = [r.getMessage() for r in caplog.records
+                                     if r.name == "cosim.master"]
+                        assert ends.reasons == ["completed"]
+                    else:
+                        with pytest.raises(RunAborted) as err:
+                            run_to_end(run)
+                        assert time.monotonic() - started < step_timeout + 0.5
+                        (reason,) = ends.reasons
+                        assert reason == f"aborted: {err.value}"
+                        assert len(memory.records) >= 1
+            assert "slave 'probe'" in reason and stage in reason
+            assert sorted(terminated) == sorted(run.slaves)
+            spawn_within(prov.address, 1.0)
+        finally:
+            prov.shutdown()
+        give_up = time.monotonic() + 1.0
+        while not set(threading.enumerate()) <= before:
+            assert time.monotonic() < give_up, "a thread outlived the run"
+            time.sleep(0.01)
 
 
 class TestInitialize:

@@ -36,7 +36,13 @@ from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
 from cosim.system import FixedStepPolicy
 
-from conftest import extended_registry, msd_pair_system, run_system
+from conftest import (
+    FaultyModel,
+    extended_registry,
+    msd_pair_system,
+    run_system,
+    spawn_within,
+)
 
 
 @pytest.fixture
@@ -54,6 +60,38 @@ def remote_pair_system(address, t_end=2.0, remote=("left", "right")):
         for s in system.slaves
     )
     return dataclasses.replace(system, slaves=placed)
+
+
+def client_frames(monkeypatch) -> tuple[list[int], list[int]]:
+    """The message types this thread sends and reads from now on, in
+    order: the client's frames, not the in-process provider's."""
+    sent, read = [], []
+    send, recv, me = wire.send_frame, wire.recv_frame, threading.get_ident()
+
+    def sending(sock, msg_type, payload=b""):
+        if threading.get_ident() == me:
+            sent.append(msg_type)
+        send(sock, msg_type, payload)
+
+    def reading(sock):
+        frame = recv(sock)
+        if threading.get_ident() == me:
+            read.append(frame[0])
+        return frame
+
+    monkeypatch.setattr(wire, "send_frame", sending)
+    monkeypatch.setattr(wire, "recv_frame", reading)
+    return sent, read
+
+
+def faulty_left_system(address, stage, call, mode):
+    """msd_pair whose left slave is a remote ``faulty`` model."""
+    system = msd_pair_system(FixedStepPolicy(1e-2), t_end=1.0)
+    params = {"stage": FaultyModel.STAGES.index(stage), "call": call,
+              "mode": FaultyModel.MODES.index(mode)}
+    left = dataclasses.replace(system.slaves[0], model_id="faulty",
+                               parameters=params, provider=address)
+    return dataclasses.replace(system, slaves=(left, system.slaves[1]))
 
 
 class TestControlChannel:
@@ -91,7 +129,7 @@ class TestControlChannel:
         finally:
             prov.shutdown()
 
-    @pytest.mark.parametrize("version", [1, 2, 999])
+    @pytest.mark.parametrize("version", [1, 2, 3, 999])
     def test_version_mismatch_rejected(self, provider, version):
         host, port = provider.address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as sock:
@@ -204,10 +242,110 @@ class TestRemoteSlave:
                     slave.set_inputs(values)
             # the session still answers the next request
             assert slave.get_outputs() == [0.0, 0.0]
+            # a wrong count that reaches the provider fails there, typed
+            send_frame(slave._sock, MT.STEP,
+                       Writer().f64(0.0).f64(0.1).count(2).f64(0.5).f64(0.5).payload())
+            msg_type, body = recv_frame(slave._sock)
+            assert msg_type == MT.ERROR and Reader(body).u64() == 2
             slave.set_inputs([0.5])
             assert slave.do_step(0.0, 0.1).ok
         finally:
             slave.terminate()
+
+    def test_unbound_step_answers_without_outputs(self, provider):
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("msd_integral", {})
+        try:
+            slave.setup(0.0, 1.0)
+            slave.initialize()
+            send_frame(slave._sock, MT.STEP,
+                       Writer().f64(0.0).f64(0.1).count(0).payload())
+            msg_type, body = recv_frame(slave._sock)
+            assert msg_type == MT.STEP_OK
+            r = Reader(body)
+            assert r.f64() == 0.1 and r.count() == 0
+            r.done()
+            # through the proxy too, which still has no outputs to give
+            assert slave.do_step(0.1, 0.1).ok
+            with pytest.raises(InvalidState, match="before bind"):
+                slave.get_outputs()
+        finally:
+            slave.terminate()
+
+    def test_a_frame_without_values_keeps_the_inputs(self, provider,
+                                                     monkeypatch):
+        # Inputs set once ride on the first request after them; later
+        # frames carry none, and the slave keeps integrating the same force.
+        def history(slave):
+            slave.setup(0.0, 10.0)
+            slave.initialize()
+            slave.bind(["tau"], ["x", "v"])
+            slave.set_inputs([0.25])
+            out = list(slave.get_outputs())
+            t = 0.0
+            for _ in range(5):
+                outcome = slave.do_step(t, 0.05)
+                t = outcome.end_time
+                out += slave.get_outputs()
+            slave.terminate()
+            return out
+
+        params = {"m": 2.0, "x0": 0.4}
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("msd_integral", params)
+            sent, _ = client_frames(monkeypatch)
+            remote = history(slave)
+        local = history(standard_registry.create("msd_integral", params))
+        assert remote == local
+        assert sent == [MT.SETUP, MT.INITIALIZE, MT.BIND, MT.GET_OUTPUTS,
+                        *[MT.STEP] * 5, MT.TERMINATE]
+
+    def test_wrong_input_count_fails_before_sending(self, provider,
+                                                    monkeypatch):
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("msd_integral", {})
+        try:
+            slave.setup(0.0, 1.0)
+            slave.initialize()
+            sent, _ = client_frames(monkeypatch)
+            with pytest.raises(InvalidState, match="before bind"):
+                slave.set_inputs([0.5])
+            slave.bind(["tau"], ["x"])
+            del sent[:]
+            for values in ([], [0.5, 0.5]):
+                with pytest.raises(InvalidState, match="bound inputs"):
+                    slave.set_inputs(values)
+            assert sent == []
+        finally:
+            slave.terminate()
+
+    def test_hung_setup_request_closes_without_terminate(self, release_hangs,
+                                                          monkeypatch):
+        # A request cut off by its timeout leaves its reply owed on the
+        # stream, so terminate only closes the socket; the provider frees
+        # the slot once the hung call returns.
+        prov = Provider(extended_registry(),
+                        ProviderConfig(host="127.0.0.1", port=0,
+                                       max_slaves=1)).start()
+        try:
+            with ProviderClient(prov.address, timeout=0.3) as client:
+                slave = client.spawn("faulty", {
+                    "stage": FaultyModel.STAGES.index("get_outputs"),
+                    "call": 1, "mode": FaultyModel.MODES.index("hang")})
+                slave.setup(0.0, 1.0)
+                slave.initialize()
+                slave.bind(["tau"], ["v"])
+                with pytest.raises(ConnectionLost):
+                    slave.get_outputs()  # the settle read
+                sent, _ = client_frames(monkeypatch)
+                started = time.monotonic()
+                slave.terminate()
+                assert time.monotonic() - started < 0.1
+                assert sent == []
+            release_hangs.set()
+            spawn_within(prov.address, 1.0)
+        finally:
+            prov.shutdown()
 
     def test_terminate_twice_rejected_locally(self, provider):
         with ProviderClient(provider.address) as client:
@@ -320,19 +458,42 @@ class TestDiscovery:
 class TestDistributedRuns:
     def test_setup_sends_one_describe_per_remote_slave(self, provider,
                                                        monkeypatch):
-        sent = []
-        send = wire.send_frame
-
-        def counting(sock, msg_type, payload=b""):
-            sent.append(msg_type)
-            send(sock, msg_type, payload)
-
-        monkeypatch.setattr(wire, "send_frame", counting)
+        sent, _ = client_frames(monkeypatch)
         with NetworkResolver(registry=standard_registry) as resolver:
             initialize_run(remote_pair_system(provider.address),
                            resolver).terminate()
         assert sent.count(MT.SPAWN) == 2
         assert sent.count(MT.DESCRIBE) == 2
+
+    def test_one_request_per_remote_slave_per_step(self, provider,
+                                                   monkeypatch):
+        sent, read = client_frames(monkeypatch)
+
+        class PerStep:
+            """Keeps the frames each step sent and read."""
+
+            def __init__(self):
+                self.steps = []
+
+            def on_start(self, info):
+                self.mark = len(sent), len(read)
+
+            def on_step(self, record):
+                s, r = self.mark
+                self.mark = len(sent), len(read)
+                self.steps.append((sent[s:], read[r:]))
+
+            def on_end(self, reason):
+                pass
+
+        per_step = PerStep()
+        with NetworkResolver(registry=standard_registry) as resolver:
+            run_to_end(initialize_run(remote_pair_system(provider.address),
+                                      resolver, observers=[per_step]))
+        assert len(per_step.steps) == 200
+        for sends, reads in per_step.steps:
+            assert sends == [MT.STEP, MT.STEP]
+            assert reads == [MT.STEP_OK, MT.STEP_OK]
 
     def test_remote_run_matches_in_process_bitwise(self, provider):
         system_local = msd_pair_system(FixedStepPolicy(1e-2), t_end=2.0)
@@ -445,6 +606,26 @@ class TestDistributedRuns:
                 slave.terminate()
         finally:
             prov.shutdown()
+
+    @pytest.mark.parametrize("stage", ["set_inputs", "get_outputs"])
+    def test_hang_in_a_step_ends_at_the_deadline(self, provider, stage,
+                                                 release_hangs):
+        # Call 6 comes after the settle passes, while stepping.
+        system = faulty_left_system(provider.address, stage, 6, "hang")
+        obs = MemoryObserver()
+        ends = []
+        obs.on_end = ends.append
+        step_timeout = 0.5
+        with NetworkResolver(registry=standard_registry) as resolver:
+            run = initialize_run(system, resolver, observers=[obs],
+                                 step_timeout=step_timeout)
+            started = time.monotonic()
+            with pytest.raises(BarrierTimeout, match="slave 'left'"):
+                run_to_end(run)
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert len(ends) == 1 and "barrier" in ends[0]
+        assert run.index > 0 and len(obs.records) == run.index
 
     def test_truncated_step_reply_aborts_as_connection_lost(self):
         # A fake slave session answers the lifecycle and exchange requests,
