@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation findings, 2 runtime abort, 3 usage
-error, 130 run interrupted (SIGINT).
+error, 130 run interrupted (SIGINT), 143 run terminated (SIGTERM).
 """
 from __future__ import annotations
 
 import argparse
 import filecmp
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -18,6 +19,7 @@ from .errors import (
     InvalidSystem,
     ProtocolError,
     RunAborted,
+    Terminated,
     UnknownModel,
 )
 from .master import initialize_run, run_to_end
@@ -31,6 +33,8 @@ EXIT_FINDINGS = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+_INTERRUPTS = {KeyboardInterrupt: EXIT_INTERRUPTED, Terminated: EXIT_TERMINATED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,9 +109,14 @@ def _execute(system: SystemDescription, out_dir: Path) -> int:
     return result.steps
 
 
+def _raise_terminated(signum, frame):
+    raise Terminated("terminated")
+
+
 def _cmd_run(args) -> int:
     system = _parse(args.config)
     out_dir = Path(args.out)
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         steps = _execute(system, out_dir)
         if args.seed_check:
@@ -124,14 +133,16 @@ def _cmd_run(args) -> int:
         for finding in exc.findings:
             print(finding, file=sys.stderr)
         return EXIT_FINDINGS
-    except RunAborted as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        if isinstance(exc.__cause__, KeyboardInterrupt):
-            return EXIT_INTERRUPTED
-        return EXIT_RUNTIME
+    except (RunAborted, KeyboardInterrupt) as exc:
+        # An interrupt in set-up comes before the run exists, bare.
+        cause = exc if isinstance(exc, KeyboardInterrupt) else exc.__cause__
+        print(f"run aborted: {str(exc) or 'interrupted'}", file=sys.stderr)
+        return _INTERRUPTS.get(type(cause), EXIT_RUNTIME)
     except (CosimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"completed {steps} steps to t = {system.t_end}; "
           f"output in {out_dir}")
     return EXIT_OK

@@ -58,7 +58,7 @@ def _scan(text: str) -> tuple[list[_Section], list[Diagnostic]]:
     diags: list[Diagnostic] = []
     current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -84,13 +84,14 @@ def _scan(text: str) -> tuple[list[_Section], list[Diagnostic]]:
                 continue
             sections.append(current)
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             diags.append(Diagnostic(lineno, f"expected key = value, got {raw.strip()!r}"))
             continue
         if current is None:
             diags.append(Diagnostic(lineno, "key outside any section"))
             continue
-        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.rstrip()
         if not key:
             diags.append(Diagnostic(lineno, "empty key"))
             continue
@@ -98,7 +99,7 @@ def _scan(text: str) -> tuple[list[_Section], list[Diagnostic]]:
             first = current.entries[key][1]
             diags.append(Diagnostic(lineno, f"duplicate key {key!r} (first on line {first})"))
             continue
-        current.entries[key] = (value, lineno)
+        current.entries[key] = (value.lstrip(), lineno)
     return sections, diags
 
 

@@ -79,3 +79,8 @@ class BarrierTimeout(RunAborted):
 
 class SpawnLimitExceeded(CosimError):
     """A provider refused to spawn because it is at capacity."""
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread so that a run ends as on Ctrl-C;
+    the CLI raises it as ``Terminated("terminated")``, the abort reason."""

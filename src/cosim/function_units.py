@@ -3,8 +3,8 @@
 Function units (FUs) close the gap between plain output-to-input
 routing and subsimulators: they transform same-instant values without
 introducing a macro-step delay and without carrying state.  The plan
-builder orders FU evaluations in one topological pass over the
-same-instant graph and interleaves the connection copies so every value
+builder orders FU evaluations by the same-instant order of the system's
+``Resolution`` and interleaves the connection copies so every value
 is ready before it is consumed.  The plan is the one place that knows
 the port layout: the slots, each slave's bound ports and each bond's
 legs.
@@ -20,12 +20,11 @@ from .system import (
     Causality,
     FunctionUnitSpec,
     PortRef,
+    Resolution,
     SlaveDescriptor,
     SystemDescription,
     VariableDescriptor,
     VarKind,
-    _same_instant_edges,
-    _topological_order,
 )
 from .units import AMPERE, METER, NEWTON, NEWTON_METER, VOLT, conversion_factor, parse_unit
 
@@ -296,46 +295,32 @@ def _si(v: VariableDescriptor) -> float:
 
 
 def build_plan(
-    system: SystemDescription, descriptors: dict[str, SlaveDescriptor]
+    system: SystemDescription, descriptors: dict[str, SlaveDescriptor] | Resolution
 ) -> EvaluationPlan:
     """Lay out the port slots and order all copies and FU evaluations.
 
-    One topological pass over the same-instant graph gives the FU order,
-    the longest chain and the loop check.  Assumes the system already
-    passed validation; still raises AlgebraicLoop when the graph is
-    cyclic, since an unplannable system must never reach the master loop.
+    ``descriptors`` maps model ids to descriptors, or is the system's
+    ``Resolution``, whose same-instant order gives the FU order and the
+    longest chain.  Assumes the system already passed validation; still
+    raises AlgebraicLoop when the graph is cyclic, since an unplannable
+    system must never reach the master loop.
     """
-    slave_desc = {s.name: descriptors[s.model_id] for s in system.slaves}
-    fus = {fu.name: make_fu(fu) for fu in system.function_units}
-    fu_desc = {name: fu.desc for name, fu in fus.items()}
+    resolved = Resolution.of(system, descriptors)
+    fus, fu_errors = resolved.fus
+    if fu_errors:
+        raise fu_errors[0][1]
+    order, chain_length, loop = resolved.same_instant
+    if loop is not None:
+        raise loop
 
-    # One walk over the descriptors, slaves first, lays out the slots,
-    # names each slave's ports and keeps each port's variable.
-    outputs, inputs, fu_ports, slaves = [], [], [], []
-    var_of: dict[PortRef, VariableDescriptor] = {}
-    for owner, desc in slave_desc.items():
-        ins, outs = [], []
-        for v in desc.variables:
-            ref = PortRef(owner, v.name)
-            var_of[ref] = v
-            if v.causality is OUT:
-                outputs.append(ref)
-                outs.append(v.name)
-            else:
-                inputs.append(ref)
-                ins.append(v.name)
-        slaves.append((owner, tuple(ins), tuple(outs)))
-    for owner, desc in fu_desc.items():
-        for v in desc.variables:
-            ref = PortRef(owner, v.name)
-            var_of[ref] = v
-            fu_ports.append(ref)
-    ports = (*outputs, *inputs, *fu_ports)
+    # The port table is in slot order.
+    var_of = resolved.ports
+    ports = tuple(var_of)
     slot = {ref: i for i, ref in enumerate(ports)}
-
-    # FU order and longest chain in one pass; a loop raises AlgebraicLoop.
-    preds = _same_instant_edges(system, slave_desc, fu_desc)
-    order, batches = _topological_order({name: set() for name in fus} | preds)
+    slaves = tuple((name, tuple(v.name for v in d.inputs()), tuple(v.name for v in d.outputs()))
+                   for name, d in resolved.slaves.items())
+    n_out = sum(len(outs) for _, _, outs in slaves)
+    n_in = sum(len(ins) for _, ins, _ in slaves)
 
     # File every directed copy by its source as it is collected, bond
     # legs first, then signals, in declaration order, which fixes
@@ -349,7 +334,6 @@ def build_plan(
         factor = _copy_factor(var_of[src], var_of[dst])
         after.get(src.owner, ops).append((None, slot[src], slot[dst], factor))
 
-    n_out = len(outputs)
     bonds: list[BondLegs] = []
     for bond in system.bonds:
         a, b = bond.side_a, bond.side_b
@@ -381,12 +365,12 @@ def build_plan(
 
     return EvaluationPlan(
         ports=ports,
-        outputs=tuple(outputs),
-        inputs=tuple(inputs),
-        slaves=tuple(slaves),
+        outputs=ports[:n_out],
+        inputs=ports[n_out : n_out + n_in],
+        slaves=slaves,
         bonds=tuple(bonds),
         ops=tuple(ops),
-        chain_length=batches if preds else 0,
+        chain_length=chain_length,
     )
 
 

@@ -27,6 +27,7 @@ import time
 import traceback
 from array import array
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 from .energy import EnergyReport, StepController, account_step
@@ -43,6 +44,7 @@ from .slave import OK, ModelRegistry, SlaveInstance, time_matches
 from .system import (
     FixedStepPolicy,
     PortRef,
+    Resolution,
     SlaveSpec,
     SystemDescription,
     validate_system,
@@ -258,7 +260,8 @@ def initialize_run(
     Settle passes at t_start push the assigned inputs and apply the plan
     to the outputs again, until one leaves them the same bit for bit or
     ``n_init`` have run, so feedthrough chains settle before the first
-    step.  On any failure every slave created so far is terminated.
+    step.  On any failure or interrupt every slave created so far is
+    terminated.
     """
     desc_map = {}
     for spec in system.slaves:
@@ -266,11 +269,12 @@ def initialize_run(
             desc_map[spec.model_id] = resolver.describe(spec)
         except UnknownModel:
             pass  # validation reports the unresolvable model
-    report = validate_system(system, desc_map)
+    resolved = Resolution(system, desc_map)
+    report = validate_system(system, resolved)
     if not report.ok:
         raise InvalidSystem(list(report.findings))
 
-    plan = build_plan(system, desc_map)
+    plan = build_plan(system, resolved)
 
     slaves: dict[str, SlaveInstance] = {}
     try:
@@ -292,7 +296,7 @@ def initialize_run(
             pushed, assigned = assigned, evaluate_plan(plan, snapshot, system.t_start)
             if array("d", assigned).tobytes() == array("d", pushed).tobytes():
                 break
-    except Exception:
+    except BaseException:
         _terminate_all(slaves)
         raise
     run.outputs = snapshot
@@ -433,16 +437,17 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
 
     Each step record goes to the observers and is not kept here: the
     returned summary carries the step count and the span.  Attach a
-    ``MemoryObserver`` to keep the records.  An interrupt (Ctrl-C) ends
-    the run as an abort, ``"interrupted"``, caused by the
-    ``KeyboardInterrupt``.
+    ``MemoryObserver`` to keep the records.  An interrupt ends the run
+    as an abort caused by it, named by its text: ``"interrupted"`` for a
+    bare Ctrl-C, ``"terminated"`` for the CLI's ``Terminated``.
     """
     t_end = run.system.t_end
     t_start = run.system.t_start
+    head = (-t_end, t_start)  # fsum rounds correctly: -fsum(-x) is fsum(x)
     run._notify("on_start", run.start_info())
     try:
         while True:
-            rem = math.fsum([t_end, -t_start] + [-p for p in run.dt_partials])
+            rem = -math.fsum(chain(head, run.dt_partials))
             if rem <= 0.0:
                 break
             dt = run.next_dt
@@ -453,7 +458,7 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
             step_once(run, dt)
         run._notify("on_end", "completed")
     except KeyboardInterrupt as exc:
-        run._abort("interrupted", cause=exc)
+        run._abort(str(exc) or "interrupted", cause=exc)
     finally:
         run.terminate()
     return SimulationResult(run.index, t_start, t_end)

@@ -9,13 +9,18 @@ the input and output names once, in a BIND frame; later frames carry
 values only, in the bound order.  A step is one round trip: STEP carries
 the inputs ``set_inputs`` stored, and its reply the outputs
 ``get_outputs`` returns.  Only reads before any step send GET_OUTPUTS.
+SETUP, INITIALIZE and BIND answer only OK: they go out without waiting,
+and the owed OKs are read, in order, before the next request that returns
+data; an ERROR there raises noted ``in reply to`` the request it answers.
+SPAWN goes out behind HELLO, unwaited.  ``NetworkResolver`` sends one
+DESCRIBE per provider and model id.
 """
 from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
 
-from ..errors import ConnectionLost, InvalidState, ProtocolError
+from ..errors import ConnectionLost, CosimError, InvalidState, ProtocolError
 from ..slave import ModelRegistry, SlaveInstance, StepOutcome, StepStatus
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
@@ -54,12 +59,18 @@ def _request(sock: socket.socket, msg_type: int, payload: bytes,
     return _reply(*wire.recv_frame(sock), expect)
 
 
-def _connect(address: str, timeout: float) -> socket.socket:
-    """A connection to the provider at ``address`` that has passed HELLO."""
+def _connect(address: str, timeout: float, *then: tuple[int, bytes]) -> socket.socket:
+    """A connection to the provider at ``address`` that has passed HELLO.
+    The requests ``then`` go out behind HELLO before its reply is read;
+    their replies are the caller's to read."""
     sock = socket.create_connection(_split_address(address), timeout=timeout)
     try:
-        r = _request(sock, MT.HELLO,
-                     Writer().u64(wire.PROTOCOL_VERSION).payload(), MT.HELLO_OK)
+        # Frames go out at once: Nagle would hold one sent behind another.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        hello = (MT.HELLO, Writer().u64(wire.PROTOCOL_VERSION).payload())
+        for msg_type, payload in (hello, *then):
+            wire.send_frame(sock, msg_type, payload)
+        r = _reply(*wire.recv_frame(sock), MT.HELLO_OK)
         version = r.u64()
         r.done()
         if version != wire.PROTOCOL_VERSION:
@@ -106,9 +117,9 @@ class ProviderClient:
                     f"remote slaves take numeric parameters only")
             w.string(name)
             w.f64(value)
-        sock = _connect(self.address, self._timeout)
+        sock = _connect(self.address, self._timeout, (MT.SPAWN, w.payload()))
         try:
-            r = _request(sock, MT.SPAWN, w.payload(), MT.SPAWNED)
+            r = _reply(*wire.recv_frame(sock), MT.SPAWNED)
             desc = wire.read_descriptor(r)
             r.done()
         except BaseException:
@@ -142,28 +153,35 @@ class RemoteSlave(SlaveInstance):
         self._outputs: list[float] | None = None  # as last read, while current
         self._timeout = sock.gettimeout()
         self._closed = False
-        self._reply_owed = False  # a request went out; its reply is unread
+        self._owed: list[int] = []  # requests whose replies are unread, oldest first
 
     def descriptor(self) -> SlaveDescriptor:
         return self._desc
 
-    def _send(self, msg_type: int, payload: bytes = b"") -> None:
-        # Only reads are timed: a request goes out after the whole previous
-        # reply, so the provider has drained the buffer it goes into.
-        self._reply_owed = True
+    def _post(self, msg_type: int, payload: bytes = b"") -> None:
+        # Only reads are timed: the few frames sent ahead of their replies
+        # fit in the socket buffers.
+        self._owed.append(msg_type)
         wire.send_frame(self._sock, msg_type, payload)
 
+    def _send(self, msg_type: int, payload: bytes = b"") -> None:
+        """Send a request that returns data, once every owed reply is read."""
+        while self._owed:
+            self._read(self._timeout, MT.OK)[1].done()
+        self._post(msg_type, payload)
+
     def _read(self, timeout: float, *expect: int) -> tuple[int, Reader]:
-        """The reply owed, waited for up to ``timeout`` seconds."""
+        """The oldest reply owed, waited for up to ``timeout`` seconds; an
+        ERROR raises with a note that names the request it answers."""
         self._sock.settimeout(timeout)
         got, body = wire.recv_frame(self._sock)
-        self._reply_owed = False
-        return got, _reply(got, body, *expect)
-
-    def _request(self, msg_type: int, payload: bytes = b"",
-                 expect: int = MT.OK) -> Reader:
-        self._send(msg_type, payload)
-        return self._read(self._timeout, expect)[1]
+        request = self._owed.pop(0)
+        try:
+            return got, _reply(got, body, *expect)
+        except CosimError as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11 and later
+                exc.add_note(f"in reply to {MT(request).name}")
+            raise
 
     def _with_inputs(self, w: Writer) -> bytes:
         """``w``'s payload, ending with the inputs stored since the last request."""
@@ -179,11 +197,10 @@ class RemoteSlave(SlaveInstance):
         self._outputs = values
 
     def setup(self, t_start: float, t_end: float) -> None:
-        payload = Writer().f64(t_start).f64(t_end).payload()
-        self._request(MT.SETUP, payload).done()
+        self._post(MT.SETUP, Writer().f64(t_start).f64(t_end).payload())
 
     def initialize(self) -> None:
-        self._request(MT.INITIALIZE).done()
+        self._post(MT.INITIALIZE)
 
     def bind(self, inputs: list[str], outputs: list[str]) -> None:
         w = Writer()
@@ -191,7 +208,7 @@ class RemoteSlave(SlaveInstance):
             w.count(len(names))
             for name in names:
                 w.string(name)
-        self._request(MT.BIND, w.payload()).done()
+        self._post(MT.BIND, w.payload())
         self._n_inputs, self._n_outputs = len(inputs), len(outputs)
         self._inputs, self._outputs = [], None
 
@@ -234,8 +251,9 @@ class RemoteSlave(SlaveInstance):
         try:
             # An owed reply desyncs the stream, so only close; the provider
             # frees the slave once the call it is serving returns.
-            if not self._reply_owed:
-                self._request(MT.TERMINATE, expect=MT.TERMINATED).done()
+            if not self._owed:
+                self._send(MT.TERMINATE)
+                self._read(self._timeout, MT.TERMINATED)[1].done()
         finally:
             self._closed = True
             try:
@@ -282,6 +300,7 @@ class NetworkResolver:
     def __init__(self, registry: ModelRegistry):
         self.registry = registry
         self._clients: dict[str, ProviderClient] = {}
+        self._described: dict[tuple[str, str], SlaveDescriptor] = {}
 
     def _client(self, address: str) -> ProviderClient:
         client = self._clients.get(address)
@@ -291,9 +310,12 @@ class NetworkResolver:
         return client
 
     def describe(self, spec: SlaveSpec) -> SlaveDescriptor:
-        if spec.provider:
-            return self._client(spec.provider).describe(spec.model_id)
-        return self.registry.describe(spec.model_id)
+        if not spec.provider:
+            return self.registry.describe(spec.model_id)
+        key = (spec.provider, spec.model_id)
+        if key not in self._described:
+            self._described[key] = self._client(spec.provider).describe(spec.model_id)
+        return self._described[key]
 
     def create(self, spec: SlaveSpec) -> SlaveInstance:
         if spec.provider:
@@ -304,6 +326,7 @@ class NetworkResolver:
         for client in self._clients.values():
             client.close()
         self._clients.clear()
+        self._described.clear()
 
     def __enter__(self) -> "NetworkResolver":
         return self

@@ -134,6 +134,7 @@ class Provider:
             self._conns.add(conn)
         try:
             with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 if not self._handshake(conn):
                     return
                 spawned = None

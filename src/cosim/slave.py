@@ -151,11 +151,11 @@ class ModelSlave(SlaveInstance):
 
     def initialize(self) -> None:
         self._require(_State.SET_UP, "initialize")
+        desc = self.descriptor()
         # Read once: a causality switch changes ports, not this flag.
-        self._variable_step = self.descriptor().supports_variable_step
-        for v in self.descriptor().variables:
-            if v.causality is Causality.INPUT:
-                self.inputs[v.name] = 0.0
+        self._variable_step = desc.supports_variable_step
+        for v in desc.inputs():
+            self.inputs[v.name] = 0.0
         self._initialize(self._time)
         missing = [v.name for v in self.descriptor().outputs() if v.name not in self.outputs]
         if missing:

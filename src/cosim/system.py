@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import AlgebraicLoop, DimensionMismatch
@@ -53,23 +54,26 @@ class SlaveDescriptor:
     supports_variable_step: bool = True
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(names) != len(set(names)):
+        index = {v.name: v for v in self.variables}
+        if len(index) != len(self.variables):
             raise ValueError(f"{self.model_id}: duplicate variable names")
         if not self.variables:
             raise ValueError(f"{self.model_id}: a descriptor needs at least one variable")
+        # Kept once, beside the fields: set-up reads them for every slave.
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_inputs", tuple(
+            v for v in self.variables if v.causality is Causality.INPUT))
+        object.__setattr__(self, "_outputs", tuple(
+            v for v in self.variables if v.causality is Causality.OUTPUT))
 
     def variable(self, name: str) -> VariableDescriptor:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        return self._index[name]
 
     def inputs(self) -> tuple[VariableDescriptor, ...]:
-        return tuple(v for v in self.variables if v.causality is Causality.INPUT)
+        return self._inputs
 
     def outputs(self) -> tuple[VariableDescriptor, ...]:
-        return tuple(v for v in self.variables if v.causality is Causality.OUTPUT)
+        return self._outputs
 
 
 class PortRef(NamedTuple):
@@ -208,11 +212,95 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.findings)
 
 
-def _fu_descriptor(spec: FunctionUnitSpec):
-    # Imported lazily: function_units depends on this module for types.
-    from .function_units import make_fu
+class Resolution:
+    """A system resolved against its model descriptors, once per set-up.
 
-    return make_fu(spec).desc
+    ``validate_system`` and ``build_plan`` each take one in place of the
+    descriptor map and share its parts: the slaves' descriptors, the FU
+    instances, the port table and the same-instant order.  Each is built
+    on first use, within the validation; what does not resolve is kept
+    for the report, not raised.
+    """
+
+    def __init__(self, system: SystemDescription, descriptors: dict[str, SlaveDescriptor]):
+        self.system, self.descriptors = system, descriptors
+
+    @classmethod
+    def of(cls, system: SystemDescription, descriptors) -> "Resolution":
+        return descriptors if isinstance(descriptors, cls) else cls(system, descriptors)
+
+    @cached_property
+    def slaves(self) -> dict[str, SlaveDescriptor]:
+        """Each slave's descriptor by name; a slave of an unknown model is left out."""
+        known = self.descriptors
+        return {s.name: known[s.model_id] for s in self.system.slaves if s.model_id in known}
+
+    @cached_property
+    def fus(self) -> tuple[dict, list[tuple[str, Exception]]]:
+        """The FUs that build, by name, and (name, error) for each that does not."""
+        # Imported here: function_units depends on this module for types.
+        from .function_units import make_fu
+
+        built, failed = {}, []
+        for spec in self.system.function_units:
+            try:
+                built[spec.name] = make_fu(spec)
+            except (KeyError, ValueError, DimensionMismatch) as exc:
+                failed.append((spec.name, exc))
+        return built, failed
+
+    @cached_property
+    def ports(self) -> dict[PortRef, VariableDescriptor]:
+        """Every port's variable in the plan's slot order: slave outputs, then
+        slave inputs, then FU ports; a name held by a slave and an FU
+        resolves to the slave."""
+        slaves = self.slaves.items()
+        owners = [*((o, d.outputs()) for o, d in slaves), *((o, d.inputs()) for o, d in slaves),
+                  *((o, fu.desc.variables) for o, fu in self.fus[0].items()
+                    if o not in self.slaves)]
+        return {PortRef(owner, v.name): v for owner, vs in owners for v in vs}
+
+    @cached_property
+    def same_instant(self) -> tuple[list[str], int, AlgebraicLoop | None]:
+        """The same-instant order, the longest chain and the loop, if any.
+
+        The graph holds the FUs and the slaves with direct-feedthrough
+        outputs, which alone propagate within an instant; a connection
+        into any other slave ends the chain, which is 0 without edges.
+        One pass takes ready nodes in sorted batches, so the order is
+        deterministic and the batch count is the longest chain.  On a
+        stall every unplaced node waits on another, so walking back
+        through unplaced predecessors, smallest first, repeats a node:
+        the walk from it is the loop, reversed into edge order.
+        """
+        fus = self.fus[0]
+        propagates = set(fus)
+        propagates.update(name for name, d in self.slaves.items()
+                          if any(v.direct_feedthrough for v in d.outputs()))
+        preds: dict[str, set[str]] = {}  # u in preds[v]: v's value needs u's
+        pairs = [(sig.source.owner, sig.target.owner) for sig in self.system.signals]
+        for bond in self.system.bonds:
+            a, b = bond.side_a.slave, bond.side_b.slave
+            pairs += [(a, b), (b, a)]
+        for src, dst in pairs:
+            if src in propagates and dst in propagates:
+                preds.setdefault(src, set())
+                preds.setdefault(dst, set()).add(src)
+        graph = {name: set() for name in fus} | preds
+        order: list[str] = []
+        placed: set[str] = set()
+        batches = 0
+        while len(placed) < len(graph):
+            ready = sorted(n for n, p in graph.items() if n not in placed and p <= placed)
+            if not ready:
+                walk = [min(n for n in graph if n not in placed)]
+                while (node := min(graph[walk[-1]] - placed)) not in walk:
+                    walk.append(node)
+                return [], 0, AlgebraicLoop([node, *reversed(walk[walk.index(node) + 1 :])])
+            placed.update(ready)
+            order += ready
+            batches += 1
+        return order, batches if preds else 0, None
 
 
 def validate_system(
@@ -221,10 +309,12 @@ def validate_system(
 ) -> ValidationReport:
     """Check a system description against the registry of blueprints.
 
-    Returns a report; an empty findings list means the system can be
-    instantiated by the master without wiring errors.  Pure function:
-    identical inputs produce identical reports.
+    ``descriptors`` maps model ids to descriptors, or is the system's
+    ``Resolution``.  Returns a report; an empty findings list means the
+    system can be instantiated by the master without wiring errors.  Pure
+    function: identical inputs produce identical reports.
     """
+    resolved = Resolution.of(system, descriptors)
     findings: list[Finding] = []
 
     def add(code: str, message: str, where: str = ""):
@@ -235,62 +325,51 @@ def validate_system(
 
     # Name uniqueness across slaves and function units.
     seen: dict[str, str] = {}
-    for s in system.slaves:
-        if s.name in seen:
-            add("duplicate-name", f"name also used by a {seen[s.name]}", s.name)
-        seen[s.name] = "slave"
-    for fu in system.function_units:
-        if fu.name in seen:
-            add("duplicate-name", f"name also used by a {seen[fu.name]}", fu.name)
-        seen[fu.name] = "function unit"
+    for kind, specs in (("slave", system.slaves), ("function unit", system.function_units)):
+        for spec in specs:
+            if spec.name in seen:
+                add("duplicate-name", f"name also used by a {seen[spec.name]}", spec.name)
+            seen[spec.name] = kind
 
-    # Resolve descriptors; slaves with unknown models are skipped below.
-    slave_desc: dict[str, SlaveDescriptor] = {}
+    # Slaves with unknown models are left out of the resolution.
     for s in system.slaves:
-        d = descriptors.get(s.model_id)
+        d = resolved.descriptors.get(s.model_id)
         if d is None:
             add("unknown-model", f"model {s.model_id!r} not in registry", s.name)
             continue
-        slave_desc[s.name] = d
         for pname, value in s.parameters.items():
             if pname not in d.parameters:
                 add("unknown-parameter", f"model {s.model_id!r} has no parameter {pname!r}", s.name)
             if not isinstance(value, (int, float)):
                 add("bad-parameter", f"parameter {pname!r} must be a number, got {value!r}", s.name)
 
-    fu_desc: dict[str, SlaveDescriptor] = {}
-    for fu in system.function_units:
-        try:
-            fu_desc[fu.name] = _fu_descriptor(fu)
-        except (KeyError, ValueError, DimensionMismatch) as exc:
-            add("bad-function-unit", str(exc), fu.name)
-
-    # One port table; a name held by a slave and an FU resolves to the slave.
-    var_of = {PortRef(owner, v.name): v
-              for owner, d in (fu_desc | slave_desc).items() for v in d.variables}
+    fus, fu_errors = resolved.fus
+    for name, exc in fu_errors:
+        add("bad-function-unit", str(exc), name)
+    var_of = resolved.ports
 
     # Wiring bookkeeping: every input must end up wired exactly once.
     wired: dict[PortRef, int] = {}
 
-    def wire(ref: PortRef, what: str):
+    def port(ref: PortRef, what: str, causality: Causality) -> VariableDescriptor | None:
+        """The variable at ``ref`` if it has ``causality``; else reported, None."""
         v = var_of.get(ref)
         if v is None:
             add("unknown-port", f"{what} references unknown port {ref}", str(ref))
-            return
-        if v.causality is not Causality.INPUT:
-            add("not-an-input", f"{what} targets non-input {ref}", str(ref))
-            return
-        wired[ref] = wired.get(ref, 0) + 1
+        elif v.causality is not causality:
+            wrong = "targets non-input" if causality is Causality.INPUT else "reads non-output"
+            add(f"not-an-{causality.value}", f"{what} {wrong} {ref}", str(ref))
+        else:
+            return v
+        return None
 
-    def check_source(ref: PortRef, what: str) -> VariableDescriptor | None:
-        v = var_of.get(ref)
-        if v is None:
-            add("unknown-port", f"{what} references unknown port {ref}", str(ref))
-            return None
-        if v.causality is not Causality.OUTPUT:
-            add("not-an-output", f"{what} reads non-output {ref}", str(ref))
-            return None
-        return v
+    def wire(ref: PortRef, what: str):
+        if port(ref, what, Causality.INPUT) is not None:
+            wired[ref] = wired.get(ref, 0) + 1
+
+    def mismatched(out_v, in_v) -> bool:
+        return (out_v.unit is not None and in_v.unit is not None
+                and out_v.unit.dimension != in_v.unit.dimension)
 
     # Power bonds: unique names, complementary effort/flow roles and the
     # watt check.
@@ -304,11 +383,11 @@ def validate_system(
             add("bad-orientation", f"positive_side must be 'a' or 'b'", where)
         side_vars = []
         for side in bond.sides():
-            if side.slave in fu_desc:
+            if side.slave in fus:
                 add("bond-not-slave", f"bond side {side.slave!r} is a function unit", where)
             out_ref = PortRef(side.slave, side.output)
             in_ref = PortRef(side.slave, side.input)
-            out_v = check_source(out_ref, where)
+            out_v = port(out_ref, where, Causality.OUTPUT)
             wire(in_ref, where)
             in_v = var_of.get(in_ref)
             side_vars.append((out_v, in_v))
@@ -338,32 +417,21 @@ def validate_system(
                 )
         # Units must also match across each leg (conversion permitted).
         for out_v, in_v in ((out_a, in_b), (out_b, in_a)):
-            if out_v.unit is not None and in_v.unit is not None:
-                if out_v.unit.dimension != in_v.unit.dimension:
-                    add(
-                        "dimension-mismatch",
-                        f"bond leg {out_v.name} -> {in_v.name}: "
-                        f"{out_v.unit} vs {in_v.unit}",
-                        where,
-                    )
+            if mismatched(out_v, in_v):
+                add("dimension-mismatch", f"bond leg {out_v.name} -> {in_v.name}: "
+                    f"{out_v.unit} vs {in_v.unit}", where)
 
     # Signal connections: direction and dimension.
     for sig in system.signals:
         where = f"signal {sig.source} -> {sig.target}"
-        out_v = check_source(sig.source, where)
+        out_v = port(sig.source, where, Causality.OUTPUT)
         wire(sig.target, where)
         in_v = var_of.get(sig.target)
-        if out_v is not None and in_v is not None:
-            if out_v.unit is not None and in_v.unit is not None:
-                if out_v.unit.dimension != in_v.unit.dimension:
-                    add(
-                        "dimension-mismatch",
-                        f"{out_v.unit} does not convert to {in_v.unit}",
-                        where,
-                    )
+        if out_v is not None and in_v is not None and mismatched(out_v, in_v):
+            add("dimension-mismatch", f"{out_v.unit} does not convert to {in_v.unit}", where)
 
     # Every slave and FU input wired exactly once.
-    for name, d in list(slave_desc.items()) + list(fu_desc.items()):
+    for name, d in (*resolved.slaves.items(), *((n, fu.desc) for n, fu in fus.items())):
         for v in d.inputs():
             ref = PortRef(name, v.name)
             n = wired.get(ref, 0)
@@ -372,10 +440,8 @@ def validate_system(
             elif n > 1:
                 add("input-wired-twice", f"input has {n} sources", str(ref))
 
-    # Same-instant dependency graph over FUs and feedthrough outputs.
-    try:
-        _topological_order(_same_instant_edges(system, slave_desc, fu_desc))
-    except AlgebraicLoop as loop:
+    loop = resolved.same_instant[2]
+    if loop is not None:
         add("algebraic-loop", str(loop))
 
     # Step policy sanity.
@@ -407,58 +473,3 @@ def validate_system(
 
     return ValidationReport(tuple(findings))
 
-
-def _same_instant_edges(
-    system: SystemDescription,
-    slave_desc: dict[str, SlaveDescriptor],
-    fu_desc: dict[str, SlaveDescriptor],
-) -> dict[str, set[str]]:
-    """The same-instant dependency graph, as each node's predecessors.
-
-    u in preds[v] means v's same-instant value needs u's; every node
-    with an edge is a key.  Only FUs and slaves with direct-feedthrough
-    outputs propagate within an instant; connections into a
-    non-feedthrough slave terminate the chain.
-    """
-    propagates = set(fu_desc)
-    propagates.update(
-        name for name, d in slave_desc.items()
-        if any(v.direct_feedthrough and v.causality is Causality.OUTPUT
-               for v in d.variables))
-    preds: dict[str, set[str]] = {}
-    pairs: list[tuple[str, str]] = []
-    for sig in system.signals:
-        pairs.append((sig.source.owner, sig.target.owner))
-    for bond in system.bonds:
-        pairs.append((bond.side_a.slave, bond.side_b.slave))
-        pairs.append((bond.side_b.slave, bond.side_a.slave))
-    for src, dst in pairs:
-        if src in propagates and dst in propagates:
-            preds.setdefault(src, set())
-            preds.setdefault(dst, set()).add(src)
-    return preds
-
-
-def _topological_order(preds: dict[str, set[str]]) -> tuple[list[str], int]:
-    """Order a predecessor graph in one pass; return the order and the batch count.
-
-    Ready nodes are taken in sorted batches, so the order is
-    deterministic and the batch count is the longest chain.  On a stall
-    every unplaced node waits on another, so walking back through
-    unplaced predecessors, smallest first, repeats a node: the walk from
-    it is the cycle AlgebraicLoop names, reversed into edge order.
-    """
-    order: list[str] = []
-    placed: set[str] = set()
-    batches = 0
-    while len(placed) < len(preds):
-        ready = sorted(n for n, p in preds.items() if n not in placed and p <= placed)
-        if not ready:
-            walk = [min(n for n in preds if n not in placed)]
-            while (node := min(preds[walk[-1]] - placed)) not in walk:
-                walk.append(node)
-            raise AlgebraicLoop([node, *reversed(walk[walk.index(node) + 1 :])])
-        placed.update(ready)
-        order += ready
-        batches += 1
-    return order, batches

@@ -111,7 +111,8 @@ class FaultyModel(ModelSlave):
     raise.  Otherwise a unit mass driven by its force input.
     """
 
-    STAGES = ("set_inputs", "do_step", "get_outputs", "terminate")
+    STAGES = ("set_inputs", "do_step", "get_outputs", "terminate", "setup",
+              "initialize")
     MODES = ("raise", "fail", "nan_end", "hang")
     released = threading.Event()
     DESCRIPTOR = SlaveDescriptor(
@@ -139,6 +140,16 @@ class FaultyModel(ModelSlave):
         if self.MODES[int(self.params["mode"])] != "hang":
             raise InjectedFault(f"{stage} call {self.calls}")
         self.released.wait()
+
+    def setup(self, t_start, t_end):
+        if self._breaks("setup"):
+            self._misbehave("setup")
+        super().setup(t_start, t_end)
+
+    def initialize(self):
+        if self._breaks("initialize"):
+            self._misbehave("initialize")
+        super().initialize()
 
     def set_inputs(self, values):
         if self._breaks("set_inputs"):

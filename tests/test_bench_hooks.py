@@ -84,3 +84,14 @@ def test_tracer_times_a_live_run(tracer, tmp_path):
                 "master.barrier_us", "function_units.evaluate_plan_us",
                 "energy.accounting_us", "observers.on_step_us", "models.step_us"):
         assert key in metrics, key
+
+
+def test_tracer_times_one_validation_and_one_plan_per_set_up(tracer):
+    # ``setup.validate_ms`` and ``setup.plan_ms`` sum these spans, so a
+    # set-up must make exactly one call through each patched name.
+    system = parse_config((ROOT / "configs" / "fu_sum.cfg").read_text())
+    with tracer.setup_patches():
+        initialize_run(system, LocalResolver(cosim.models.registry)).terminate()
+    keys = [key for key, _, _ in tracer.spans]
+    assert keys.count("validate") == 1
+    assert keys.count("plan") == 1

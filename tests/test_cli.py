@@ -14,6 +14,7 @@ import cosim.master
 from cosim.cli import main
 from cosim.net import Provider, ProviderConfig
 from cosim.models import MsdIntegral, registry
+from cosim.slave import ModelSlave
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -237,6 +238,65 @@ class TestRun:
         assert out == ""
         for name in ("signals.csv", "energy.csv"):
             assert (tmp_path / name).read_text().endswith("\n")  # closed whole
+
+    def test_sigterm_ends_the_run_as_an_abort(self, tmp_path):
+        # As SIGINT, with exit code 143.  The child reports each slave's
+        # terminate on stdout, which the CLI leaves empty on an abort.
+        config = tmp_path / "long.cfg"
+        config.write_text((CONFIG_DIR / "quarter_car.cfg").read_text()
+                          .replace("t_end = 10.0", "t_end = 1000.0"))
+        script = ("import sys\n"
+                  "from cosim.cli import main\n"
+                  "from cosim.slave import ModelSlave\n"
+                  "terminate = ModelSlave.terminate\n"
+                  "def reported(self):\n"
+                  "    print('terminate', self.DESCRIPTOR.model_id, flush=True)\n"
+                  "    terminate(self)\n"
+                  "ModelSlave.terminate = reported\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "run", str(config), "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+        try:
+            signals = tmp_path / "signals.csv"
+            give_up = time.monotonic() + 60.0
+            while not (signals.exists() and signals.read_text().count("\n") > 1):
+                assert proc.poll() is None and time.monotonic() < give_up
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 143
+        assert err == "run aborted: terminated\n"
+        assert sorted(out.splitlines()) == ["terminate quarter_car_chassis_susp",
+                                            "terminate quarter_car_wheel"]
+        for name in ("signals.csv", "energy.csv"):
+            assert (tmp_path / name).read_text().endswith("\n")  # closed whole
+
+    def test_interrupt_during_set_up_ends_the_run_as_an_abort(self, tmp_path,
+                                                              monkeypatch, capsys):
+        # The second slave is interrupted in initialize; both slaves are
+        # terminated once, and no traceback is printed.
+        terminated = []
+        initialize, terminate = ModelSlave.initialize, ModelSlave.terminate
+
+        def interrupted(self):
+            if self.DESCRIPTOR.model_id == "msd_differential":  # the right slave
+                raise KeyboardInterrupt
+            initialize(self)
+
+        def counted(self):
+            terminated.append(self.DESCRIPTOR.model_id)
+            terminate(self)
+
+        monkeypatch.setattr(ModelSlave, "initialize", interrupted)
+        monkeypatch.setattr(ModelSlave, "terminate", counted)
+        assert invoke("run", str(CONFIG_DIR / "msd_pair.cfg"),
+                      "--out", str(tmp_path)) == 130
+        assert capsys.readouterr().err == "run aborted: interrupted\n"
+        assert sorted(terminated) == ["msd_differential", "msd_integral"]
 
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),

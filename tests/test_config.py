@@ -276,3 +276,62 @@ class TestRoundTrip:
         system = parse_config(MINIMAL)
         once = emit_config(system)
         assert emit_config(parse_config(once)) == once
+
+
+HEAD = "[simulation]\nt_end = 1.0\ndt = 0.1\n"
+
+
+class TestScanner:
+    """How each line splits: comments, separators, whitespace, headers."""
+
+    def slave(self, body, header="[slave a]"):
+        (spec,) = parse_config(f"{HEAD}{header}\n{body}").slaves
+        return spec
+
+    def test_hash_ends_a_value_and_a_header(self):
+        spec = self.slave("model = msd_integral# note\np = 1#2=3\n",
+                          header="[slave a] # the first")
+        assert spec.model_id == "msd_integral"
+        assert spec.parameters == {"p": 1.0}
+
+    def test_equals_inside_a_value_stays_in_the_value(self):
+        spec = self.slave("model = msd_integral\nlabel = x = y=z\n")
+        assert spec.parameters == {"label": "x = y=z"}
+
+    def test_tabs_and_spaces_around_keys_and_values(self):
+        spec = self.slave("\tmodel\t=msd_integral \n \t m \t=\t 2.0\t\n")
+        assert spec.model_id == "msd_integral"
+        assert spec.parameters == {"m": 2.0}
+
+    def test_crlf_line_endings(self):
+        assert parse_config(MINIMAL.replace("\n", "\r\n")) == parse_config(MINIMAL)
+        text = (HEAD + "[slave a]\nmodel = m\nmodel = n\n").replace("\n", "\r\n")
+        assert messages_of(text) == ["line 6: duplicate key 'model' (first on line 5)"]
+
+    def test_spaces_inside_a_header(self):
+        assert self.slave("model = msd_integral\n", header="[slave  a ]").name == "a"
+
+    @pytest.mark.parametrize("header", ["[slave]", "[slave a b]"])
+    def test_a_named_section_needs_exactly_one_name(self, header):
+        assert messages_of(f"{HEAD}{header}\nmodel = msd_integral\n") == [
+            "line 4: [slave] needs exactly one name",
+            "line 5: key outside any section",
+        ]
+
+    def test_duplicate_keys_name_both_lines(self):
+        text = HEAD + "[slave a]\nmodel = m\n\nmodel = n\nmodel = o\n"
+        assert messages_of(text) == [
+            "line 7: duplicate key 'model' (first on line 5)",
+            "line 8: duplicate key 'model' (first on line 5)",
+        ]
+
+    def test_a_line_without_equals_is_quoted_with_its_comment(self):
+        assert messages_of(HEAD + "junk # c\n") == [
+            "line 4: expected key = value, got 'junk # c'"]
+        # the missing "=" is reported before the missing section
+        assert messages_of("junk\n" + HEAD) == [
+            "line 1: expected key = value, got 'junk'"]
+        assert messages_of("k = 1\n" + HEAD) == ["line 1: key outside any section"]
+
+    def test_empty_key(self):
+        assert messages_of(HEAD + "[slave a]\n = 3\nmodel = m\n") == ["line 5: empty key"]

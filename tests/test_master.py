@@ -659,6 +659,25 @@ class TestInitialize:
             initialize_run(system, CountingResolver(test_registry))
         assert sorted(terminated) == ["probe", "right"]
 
+    def test_interrupt_terminates_every_slave_created_once(self):
+        # The second slave is interrupted in initialize, after the first
+        # was set up and initialized; both are terminated, once each.
+        terminated = []
+
+        class Interrupting(LocalResolver):
+            def create(self, spec):
+                slave = super().create(spec)
+                slave.terminate = counted_call(terminated, spec.name, slave.terminate)
+                if spec.name == "right":
+                    slave.initialize = fail_on_call(1, KeyboardInterrupt(),
+                                                    slave.initialize)
+                return slave
+
+        system = msd_pair_system(FixedStepPolicy(1e-2))
+        with pytest.raises(KeyboardInterrupt):
+            initialize_run(system, Interrupting(standard_registry))
+        assert sorted(terminated) == ["left", "right"]
+
 
 class TestAdaptive:
     def adaptive_policy(self, **over):

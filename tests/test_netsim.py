@@ -10,6 +10,7 @@ import pytest
 from cosim.errors import (
     BarrierTimeout,
     ConnectionLost,
+    CosimError,
     InvalidState,
     NotAnInput,
     NotAnOutput,
@@ -34,7 +35,7 @@ from cosim.net import (
 )
 from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
-from cosim.system import FixedStepPolicy
+from cosim.system import Causality, FixedStepPolicy, VariableDescriptor, VarKind
 
 from conftest import (
     FaultyModel,
@@ -62,26 +63,47 @@ def remote_pair_system(address, t_end=2.0, remote=("left", "right")):
     return dataclasses.replace(system, slaves=placed)
 
 
-def client_frames(monkeypatch) -> tuple[list[int], list[int]]:
+def client_frames(monkeypatch, log=None) -> tuple[list[int], list[int]]:
     """The message types this thread sends and reads from now on, in
-    order: the client's frames, not the in-process provider's."""
+    order: the client's frames, not the in-process provider's.  ``log``,
+    if given, gets both interleaved, as ("sent" or "read", type)."""
     sent, read = [], []
+    log = [] if log is None else log
     send, recv, me = wire.send_frame, wire.recv_frame, threading.get_ident()
 
     def sending(sock, msg_type, payload=b""):
         if threading.get_ident() == me:
             sent.append(msg_type)
+            log.append(("sent", msg_type))
         send(sock, msg_type, payload)
 
     def reading(sock):
         frame = recv(sock)
         if threading.get_ident() == me:
             read.append(frame[0])
+            log.append(("read", frame[0]))
         return frame
 
     monkeypatch.setattr(wire, "send_frame", sending)
     monkeypatch.setattr(wire, "recv_frame", reading)
     return sent, read
+
+
+def pairs_on(providers, per_provider):
+    """``per_provider`` msd pairs on each provider, each pair bonded."""
+    pair = msd_pair_system(FixedStepPolicy(1e-2), t_end=0.1)
+    slaves, bonds = [], []
+    for i in range(len(providers) * per_provider):
+        names = {s.name: f"{s.name}{i}" for s in pair.slaves}
+        address = providers[i // per_provider].address
+        slaves += [dataclasses.replace(s, name=names[s.name], provider=address)
+                   for s in pair.slaves]
+        for bond in pair.bonds:
+            sides = [dataclasses.replace(side, slave=names[side.slave])
+                     for side in bond.sides()]
+            bonds.append(dataclasses.replace(bond, name=f"{bond.name}{i}",
+                                             side_a=sides[0], side_b=sides[1]))
+    return dataclasses.replace(pair, slaves=tuple(slaves), bonds=tuple(bonds))
 
 
 def faulty_left_system(address, stage, call, mode):
@@ -155,6 +177,44 @@ class TestControlChannel:
             with pytest.raises(ProtocolError):
                 client.spawn("msd_integral", {"m": "heavy"})
 
+    def test_spawn_goes_out_behind_hello(self, provider, monkeypatch):
+        log = []
+        with ProviderClient(provider.address) as client:
+            client_frames(monkeypatch, log)
+            client.spawn("sine_source", {}).terminate()
+        assert log[:4] == [("sent", MT.HELLO), ("sent", MT.SPAWN),
+                           ("read", MT.HELLO_OK), ("read", MT.SPAWNED)]
+
+    def test_a_refused_hello_still_names_the_version(self):
+        # The peer refuses the spawn connection's HELLO and closes with the
+        # SPAWN behind it unread, which resets the connection; the client
+        # still reads the ERROR that came first.
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        text = "unsupported protocol version 4, this provider speaks 5"
+
+        def serve():
+            control, _ = listener.accept()
+            recv_frame(control)
+            send_frame(control, MT.HELLO_OK, Writer().u64(PROTOCOL_VERSION).payload())
+            spawn, _ = listener.accept()
+            recv_frame(spawn)
+            spawn.recv(1, socket.MSG_PEEK)  # the SPAWN has arrived, unread
+            send_frame(spawn, MT.ERROR, Writer().u64(9).string(text).payload())
+            spawn.close()
+            control.close()
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            with ProviderClient(address) as client:
+                with pytest.raises(ProtocolError, match=text):
+                    client.spawn("sine_source", {})
+        finally:
+            server.join(5.0)
+            listener.close()
+        assert not server.is_alive()
+
     def test_spawned_descriptor_matches_describe(self, provider):
         with ProviderClient(provider.address) as client:
             models = client.list_models()
@@ -226,16 +286,20 @@ class TestRemoteSlave:
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
-            with pytest.raises(UnknownVariable):
-                slave.bind([], ["bogus"])
-            with pytest.raises(UnknownVariable):
-                slave.bind(["bogus"], [])
-            with pytest.raises(NotAnInput):
-                slave.bind(["x"], [])
-            with pytest.raises(NotAnOutput):
-                slave.bind([], ["tau"])
-            with pytest.raises(InvalidState):
-                slave.initialize()
+            # BIND and INITIALIZE answer only OK, so their replies are read
+            # before the next request that returns data; an ERROR raises
+            # there, typed, and names the request it answers.
+            for request, error in ((lambda: slave.bind([], ["bogus"]), UnknownVariable),
+                                   (lambda: slave.bind(["bogus"], []), UnknownVariable),
+                                   (lambda: slave.bind(["x"], []), NotAnInput),
+                                   (lambda: slave.bind([], ["tau"]), NotAnOutput),
+                                   (slave.initialize, InvalidState)):
+                request()
+                with pytest.raises(error) as err:
+                    slave.get_outputs()
+                assert type(err.value) is error
+                name = "INITIALIZE" if error is InvalidState else "BIND"
+                assert err.value.__notes__ == [f"in reply to {name}"]
             slave.bind(["tau"], ["x", "v"])
             for values in ([], [0.5, 0.5]):
                 with pytest.raises(InvalidState):
@@ -258,6 +322,9 @@ class TestRemoteSlave:
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
+            # Reads the owed OKs, then finds no outputs to give.
+            with pytest.raises(InvalidState, match="before bind"):
+                slave.get_outputs()
             send_frame(slave._sock, MT.STEP,
                        Writer().f64(0.0).f64(0.1).count(0).payload())
             msg_type, body = recv_frame(slave._sock)
@@ -445,6 +512,72 @@ class TestRemoteSlave:
             prov.shutdown()
 
 
+class GhostResolver(NetworkResolver):
+    """Describes each remote model with an output its provider lacks, so
+    the plan binds a name the remote slave rejects."""
+
+    def describe(self, spec):
+        desc = super().describe(spec)
+        if not spec.provider:
+            return desc
+        ghost = VariableDescriptor("ghost", Causality.OUTPUT, VarKind.SIGNAL, None)
+        return dataclasses.replace(desc, variables=(*desc.variables, ghost))
+
+
+class TestSetupFaults:
+    """A remote SETUP, INITIALIZE or BIND that fails ends the set-up with
+    the error its provider sent, typed as the provider raised it.  Every
+    slave is terminated once, the provider frees the slot and no thread
+    is left."""
+
+    def failed_setup(self, stage, call=1, resolver_cls=NetworkResolver):
+        before = set(threading.enumerate())
+        prov = Provider(extended_registry(),
+                        ProviderConfig(host="127.0.0.1", port=0, max_slaves=1)).start()
+        terminated = []
+
+        class Counting(resolver_cls):
+            def create(self, spec):
+                slave = super().create(spec)
+                terminate = slave.terminate
+
+                def counted():
+                    terminated.append(spec.name)
+                    terminate()
+
+                slave.terminate = counted
+                return slave
+
+        try:
+            system = faulty_left_system(prov.address, stage, call, "raise")
+            with Counting(registry=standard_registry) as resolver:
+                with pytest.raises(CosimError) as err:
+                    initialize_run(system, resolver)
+            spawn_within(prov.address, 1.0)
+        finally:
+            prov.shutdown()
+        assert sorted(terminated) == ["left", "right"]
+        give_up = time.monotonic() + 1.0
+        while not set(threading.enumerate()) <= before:
+            assert time.monotonic() < give_up, "a thread outlived the set-up"
+            time.sleep(0.01)
+        return err.value
+
+    @pytest.mark.parametrize("stage", ["setup", "initialize"])
+    def test_a_failing_request(self, stage):
+        error = self.failed_setup(stage)
+        assert type(error) is CosimError
+        assert str(error) == f"InjectedFault: {stage} call 1"
+        assert error.__notes__ == [f"in reply to {stage.upper()}"]
+
+    def test_a_bind_with_a_bad_name(self):
+        # Call 0 never comes, so the fault is the ghost output alone.
+        error = self.failed_setup("do_step", 0, GhostResolver)
+        assert type(error) is UnknownVariable
+        assert str(error) == "no variable named 'ghost'"
+        assert error.__notes__ == ["in reply to BIND"]
+
+
 class TestDiscovery:
     def test_discover_reports_live_and_dead(self, provider):
         # port 1 is never listening
@@ -464,6 +597,33 @@ class TestDistributedRuns:
                            resolver).terminate()
         assert sent.count(MT.SPAWN) == 2
         assert sent.count(MT.DESCRIBE) == 2
+
+    def test_setup_describes_each_model_once_per_provider(self, monkeypatch):
+        # Two msd pairs on each of two providers: two models on each.
+        sent, _ = client_frames(monkeypatch)
+        providers = [Provider(extended_registry(),
+                              ProviderConfig(host="127.0.0.1", port=0)).start()
+                     for _ in range(2)]
+        try:
+            with NetworkResolver(registry=standard_registry) as resolver:
+                initialize_run(pairs_on(providers, 2), resolver).terminate()
+        finally:
+            for prov in providers:
+                prov.shutdown()
+        assert sent.count(MT.SPAWN) == 8
+        assert sent.count(MT.DESCRIBE) == 4
+
+    def test_setup_sends_every_ok_only_request_before_reading_one(self, provider,
+                                                                  monkeypatch):
+        log = []
+        client_frames(monkeypatch, log)
+        with NetworkResolver(registry=standard_registry) as resolver:
+            initialize_run(pairs_on([provider], 3), resolver).terminate()
+        ok_only = [i for i, (kind, msg) in enumerate(log) if kind == "sent"
+                   and msg in (MT.SETUP, MT.INITIALIZE, MT.BIND)]
+        oks = [i for i, frame in enumerate(log) if frame == ("read", MT.OK)]
+        assert len(ok_only) == len(oks) == 3 * 2 * 3
+        assert max(ok_only) < min(oks)
 
     def test_one_request_per_remote_slave_per_step(self, provider,
                                                    monkeypatch):
