@@ -12,7 +12,6 @@ from .config import ConfigError, Diagnostic, emit_config, parse_config
 from .energy import (
     BondEnergy,
     EnergyReport,
-    StepController,
     account_step,
     bracket_powers,
     error_indicator,

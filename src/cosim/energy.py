@@ -1,23 +1,20 @@
-"""Coupling-error estimation from energy residuals, and step control.
+"""Coupling-error estimation from energy residuals.
 
 Because inputs are held constant over a macro step while outputs move,
 each power bond transmits slightly different power into its two sides;
 the imbalance is energy spuriously created or destroyed by the
 coupling itself.  Summed and normalized, it yields a cheap error
-indicator that needs no rollback and no model internals, and drives an
-elementary-controller step-size law.
+indicator that needs no rollback and no model internals.  The
+step-size law it drives is ``system.AdaptiveStepPolicy.propose``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-# Floor on the per-bond energy scale so resting bonds do not divide by
-# zero, and on epsilon inside the controller power law.
+# Floor on the per-bond energy scale, so resting bonds do not divide by zero.
 E_FLOOR = 1e-12
-EPS_TINY = 1e-15
 
 _new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
 
@@ -122,34 +119,3 @@ def account_step(
         acc += r * r
     epsilon = math.sqrt(acc / len(reports)) if reports else 0.0
     return _new_tuple(EnergyReport, (tuple(reports), epsilon))
-
-
-@dataclass(frozen=True)
-class StepController:
-    """Elementary step-size controller on the energy-error indicator.
-
-    Proposes dt_next = clamp(dt * clamp(safety*(tol/eps)^alpha,
-    theta_min, theta_max), dt_min, dt_max).  Pure: same inputs, same
-    proposal.
-    """
-
-    tolerance: float = 1e-4
-    dt_min: float = 1e-6
-    dt_max: float = 1.0
-    safety: float = 0.8
-    alpha: float = 0.5
-    theta_min: float = 0.5
-    theta_max: float = 2.0
-
-    def __post_init__(self):
-        if not (0.0 < self.theta_min < 1.0 < self.theta_max):
-            raise ValueError("need 0 < theta_min < 1 < theta_max")
-        if not (0.0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-
-    def propose(self, epsilon: float, dt: float) -> float:
-        ratio = self.safety * (self.tolerance / max(epsilon, EPS_TINY)) ** self.alpha
-        ratio = min(max(ratio, self.theta_min), self.theta_max)
-        return min(max(dt * ratio, self.dt_min), self.dt_max)

@@ -26,11 +26,11 @@ import math
 import time
 import traceback
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .energy import EnergyReport, StepController, account_step
+from .energy import EnergyReport, account_step
 from .errors import (
     BarrierTimeout,
     ConnectionLost,
@@ -42,6 +42,8 @@ from .errors import (
 from .function_units import EvaluationPlan, build_plan, evaluate_plan
 from .slave import OK, ModelRegistry, SlaveInstance, time_matches
 from .system import (
+    LAST_STEP_RTOL,
+    AdaptiveStepPolicy,
     FixedStepPolicy,
     PortRef,
     Resolution,
@@ -130,8 +132,9 @@ class SimulationRun:
     ports each slave exchanges, where they sit in ``latched`` and
     ``outputs``, and which of them are bond legs (``plan.bonds``).
     ``time`` is ``t_start`` plus the exact sum of the steps taken,
-    rounded once.  ``controller`` is None whenever ``dt`` does not adapt:
-    under a fixed-step policy, or when a slave cannot vary its step.
+    rounded once.  ``controller`` is the adaptive policy, or None whenever
+    ``dt`` does not adapt: under a fixed-step policy, or when a slave
+    cannot vary its step.
     """
 
     def __init__(
@@ -155,26 +158,17 @@ class SimulationRun:
         self._terminated = False
 
         policy = system.step_policy
-        self.controller: StepController | None = None
+        self.controller: AdaptiveStepPolicy | None = None
         if isinstance(policy, FixedStepPolicy):
             self.next_dt = policy.dt
         else:
             self.next_dt = policy.dt0
-            rigid = [
-                name
-                for name, s in slaves.items()
-                if not s.descriptor().supports_variable_step
-            ]
+            rigid = [n for n, s in slaves.items() if not s.descriptor().supports_variable_step]
             if rigid:
-                log.warning(
-                    "slaves %s do not support variable steps; "
-                    "adaptive policy degraded to fixed dt=%g",
-                    rigid,
-                    policy.dt0,
-                )
+                log.warning("slaves %s do not support variable steps; adaptive policy "
+                            "degraded to fixed dt=%g", rigid, policy.dt0)
             else:
-                self.controller = StepController(**{
-                    f.name: getattr(policy, f.name) for f in fields(StepController)})
+                self.controller = policy
 
         # A slave's inputs are one run of ``plan.inputs``, so its share of
         # a latched list is a slice; a slave without inputs gets no share.
@@ -444,6 +438,7 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
     t_end = run.system.t_end
     t_start = run.system.t_start
     head = (-t_end, t_start)  # fsum rounds correctly: -fsum(-x) is fsum(x)
+    slack = 1.0 + LAST_STEP_RTOL
     run._notify("on_start", run.start_info())
     try:
         while True:
@@ -451,7 +446,7 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
             if rem <= 0.0:
                 break
             dt = run.next_dt
-            if rem <= dt * (1.0 + 1e-9):
+            if rem <= dt * slack:
                 # The last step is the remainder itself, so the exact sum
                 # of all step sizes equals t_end - t_start.
                 dt = rem

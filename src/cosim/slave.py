@@ -27,7 +27,7 @@ from .errors import (
     UnknownParameter,
     UnknownVariable,
 )
-from .system import Causality, SlaveDescriptor
+from .system import FIXED_STEP_RTOL, Causality, SlaveDescriptor
 
 # Relative slack when comparing the caller's notion of time with the
 # slave clock; absolute near zero.
@@ -125,7 +125,6 @@ class ModelSlave(SlaveInstance):
     def __init__(self, parameters: dict[str, float] | None = None):
         self._state = _State.CREATED
         self._time = 0.0
-        self._t_end = 0.0
         self._latched_dt: float | None = None
         self.params: dict[str, float] = dict(self.DESCRIPTOR.parameters)
         for name, value in (parameters or {}).items():
@@ -146,7 +145,6 @@ class ModelSlave(SlaveInstance):
     def setup(self, t_start: float, t_end: float) -> None:
         self._require(_State.CREATED, "setup")
         self._time = float(t_start)
-        self._t_end = float(t_end)
         self._state = _State.SET_UP
 
     def initialize(self) -> None:
@@ -200,7 +198,7 @@ class ModelSlave(SlaveInstance):
         if not self._variable_step:
             if self._latched_dt is None:
                 self._latched_dt = dt
-            elif abs(dt - self._latched_dt) > 1e-12 * self._latched_dt:
+            elif abs(dt - self._latched_dt) > FIXED_STEP_RTOL * self._latched_dt:
                 raise StepRejected(
                     f"fixed-step model: dt changed from {self._latched_dt!r} to {dt!r}"
                 )

@@ -8,6 +8,7 @@ data, so a frontend can show all of them at once.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -149,9 +150,26 @@ class FunctionUnitSpec:
 class FixedStepPolicy:
     dt: float
 
+    def problems(self) -> list[str]:
+        """What ``validate_system`` reports as ``bad-step-policy``."""
+        return [] if self.dt > 0 else [f"fixed dt must be positive (got {self.dt})"]
+
+
+# Floor on epsilon inside the step-size power law.
+EPS_TINY = 1e-15
+# Relative slacks: a model that cannot vary its step takes a step within
+# FIXED_STEP_RTOL of its first; ``run_to_end`` takes a remainder up to
+# LAST_STEP_RTOL over dt as its last step.
+FIXED_STEP_RTOL = 1e-12
+LAST_STEP_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class AdaptiveStepPolicy:
+    """The energy-error step controller: the run starts at ``dt0``, and
+    ``propose`` gives each next step as dt * clamp(safety*(tol/eps)^alpha,
+    theta_min, theta_max), clamped to [dt_min, dt_max].  Pure."""
+
     dt0: float
     dt_min: float
     dt_max: float
@@ -160,6 +178,24 @@ class AdaptiveStepPolicy:
     alpha: float = 0.5
     theta_min: float = 0.5
     theta_max: float = 2.0
+
+    def propose(self, epsilon: float, dt: float) -> float:
+        ratio = self.safety * (self.tolerance / max(epsilon, EPS_TINY)) ** self.alpha
+        ratio = min(max(ratio, self.theta_min), self.theta_max)
+        return min(max(dt * ratio, self.dt_min), self.dt_max)
+
+    def problems(self) -> list[str]:
+        """What ``validate_system`` reports as ``bad-step-policy``."""
+        return [message for ok, message in (
+            (self.dt_min <= self.dt0 <= self.dt_max,
+             f"need dt_min <= dt0 <= dt_max (got {self.dt_min}, {self.dt0}, {self.dt_max})"),
+            (self.dt_min > 0, f"dt_min must be positive (got {self.dt_min})"),
+            (self.tolerance > 0, f"tolerance must be positive (got {self.tolerance})"),
+            (0.0 < self.theta_min < 1.0 < self.theta_max,
+             f"need 0 < theta_min < 1 < theta_max (got {self.theta_min}, {self.theta_max})"),
+            (0.0 < self.safety <= 1.0, f"safety must be in (0, 1] (got {self.safety})"),
+            (self.alpha > 0.0, f"alpha must be positive (got {self.alpha})"),
+        ) if not ok]
 
 
 StepPolicy = FixedStepPolicy | AdaptiveStepPolicy
@@ -444,32 +480,36 @@ def validate_system(
     if loop is not None:
         add("algebraic-loop", str(loop))
 
-    # Step policy sanity.
     pol = system.step_policy
-    if isinstance(pol, FixedStepPolicy):
-        if not pol.dt > 0:
-            add("bad-step-policy", f"fixed dt must be positive (got {pol.dt})")
-    else:
-        if not (pol.dt_min <= pol.dt0 <= pol.dt_max):
-            add(
-                "bad-step-policy",
-                f"need dt_min <= dt0 <= dt_max (got {pol.dt_min}, {pol.dt0}, {pol.dt_max})",
-            )
-        if not pol.dt_min > 0:
-            add("bad-step-policy", f"dt_min must be positive (got {pol.dt_min})")
-        if not pol.tolerance > 0:
-            add("bad-step-policy", f"tolerance must be positive (got {pol.tolerance})")
-        if not (0.0 < pol.theta_min < 1.0 < pol.theta_max):
-            add(
-                "bad-step-policy",
-                f"need 0 < theta_min < 1 < theta_max (got {pol.theta_min}, {pol.theta_max})",
-            )
-        if not 0.0 < pol.safety <= 1.0:
-            add("bad-step-policy", f"safety must be in (0, 1] (got {pol.safety})")
-        if not pol.alpha > 0.0:
-            add("bad-step-policy", f"alpha must be positive (got {pol.alpha})")
+    for message in pol.problems():
+        add("bad-step-policy", message)
     if system.t_end < system.t_start:
         add("bad-horizon", f"t_end {system.t_end} before t_start {system.t_start}")
+    else:
+        # A slave that cannot vary its step holds the run at one dt.
+        rigid = [name for name, d in resolved.slaves.items() if not d.supports_variable_step]
+        dt = pol.dt if isinstance(pol, FixedStepPolicy) else pol.dt0
+        if rigid and not _last_step_fits(system.t_start, system.t_end, dt):
+            add("bad-horizon", f"t_end - t_start is not a whole number of steps of {dt}, "
+                f"and slaves {rigid} cannot vary their step")
 
     return ValidationReport(tuple(findings))
+
+
+def _last_step_fits(t_start: float, t_end: float, dt: float) -> bool:
+    """Whether a model that cannot vary its step takes every step of
+    ``run_to_end`` at a constant ``dt``: its last, the remainder rounded as
+    ``math.fsum`` rounds it, must be the only one or within FIXED_STEP_RTOL
+    of ``dt``, and not rounded up, which leaves a sliver of a step."""
+    if not (0.0 < dt < math.inf and math.isfinite(t_start) and math.isfinite(t_end)):
+        return True  # a bad dt is a finding of its own; an endless span has no last step
+    from fractions import Fraction  # imported here: only such runs need it
+
+    span, step = Fraction(t_end) - Fraction(t_start), Fraction(dt)
+    k = max(0, math.ceil(span / step) - 2)  # every earlier remainder exceeds 2 dt
+    bound = dt * (1.0 + LAST_STEP_RTOL)
+    while float(span - k * step) > bound:
+        k += 1
+    last = float(rest := span - k * step)
+    return (k == 0 or abs(last - dt) <= FIXED_STEP_RTOL * dt) and rest <= last
 

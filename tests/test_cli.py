@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output artifacts."""
 import csv
+import errno
 import os
 import signal
 import subprocess
@@ -14,7 +15,10 @@ import cosim.master
 from cosim.cli import main
 from cosim.net import Provider, ProviderConfig
 from cosim.models import MsdIntegral, registry
-from cosim.slave import ModelSlave
+from cosim.observers import CsvObserver
+from cosim.slave import ModelRegistry, ModelSlave
+
+from conftest import FaultyModel, extended_registry
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,6 +39,18 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def sum_delay_config(tmp_path, t_end, step):
+    """``sum_delay.cfg`` ending at ``t_end``, under a fixed step or an
+    adaptive policy that its fixed-step slave degrades to ``dt0``."""
+    text = (CONFIG_DIR / "sum_delay.cfg").read_text().replace("t_end = 5.0", f"t_end = {t_end}")
+    if step == "adaptive":
+        text = text.replace("step = fixed\ndt = 1e-2", "step = adaptive\ndt0 = 1e-2\n"
+                            "dt_min = 1e-4\ndt_max = 0.1\ntolerance = 1e-3")
+    cfg = tmp_path / "sum_delay.cfg"
+    cfg.write_text(text)
+    return cfg
 
 
 @pytest.fixture
@@ -178,6 +194,45 @@ class TestRun:
         assert "Traceback" not in captured.err
         assert "completed" not in captured.out
 
+    def test_observer_that_raises_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # The 5th row write fails as on a full disk: the CSV observer closes
+        # both files and is dropped, the run goes on to its end, and the
+        # CLI reports the incomplete output.
+        class Full:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.file.close()
+
+        files, terminated = [], []
+        on_step, terminate = CsvObserver.on_step, ModelSlave.terminate
+
+        def filling(self, record):
+            if record.index == 4:
+                files.extend((self._signals, self._energy))
+                self._signals = Full(self._signals)
+            on_step(self, record)
+
+        def counted(self):
+            terminated.append(self.DESCRIPTOR.model_id)
+            terminate(self)
+
+        monkeypatch.setattr(CsvObserver, "on_step", filling)
+        monkeypatch.setattr(ModelSlave, "terminate", counted)
+        code = invoke("run", str(CONFIG_DIR / "msd_pair.cfg"), "--out", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: writing output in {tmp_path} failed" in captured.err.splitlines()
+        assert "completed" not in captured.out
+        assert len(files) == 2 and all(f.closed for f in files)
+        assert sorted(terminated) == ["msd_differential", "msd_integral"]
+        rows = (tmp_path / "signals.csv").read_text().splitlines()
+        assert len(rows) == 5  # the header and the four steps before the failure
+
     def test_non_numeric_parameter_is_a_finding(self, tmp_path, capsys):
         cfg = tmp_path / "bad_param.cfg"
         text = (CONFIG_DIR / "msd_pair.cfg").read_text()
@@ -298,6 +353,31 @@ class TestRun:
         assert capsys.readouterr().err == "run aborted: interrupted\n"
         assert sorted(terminated) == ["msd_differential", "msd_integral"]
 
+    @pytest.mark.parametrize("step", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("t_end", ["1.055", "1.0000000000001"])
+    def test_span_a_fixed_step_slave_cannot_end_is_a_finding(self, tmp_path, monkeypatch,
+                                                              capsys, step, t_end):
+        # sum_delay cannot vary its step; these spans end in a step of
+        # another size.  The run reports it before any slave exists.
+        cfg = sum_delay_config(tmp_path, t_end, step)
+        assert invoke("validate", str(cfg)) == 1
+        assert "[bad-horizon]" in capsys.readouterr().err
+        created = []
+        monkeypatch.setattr(ModelRegistry, "create",
+                            lambda reg, model_id, params=None: created.append(model_id))
+        assert invoke("run", str(cfg), "--out", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert "[bad-horizon]" in captured.err and "'adder'" in captured.err
+        assert "Traceback" not in captured.err
+        assert created == []
+
+    @pytest.mark.parametrize("step", ["fixed", "adaptive"])
+    def test_span_of_whole_steps_runs(self, tmp_path, capsys, step):
+        cfg = sum_delay_config(tmp_path, "1.05", step)
+        assert invoke("validate", str(cfg)) == 0
+        assert invoke("run", str(cfg), "--out", str(tmp_path / "out")) == 0
+        assert "completed 105 steps" in capsys.readouterr().out
+
     def test_loop_config_reports_findings(self, tmp_path, capsys):
         code = invoke("run", str(CONFIG_DIR / "invalid" / "loop_fu.cfg"),
                       "--out", str(tmp_path))
@@ -351,6 +431,47 @@ side_b = right.tau, right.v
         code = invoke("run", str(cfg), "--out", str(tmp_path))
         assert code == 0
         assert "completed 100 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage", ["set_inputs", "do_step", "get_outputs"])
+    def test_remote_fault_is_one_abort_line(self, tmp_path, capsys, stage):
+        # A provider that serves the test models runs ``faulty`` as 'probe';
+        # its 4th call of ``stage`` raises, after the settle passes.
+        prov = Provider(extended_registry(), ProviderConfig(max_slaves=1)).start()
+        try:
+            cfg = tmp_path / "remote_fault.cfg"
+            cfg.write_text(f"""\
+[simulation]
+t_end = 1.0
+step = fixed
+dt = 0.01
+
+[slave probe]
+model = faulty
+provider = {prov.address}
+stage = {FaultyModel.STAGES.index(stage)}
+call = 4
+mode = {FaultyModel.MODES.index("raise")}
+
+[slave right]
+model = msd_differential
+m = 0.2
+d = 0.1
+k = 0.5
+h = 1e-3
+
+[bond link]
+side_a = probe.v, probe.tau
+side_b = right.tau, right.v
+""")
+            code = invoke("run", str(cfg), "--out", str(tmp_path / "out"))
+        finally:
+            prov.shutdown()
+        assert code == 2
+        captured = capsys.readouterr()
+        (line,) = [ln for ln in captured.err.splitlines() if ln.startswith("run aborted:")]
+        assert "slave 'probe'" in line and stage in line
+        assert "Traceback" not in captured.err
+        assert "completed" not in captured.out
 
 
 class TestInspection:

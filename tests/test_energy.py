@@ -1,4 +1,4 @@
-"""Energy residual bookkeeping and the adaptive step controller."""
+"""Energy residual bookkeeping and the adaptive step policy's step-size law."""
 import math
 import struct
 
@@ -7,10 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cosim.energy import (
     E_FLOOR,
-    EPS_TINY,
     BondEnergy,
     EnergyReport,
-    StepController,
     account_step,
     bracket_powers,
     error_indicator,
@@ -18,6 +16,7 @@ from cosim.energy import (
     residual_power,
 )
 from cosim.function_units import BondLegs
+from cosim.system import EPS_TINY, AdaptiveStepPolicy
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -154,47 +153,51 @@ class TestFusedAccounting:
         assert _bits(tuple(cumulative)) == _bits(tuple(b.cumulative_de for b in reports))
 
 
+def policy(**over) -> AdaptiveStepPolicy:
+    kw = dict(dt0=0.01, tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+    kw.update(over)
+    return AdaptiveStepPolicy(**kw)
+
+
 class TestController:
     def test_on_tolerance_fixed_point(self):
         # epsilon = tol * safety^(1/alpha) makes the raw ratio exactly 1
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         eps = c.tolerance * c.safety ** (1.0 / c.alpha)
         assert c.propose(eps, 0.01) == pytest.approx(0.01, rel=1e-12)
 
     def test_zero_error_grows_at_theta_max(self):
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         assert c.propose(0.0, 0.01) == pytest.approx(0.01 * c.theta_max)
 
     def test_huge_error_shrinks_at_theta_min(self):
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         assert c.propose(1e6, 0.01) == pytest.approx(0.01 * c.theta_min)
 
     def test_dt_clamps(self):
-        c = StepController(tolerance=1e-4, dt_min=1e-3, dt_max=2e-3)
+        c = policy(dt0=1.5e-3, dt_min=1e-3, dt_max=2e-3)
         assert c.propose(1e6, 1.1e-3) == 1e-3
         assert c.propose(0.0, 1.9e-3) == 2e-3
 
     def test_power_law_in_unclamped_region(self):
-        c = StepController(tolerance=1e-2, dt_min=1e-9, dt_max=10.0,
-                           safety=1.0, alpha=0.5, theta_min=0.1,
-                           theta_max=10.0)
+        c = policy(tolerance=1e-2, dt_min=1e-9, dt_max=10.0,
+                   safety=1.0, alpha=0.5, theta_min=0.1, theta_max=10.0)
         # eps = 4*tol with alpha = 1/2 halves the step
         assert c.propose(4e-2, 0.2) == pytest.approx(0.1, rel=1e-12)
 
     def test_constructor_rejects_bad_configs(self):
-        with pytest.raises(ValueError):
-            StepController(theta_min=1.5)
-        with pytest.raises(ValueError):
-            StepController(theta_max=0.5)
-        with pytest.raises(ValueError):
-            StepController(dt_min=1.0, dt_max=0.1)
-        with pytest.raises(ValueError):
-            StepController(tolerance=0.0)
+        # the policy is a plain record; its bad configurations are the
+        # problems that validation reports as ``bad-step-policy``
+        assert policy().problems() == []
+        assert policy(theta_min=1.5).problems()
+        assert policy(theta_max=0.5).problems()
+        assert policy(dt_min=1.0, dt_max=0.1).problems()
+        assert policy(tolerance=0.0).problems()
 
     @given(eps=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
            dt=st.floats(min_value=1e-6, max_value=0.5))
     def test_proposal_always_within_bounds(self, eps, dt):
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         out = c.propose(eps, dt)
         assert c.dt_min <= out <= c.dt_max
         if c.dt_min <= dt * c.theta_min and dt * c.theta_max <= c.dt_max:
@@ -203,9 +206,9 @@ class TestController:
     @given(eps=st.floats(min_value=1e-12, max_value=1e3),
            dt=st.floats(min_value=1e-4, max_value=0.1))
     def test_proposal_is_pure(self, eps, dt):
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         assert c.propose(eps, dt) == c.propose(eps, dt)
 
     def test_tiny_epsilon_floor_prevents_div_by_zero(self):
-        c = StepController(tolerance=1e-4, dt_min=1e-6, dt_max=1.0)
+        c = policy()
         assert c.propose(EPS_TINY / 10, 0.01) == c.propose(0.0, 0.01)

@@ -5,7 +5,9 @@ code would go unnoticed; this test parses each module and reports every
 imported name the module never uses.  The runtime stays pure stdlib, so
 it also reports every absolute import outside the standard library.  The
 runtime generates no code, so it also reports every call of the builtins
-``exec``, ``eval`` and ``compile``.
+``exec``, ``eval`` and ``compile``.  State that is written and never read
+is dead code too, so it reports every private attribute the package
+assigns and never reads.
 """
 import ast
 import sys
@@ -89,3 +91,58 @@ def test_checker_sees_a_codegen_call():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
 def test_runtime_generates_no_code(path):
     assert codegen_calls(path.read_text()) == []
+
+
+def unread_private_attributes(sources: dict[str, str]) -> list[str]:
+    """Private attributes that some module assigns and no module reads.
+
+    Attributes cross modules, so the sources are checked together, by
+    name alone.  ``x._a = ...``, ``x._a += ...`` and
+    ``object.__setattr__(x, "_a", ...)`` assign; any other use of
+    ``x._a`` reads, as does ``getattr(x, "_a")``.  An attribute that is
+    only ever counted up is dead too.
+    """
+    assigned: dict[str, list[str]] = {}
+    read: set[str] = set()
+
+    def private(name) -> bool:
+        return isinstance(name, str) and name.startswith("_") and not name.endswith("__")
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        augmented = {id(node.target) for node in ast.walk(tree) if isinstance(node, ast.AugAssign)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                if isinstance(node.ctx, ast.Store) or id(node) in augmented:
+                    assigned.setdefault(node.attr, []).append(f"{module}:{node.lineno}")
+                else:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                name = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
+                func = node.func
+                if not private(name):
+                    continue
+                if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+                    assigned.setdefault(name, []).append(f"{module}:{node.lineno}")
+                elif isinstance(func, ast.Name) and func.id in ("getattr", "hasattr"):
+                    read.add(name)
+    return [f"{name} ({', '.join(where)})" for name, where in sorted(assigned.items())
+            if name not in read]
+
+
+def test_checker_sees_an_unread_private_attribute():
+    sources = {
+        "a.py": ("class A:\n    def __init__(self):\n        self._kept = 1\n"
+                 "        self._dead = 2\n        self._counted = 0\n"
+                 "        object.__setattr__(self, '_frozen', 3)\n"
+                 "        object.__setattr__(self, '_fetched', 4)\n"
+                 "    def f(self):\n        self._counted += 1\n        self._dead = 5\n"),
+        "b.py": "def g(a):\n    return a._kept, getattr(a, '_fetched')\n",
+    }
+    assert unread_private_attributes(sources) == [
+        "_counted (a.py:5, a.py:9)", "_dead (a.py:4, a.py:10)", "_frozen (a.py:6)"]
+
+
+def test_every_private_attribute_is_read():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert unread_private_attributes(sources) == []

@@ -745,6 +745,7 @@ class TestAdaptive:
             t_end=0.1)
         run = initialize_run(system, LocalResolver(standard_registry))
         try:
+            assert run.controller is system.step_policy
             c = run.controller
             assert (c.safety, c.alpha) == (0.9, 0.25)
             assert (c.theta_min, c.theta_max) == (0.2, 4.0)

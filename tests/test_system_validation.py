@@ -1,6 +1,11 @@
 """System validation: every finding category, and clean systems pass."""
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cosim.errors import RunAborted
+from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import registry
 from cosim.system import (
     AdaptiveStepPolicy,
@@ -12,6 +17,7 @@ from cosim.system import (
     SignalConnection,
     SlaveSpec,
     SystemDescription,
+    ValidationReport,
     validate_system,
 )
 
@@ -264,6 +270,9 @@ def test_step_policy_validation():
     assert "bad-step-policy" in codes(with_policy(
         AdaptiveStepPolicy(dt0=1e-3, dt_min=1e-4, dt_max=1e-2, tolerance=0.1,
                            theta_min=1.5)))
+    assert "bad-step-policy" in codes(with_policy(
+        AdaptiveStepPolicy(dt0=1e-3, dt_min=1e-4, dt_max=1e-2, tolerance=0.1,
+                           theta_max=0.5)))
 
 
 def test_bad_horizon():
@@ -278,6 +287,86 @@ def test_zero_span_horizon_is_allowed():
     system = build(slaves=base.slaves, bonds=base.bonds,
                    t_start=1.0, t_end=1.0)
     assert "bad-horizon" not in codes(system)
+
+
+ADAPTIVE = AdaptiveStepPolicy(dt0=0.01, dt_min=1e-4, dt_max=0.1, tolerance=1e-3)
+POLICIES = [FixedStepPolicy(0.01), ADAPTIVE]
+
+
+def rigid_system(policy, t_end, t_start=0.0):
+    """Two sources summed by ``sum_delay``, which cannot vary its step."""
+    return build(slaves=[SlaveSpec("a", "sine_source", {}),
+                         SlaveSpec("b", "sine_source", {}),
+                         SlaveSpec("adder", "sum_delay", {})],
+                 signals=[SignalConnection(PortRef("a", "y"), PortRef("adder", "u1")),
+                          SignalConnection(PortRef("b", "y"), PortRef("adder", "u2"))],
+                 policy=policy, t_start=t_start, t_end=t_end)
+
+
+def runs_to_end(system) -> bool:
+    """Whether the run completes with validation skipped; False when the
+    rigid slave rejects its last step."""
+    with mock.patch("cosim.master.validate_system", lambda *_: ValidationReport(())):
+        run = initialize_run(system, LocalResolver(registry))
+    try:
+        run_to_end(run)
+    except RunAborted as exc:
+        assert "dt changed" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("t_end", [1.055, 1.0000000000001])
+def test_rigid_slave_needs_a_whole_number_of_steps(policy, t_end):
+    # 1.055 leaves a half step; 1.0000000000001 a last step 1e-13 too long.
+    report = validate_system(rigid_system(policy, t_end), DESCRIPTORS)
+    (finding,) = report.findings
+    assert finding.code == "bad-horizon"
+    assert "0.01" in finding.message and "'adder'" in finding.message
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("t_end", [1.05, 1.0, 5.0, 0.005, 0.01, 0.3, 1.0 + 1e-15])
+def test_whole_number_of_steps_is_valid(policy, t_end):
+    # 0.005 and 0.01 are one step each; 1 + 1e-15 is within the slack.
+    assert codes(rigid_system(policy, t_end)) == []
+
+
+def test_variable_step_slaves_need_no_whole_number_of_steps():
+    system = build(slaves=[SlaveSpec("a", "sine_source", {})], t_end=1.055,
+                   policy=FixedStepPolicy(0.01))
+    assert codes(system) == []
+
+
+@pytest.mark.parametrize("t_end", [1.055, 1.0000000000001, 1.05, 0.995, 2.675,
+                                   0.01 * (1 + 2e-12), 0.01 * (1 + 2e-9), 0.02 * (1 + 2e-9),
+                                   0.3 + 1e-14, 0.3 - 1e-14, 0.7 + 3e-15])
+def test_validation_agrees_with_the_run(t_end):
+    for t_start in (0.0, 0.1):
+        system = rigid_system(FixedStepPolicy(0.01), t_start + t_end, t_start)
+        assert (codes(system) == []) == runs_to_end(system), (t_start, t_end)
+
+
+def test_a_last_step_rounded_up_leaves_a_sliver():
+    # The remainder 0.333...329 rounds up from the exact one, so the
+    # steps fall 2.8e-17 short of the span and the run takes one more.
+    system = rigid_system(FixedStepPolicy(1 / 3), 2.766666666666666, 0.1)
+    assert codes(system) == ["bad-horizon"]
+    assert not runs_to_end(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.integers(min_value=0, max_value=60),
+       dt=st.sampled_from([0.01, 0.1, 0.03, 1e-3, 0.25, 1 / 3]),
+       t_start=st.sampled_from([0.0, 0.1, 3.7]),
+       off=st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                     st.floats(min_value=-1e-11, max_value=1e-11)))
+def test_validation_agrees_with_the_run_anywhere(steps, dt, t_start, off):
+    # A span of whole steps shifted by ``off`` steps, coarse or fine.
+    system = rigid_system(FixedStepPolicy(dt), t_start + (steps + off) * dt, t_start)
+    assume(system.t_end >= t_start)
+    assert (codes(system) == []) == runs_to_end(system)
 
 
 def test_findings_name_their_location():
