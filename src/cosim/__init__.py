@@ -49,13 +49,7 @@ from .master import (
 )
 from .models import registry
 from .observers import CsvObserver, MemoryObserver, Observer
-from .slave import (
-    ModelRegistry,
-    ModelSlave,
-    SlaveInstance,
-    StepOutcome,
-    StepStatus,
-)
+from .slave import ModelRegistry, ModelSlave, SlaveInstance
 from .system import (
     AdaptiveStepPolicy,
     BondSide,

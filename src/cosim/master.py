@@ -10,8 +10,8 @@ value.
 One thread steps all slaves, remote STEP requests first.  ``step_timeout``
 cuts a late remote reply off and catches an in-process overrun on return;
 one clock read after each slave's step checks that deadline and gives the
-next slave its time left.  Step outcomes, energy reports and step records
-are immutable named tuples, cheap to build on every step.
+next slave its time left.  Energy reports and step records are immutable
+named tuples, cheap to build on every step.
 
 The run's time is the exact step sum: ``t_start`` plus the steps taken,
 held as a few non-overlapping partials and rounded once by
@@ -40,7 +40,7 @@ from .errors import (
     UnknownModel,
 )
 from .function_units import EvaluationPlan, build_plan, evaluate_plan
-from .slave import OK, ModelRegistry, SlaveInstance, time_matches
+from .slave import ModelRegistry, SlaveInstance, time_matches
 from .system import (
     LAST_STEP_RTOL,
     AdaptiveStepPolicy,
@@ -208,8 +208,11 @@ class SimulationRun:
         for obs in list(self.observers):
             try:
                 getattr(obs, method)(*args)
-            except Exception:
-                log.warning("observer %r failed in %s; disabling", obs, method, exc_info=True)
+            except Exception as exc:
+                # One line: ``cosim run`` configures no logging, so logging's
+                # last-resort handler prints it, above the CLI's own error.
+                log.warning("observer %s failed in %s; disabling: %s: %s",
+                            type(obs).__name__, method, type(exc).__name__, exc)
                 self.observers.remove(obs)
 
     def _abort(self, reason: str, exc_type: type[RunAborted] = RunAborted, cause=None):
@@ -363,7 +366,7 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
         left = deadline - now
         try:
             # max(left, 0.0), without a builtin call per slave
-            outcome = slave.finish_step(t, dt, left if left > 0.0 else 0.0)
+            end = slave.finish_step(t, dt, left if left > 0.0 else 0.0)
         except StepRejected as exc:
             run._abort(f"slave {name!r} rejected the step: {exc}")
         except Exception as exc:
@@ -376,9 +379,6 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
                 f"slave {name!r} missed the step barrier after {run.step_timeout}s",
                 BarrierTimeout,
             )
-        if outcome.status is not OK:
-            run._abort(f"slave {name!r} do_step failed: {outcome.diagnostic}")
-        end = outcome.end_time
         if end != t_next and not time_matches(t_next, end):
             run._abort(f"slave {name!r} do_step ended at {end!r}, expected {t_next!r}")
 

@@ -21,7 +21,7 @@ import socket
 from dataclasses import dataclass
 
 from ..errors import ConnectionLost, CosimError, InvalidState, ProtocolError
-from ..slave import ModelRegistry, SlaveInstance, StepOutcome, StepStatus
+from ..slave import ModelRegistry, SlaveInstance
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
 from .wire import MessageType as MT, Reader, Writer
@@ -39,16 +39,15 @@ def _split_address(address: str) -> tuple[str, int]:
         raise ProtocolError(f"bad port in {address!r}") from exc
 
 
-def _reply(got: int, body: bytes, *expect: int) -> Reader:
-    """A reply of an expected type; ERROR frames raise as typed exceptions."""
+def _reply(got: int, body: bytes, expect: int) -> Reader:
+    """A reply of the expected type; ERROR frames raise as typed exceptions."""
     if got == MT.ERROR:
         r = Reader(body)
         code, text = r.u64(), r.string()
         r.done()
         raise wire.make_error(code, text)
-    if got not in expect:
-        names = " or ".join(MT(e).name for e in expect)
-        raise ProtocolError(f"expected {names}, got message type {got}")
+    if got != expect:
+        raise ProtocolError(f"expected {MT(expect).name}, got message type {got}")
     return Reader(body)
 
 
@@ -167,17 +166,17 @@ class RemoteSlave(SlaveInstance):
     def _send(self, msg_type: int, payload: bytes = b"") -> None:
         """Send a request that returns data, once every owed reply is read."""
         while self._owed:
-            self._read(self._timeout, MT.OK)[1].done()
+            self._read(self._timeout, MT.OK).done()
         self._post(msg_type, payload)
 
-    def _read(self, timeout: float, *expect: int) -> tuple[int, Reader]:
+    def _read(self, timeout: float, expect: int) -> Reader:
         """The oldest reply owed, waited for up to ``timeout`` seconds; an
         ERROR raises with a note that names the request it answers."""
         self._sock.settimeout(timeout)
         got, body = wire.recv_frame(self._sock)
         request = self._owed.pop(0)
         try:
-            return got, _reply(got, body, *expect)
+            return _reply(got, body, expect)
         except CosimError as exc:
             if hasattr(exc, "add_note"):  # Python 3.11 and later
                 exc.add_note(f"in reply to {MT(request).name}")
@@ -220,7 +219,7 @@ class RemoteSlave(SlaveInstance):
         self._inputs = list(values)
         self._outputs = None
 
-    def do_step(self, t: float, dt: float) -> StepOutcome:
+    def do_step(self, t: float, dt: float) -> float:
         self.start_step(t, dt)
         return self.finish_step(t, dt, self._timeout)
 
@@ -228,21 +227,17 @@ class RemoteSlave(SlaveInstance):
         self._outputs = None
         self._send(MT.STEP, self._with_inputs(Writer().f64(t).f64(dt)))
 
-    def finish_step(self, t: float, dt: float, timeout: float) -> StepOutcome:
-        got, r = self._read(timeout, MT.STEP_OK, MT.STEP_FAIL)
-        end_time = r.f64()
-        if got == MT.STEP_OK:
-            self._keep_outputs(r)
-            return StepOutcome(StepStatus.OK, end_time)
-        diagnostic = r.string()
-        r.done()
-        return StepOutcome(StepStatus.FAILED, end_time, diagnostic)
+    def finish_step(self, t: float, dt: float, timeout: float) -> float:
+        r = self._read(timeout, MT.STEP_OK)
+        end = r.f64()
+        self._keep_outputs(r)
+        return end
 
     def get_outputs(self) -> list[float]:
         # Unbound, the provider says why there are no outputs to read.
         if self._outputs is None or self._n_inputs is None:
             self._send(MT.GET_OUTPUTS, self._with_inputs(Writer()))
-            self._keep_outputs(self._read(self._timeout, MT.OUTPUTS)[1])
+            self._keep_outputs(self._read(self._timeout, MT.OUTPUTS))
         return list(self._outputs)
 
     def terminate(self) -> None:
@@ -253,7 +248,7 @@ class RemoteSlave(SlaveInstance):
             # frees the slave once the call it is serving returns.
             if not self._owed:
                 self._send(MT.TERMINATE)
-                self._read(self._timeout, MT.TERMINATED)[1].done()
+                self._read(self._timeout, MT.TERMINATED).done()
         finally:
             self._closed = True
             try:

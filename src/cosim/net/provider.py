@@ -269,14 +269,9 @@ class Provider:
                 r = Reader(payload)
                 t, dt = r.f64(), r.f64()
                 _set_inputs(instance, r)
-                outcome = instance.do_step(t, dt)
-                if outcome.ok:
-                    w = Writer().f64(outcome.end_time)
-                    w.f64s(instance.get_outputs() if bound else ())
-                    wire.send_frame(conn, MT.STEP_OK, w.payload())
-                else:
-                    w = Writer().f64(outcome.end_time).string(outcome.diagnostic)
-                    wire.send_frame(conn, MT.STEP_FAIL, w.payload())
+                w = Writer().f64(instance.do_step(t, dt))
+                w.f64s(instance.get_outputs() if bound else ())
+                wire.send_frame(conn, MT.STEP_OK, w.payload())
             elif msg_type == MT.GET_OUTPUTS:
                 _set_inputs(instance, Reader(payload))
                 w = Writer().f64s(instance.get_outputs())

@@ -29,7 +29,7 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 4  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 5  # unsigned 16-bit semantics, carried as a u64 field
 
 MAX_FRAME = 1 << 24  # 16 MiB; nothing legitimate comes close
 
@@ -53,7 +53,7 @@ class MessageType(enum.IntEnum):
     SET_INPUTS = 11  # reserved: inputs ride on STEP and GET_OUTPUTS
     STEP = 12
     STEP_OK = 13
-    STEP_FAIL = 14
+    STEP_FAIL = 14  # reserved: a failed step answers ERROR
     GET_OUTPUTS = 15
     OUTPUTS = 16
     TERMINATE = 17

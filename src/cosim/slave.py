@@ -4,10 +4,11 @@ A slave walks created -> set up -> ready -> terminated, one state per
 stage; stepping keeps it ready.  ``setup``, ``initialize``, ``bind``, the
 exchange and ``do_step`` each require exactly one state and raise
 ``InvalidState`` otherwise, so misuse fails loudly instead of producing
-silent garbage.  ``terminate`` is allowed once, from any state.
-Names are checked once, when the master binds a ready slave's inputs and
-outputs; from then on the exchange moves value lists in the bound order,
-until ``terminate`` drops the binding.
+silent garbage.  ``do_step`` returns the end time; a step that fails
+raises, as every other call does.  ``terminate`` is allowed once, from
+any state.  Names are checked once, when the master binds a ready
+slave's inputs and outputs; from then on the exchange moves value lists
+in the bound order, until ``terminate`` drops the binding.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import NamedTuple
 
 from .errors import (
     InvalidState,
@@ -32,34 +32,6 @@ from .system import FIXED_STEP_RTOL, Causality, SlaveDescriptor
 # Relative slack when comparing the caller's notion of time with the
 # slave clock; absolute near zero.
 TIME_RTOL = 1e-9
-
-
-class StepStatus(enum.Enum):
-    OK = "ok"
-    FAILED = "failed"
-
-
-class StepOutcome(NamedTuple):
-    """Result of one macro step attempt; immutable.
-
-    ``end_time`` equals the requested target time exactly when
-    ``status`` is OK; on failure it reports how far the slave got.
-    """
-
-    status: StepStatus
-    end_time: float
-    diagnostic: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status is StepStatus.OK
-
-
-# Read on every step: a module global is several times cheaper than an
-# enum class attribute, and ``tuple.__new__`` than the named tuple's own
-# ``__new__``.
-OK = StepStatus.OK
-_new_tuple = tuple.__new__
 
 
 def time_matches(expected: float, actual: float) -> bool:
@@ -86,12 +58,13 @@ class SlaveInstance(ABC):
     def set_inputs(self, values: list[float]) -> None: ...
 
     @abstractmethod
-    def do_step(self, t: float, dt: float) -> StepOutcome: ...
+    def do_step(self, t: float, dt: float) -> float:
+        """Step from ``t`` to ``t + dt``; returns the end time, or raises."""
 
     def start_step(self, t: float, dt: float) -> None:
         """Begin a step that ``finish_step`` completes; a no-op in process."""
 
-    def finish_step(self, t: float, dt: float, timeout: float) -> StepOutcome:
+    def finish_step(self, t: float, dt: float, timeout: float) -> float:
         """Complete the step; only a remote reply is bounded by ``timeout``."""
         return self.do_step(t, dt)
 
@@ -186,7 +159,7 @@ class ModelSlave(SlaveInstance):
         if self._feedthrough:
             self._refresh_feedthrough()
 
-    def do_step(self, t: float, dt: float) -> StepOutcome:
+    def do_step(self, t: float, dt: float) -> float:
         if self._state is not _READY:
             self._require(_READY, "do_step")
         if not dt > 0.0:
@@ -202,14 +175,9 @@ class ModelSlave(SlaveInstance):
                 raise StepRejected(
                     f"fixed-step model: dt changed from {self._latched_dt!r} to {dt!r}"
                 )
-        try:
-            self._step(t, dt)
-        except StepRejected:
-            raise
-        except Exception as exc:  # solver blow-ups become a failed outcome
-            return StepOutcome(StepStatus.FAILED, self._time, f"{type(exc).__name__}: {exc}")
+        self._step(t, dt)  # a model that raises leaves the clock where it was
         self._time = end = t + dt
-        return _new_tuple(StepOutcome, (OK, end, ""))
+        return end
 
     def get_outputs(self) -> list[float]:
         binding = self._binding

@@ -483,7 +483,11 @@ def validate_system(
     pol = system.step_policy
     for message in pol.problems():
         add("bad-step-policy", message)
-    if system.t_end < system.t_start:
+    if not (math.isfinite(system.t_start) and math.isfinite(system.t_end)):
+        # The step sum never reaches such an end: the run would not stop.
+        add("bad-horizon", f"t_start {system.t_start} and t_end {system.t_end} "
+            "must be finite")
+    elif system.t_end < system.t_start:
         add("bad-horizon", f"t_end {system.t_end} before t_start {system.t_start}")
     else:
         # A slave that cannot vary its step holds the run at one dt.
@@ -501,8 +505,8 @@ def _last_step_fits(t_start: float, t_end: float, dt: float) -> bool:
     ``run_to_end`` at a constant ``dt``: its last, the remainder rounded as
     ``math.fsum`` rounds it, must be the only one or within FIXED_STEP_RTOL
     of ``dt``, and not rounded up, which leaves a sliver of a step."""
-    if not (0.0 < dt < math.inf and math.isfinite(t_start) and math.isfinite(t_end)):
-        return True  # a bad dt is a finding of its own; an endless span has no last step
+    if not 0.0 < dt < math.inf:
+        return True  # a bad dt is a finding of its own
     from fractions import Fraction  # imported here: only such runs need it
 
     span, step = Fraction(t_end) - Fraction(t_start), Fraction(dt)

@@ -19,7 +19,7 @@ from cosim.master import (
 from cosim.models import registry as standard_registry
 from cosim.net import ProviderClient
 from cosim.observers import MemoryObserver
-from cosim.slave import ModelRegistry, ModelSlave, StepOutcome, StepStatus
+from cosim.slave import ModelRegistry, ModelSlave
 from cosim.system import (
     BondSide,
     Causality,
@@ -38,7 +38,7 @@ OUT = Causality.OUTPUT
 
 
 class FailAfterModel(ModelSlave):
-    """Steps fine until its clock passes t_fail, then reports failure."""
+    """Steps fine until its clock passes t_fail, then raises."""
 
     DESCRIPTOR = SlaveDescriptor(
         model_id="fail_after",
@@ -104,16 +104,15 @@ class FaultyModel(ModelSlave):
     """Misbehaves once: on call number ``call`` of one stage.
 
     ``stage`` indexes STAGES and ``mode`` MODES: raise ``InjectedFault``,
-    return a failed outcome, return OK with a NaN end time, or hang until
-    ``released`` is set (the ``release_hangs`` fixture sets it at
-    teardown), then go on.  The failed outcome and the NaN end time are
-    step outcomes, so they apply to ``do_step`` only; elsewhere they
-    raise.  Otherwise a unit mass driven by its force input.
+    return a NaN end time, or hang until ``released`` is set (the
+    ``release_hangs`` fixture sets it at teardown), then go on.  Only
+    ``do_step`` returns an end time, so elsewhere ``nan_end`` raises.
+    Otherwise a unit mass driven by its force input.
     """
 
     STAGES = ("set_inputs", "do_step", "get_outputs", "terminate", "setup",
               "initialize")
-    MODES = ("raise", "fail", "nan_end", "hang")
+    MODES = ("raise", "nan_end", "hang")
     released = threading.Event()
     DESCRIPTOR = SlaveDescriptor(
         model_id="faulty",
@@ -157,16 +156,13 @@ class FaultyModel(ModelSlave):
         super().set_inputs(values)
 
     def do_step(self, t, dt):
-        outcome = super().do_step(t, dt)
+        end = super().do_step(t, dt)
         if not self._breaks("do_step"):
-            return outcome
-        mode = self.MODES[int(self.params["mode"])]
-        if mode == "fail":
-            return StepOutcome(StepStatus.FAILED, t, "injected failure")
-        if mode == "nan_end":
-            return StepOutcome(StepStatus.OK, math.nan)
+            return end
+        if self.MODES[int(self.params["mode"])] == "nan_end":
+            return math.nan
         self._misbehave("do_step")
-        return outcome
+        return end
 
     def get_outputs(self):
         if self._breaks("get_outputs"):

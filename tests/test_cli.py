@@ -13,6 +13,9 @@ import pytest
 import cosim
 import cosim.master
 from cosim.cli import main
+from cosim.config import parse_config
+from cosim.errors import InvalidSystem
+from cosim.master import LocalResolver, initialize_run
 from cosim.net import Provider, ProviderConfig
 from cosim.models import MsdIntegral, registry
 from cosim.observers import CsvObserver
@@ -233,6 +236,31 @@ class TestRun:
         rows = (tmp_path / "signals.csv").read_text().splitlines()
         assert len(rows) == 5  # the header and the four steps before the failure
 
+    def test_dropped_observer_is_one_warning_line(self, tmp_path):
+        # Outside pytest, logging's last-resort handler prints the master's
+        # warning to stderr: one line, with no traceback above the CLI's.
+        script = ("import sys\n"
+                  "from cosim.cli import main\n"
+                  "from cosim.observers import CsvObserver\n"
+                  "on_step = CsvObserver.on_step\n"
+                  "def full(self, record):\n"
+                  "    if record.index == 4:\n"
+                  "        raise OSError(28, 'No space left on device')\n"
+                  "    on_step(self, record)\n"
+                  "CsvObserver.on_step = full\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", str(CONFIG_DIR / "msd_pair.cfg"),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "observer CsvObserver failed in on_step; disabling: "
+            "OSError: [Errno 28] No space left on device",
+            f"error: writing output in {tmp_path} failed",
+        ]
+
     def test_non_numeric_parameter_is_a_finding(self, tmp_path, capsys):
         cfg = tmp_path / "bad_param.cfg"
         text = (CONFIG_DIR / "msd_pair.cfg").read_text()
@@ -369,6 +397,22 @@ class TestRun:
         captured = capsys.readouterr()
         assert "[bad-horizon]" in captured.err and "'adder'" in captured.err
         assert "Traceback" not in captured.err
+        assert created == []
+
+    def test_non_finite_horizon_is_a_finding(self, tmp_path, monkeypatch, capsys):
+        # The step sum never reaches t_end = nan, so a run would write
+        # rows until stopped; it fails validation before any slave exists.
+        cfg = tmp_path / "nan_end.cfg"
+        cfg.write_text((CONFIG_DIR / "msd_pair.cfg").read_text()
+                       .replace("t_end = 20.0", "t_end = nan"))
+        assert invoke("validate", str(cfg)) == 1
+        assert "[bad-horizon]" in capsys.readouterr().err
+        created = []
+        monkeypatch.setattr(ModelRegistry, "create",
+                            lambda reg, model_id, params=None: created.append(model_id))
+        with pytest.raises(InvalidSystem) as err:
+            initialize_run(parse_config(cfg.read_text()), LocalResolver(registry))
+        assert [f.code for f in err.value.findings] == ["bad-horizon"]
         assert created == []
 
     @pytest.mark.parametrize("step", ["fixed", "adaptive"])

@@ -7,7 +7,8 @@ it also reports every absolute import outside the standard library.  The
 runtime generates no code, so it also reports every call of the builtins
 ``exec``, ``eval`` and ``compile``.  State that is written and never read
 is dead code too, so it reports every private attribute the package
-assigns and never reads.
+assigns and never reads, and every message type that neither end of the
+protocol names and that is not marked reserved.
 """
 import ast
 import sys
@@ -146,3 +147,32 @@ def test_checker_sees_an_unread_private_attribute():
 def test_every_private_attribute_is_read():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert unread_private_attributes(sources) == []
+
+
+# Message numbers kept so that an older peer's frame is never misread.
+RESERVED = {"SET_INPUTS", "STEP_FAIL"}
+
+
+def message_types_named(source: str) -> set[str]:
+    """Every ``MT.<NAME>`` in ``source``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "MT"}
+
+
+def test_checker_sees_a_named_message_type():
+    source = ("from .wire import MessageType as MT\nsend(MT.STEP)\n"
+              "if got == MT.ERROR:\n    pass\nMessageType.HELLO\n")
+    assert message_types_named(source) == {"STEP", "ERROR"}
+
+
+def test_every_message_type_is_used_or_reserved():
+    from cosim.net.wire import MessageType
+
+    named = set()
+    for module in ("client.py", "provider.py"):
+        named |= message_types_named((SRC / "net" / module).read_text())
+    members = set(MessageType.__members__)
+    assert RESERVED <= members
+    assert sorted(members - RESERVED - named) == []
+    assert sorted(RESERVED & named) == []

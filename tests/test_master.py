@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosim.config import parse_config
-from cosim.errors import BarrierTimeout, InvalidSystem, RunAborted
+from cosim.errors import BarrierTimeout, CosimError, InvalidSystem, RunAborted
 from cosim.master import (
     LocalResolver,
     _add_exact,
@@ -21,7 +21,7 @@ from cosim.master import (
 from cosim.models import registry as standard_registry
 from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.observers import CsvObserver, MemoryObserver
-from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave, StepOutcome
+from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave
 from cosim.system import (
     AdaptiveStepPolicy,
     BondSide,
@@ -62,14 +62,15 @@ def source_only_system(policy, t_start=0.0, t_end=1.0):
     )
 
 
-def faulty_pair_system(model_id, params, policy):
-    """Test-model `model_id` coupled to the differential oscillator."""
+def faulty_pair_system(model_id, params, policy, name="probe"):
+    """Test-model `model_id`, as slave `name`, coupled to the differential
+    oscillator."""
     return SystemDescription(
-        slaves=(SlaveSpec("probe", model_id, params),
+        slaves=(SlaveSpec(name, model_id, params),
                 SlaveSpec("right", "msd_differential",
                           {"m": 0.2, "d": 0.1, "k": 0.5, "h": 1e-3})),
         bonds=(PowerBond("link",
-                         BondSide("probe", "v", "tau"),
+                         BondSide(name, "v", "tau"),
                          BondSide("right", "tau", "v"),
                          positive_side="a"),),
         signals=(), function_units=(),
@@ -378,9 +379,9 @@ class TestAborts:
                 pass
 
             def do_step(self, t, dt):
-                outcome = super().do_step(t, dt)
+                super().do_step(t, dt)
                 # report a clock other than where it really ended
-                return StepOutcome(outcome.status, reported(t, dt))
+                return reported(t, dt)
 
         reg = extended_registry()
         reg.register(WrongClock)
@@ -529,8 +530,53 @@ class TestStepFaults:
         assert len(memory.records) == 2
 
 
-FAULTS = [("set_inputs", "raise"), ("do_step", "raise"), ("do_step", "fail"),
-          ("do_step", "nan_end"), ("get_outputs", "raise"), ("terminate", "raise")]
+FAULTS = [("set_inputs", "raise"), ("do_step", "raise"), ("do_step", "nan_end"),
+          ("get_outputs", "raise"), ("terminate", "raise")]
+
+
+class TestModelFault:
+    """A model that raises in ``_step`` ends the run with that exception as
+    the cause, in process, or relayed as a ``CosimError`` from a provider."""
+
+    SYSTEM = faulty_pair_system("fail_after", {"t_fail": 0.5}, FixedStepPolicy(0.2),
+                                name="bad")
+
+    def run_bad(self, system, resolver):
+        """Run ``system`` until slave ``'bad'`` raises; returns the
+        ``RunAborted``, the end reasons and the slaves terminated."""
+        ends = EndLog()
+        run = initialize_run(system, resolver, observers=[ends], step_timeout=0.5)
+        terminated = []
+        for name, slave in run.slaves.items():
+            slave.terminate = counted_call(terminated, name, slave.terminate)
+        with pytest.raises(RunAborted) as err:
+            run_to_end(run)
+        return err.value, ends.reasons, sorted(terminated)
+
+    def test_in_process(self):
+        aborted, reasons, terminated = self.run_bad(self.SYSTEM,
+                                                    LocalResolver(extended_registry()))
+        assert str(aborted) == "slave 'bad' do_step: RuntimeError: diverged"
+        assert type(aborted.__cause__) is RuntimeError
+        assert str(aborted.__cause__) == "diverged"
+        assert reasons == [f"aborted: {aborted}"]
+        assert terminated == ["bad", "right"]
+
+    def test_on_a_provider(self):
+        prov = Provider(extended_registry(), ProviderConfig(max_slaves=1)).start()
+        bad = dataclasses.replace(self.SYSTEM.slaves[0], provider=prov.address)
+        system = dataclasses.replace(self.SYSTEM, slaves=(bad, self.SYSTEM.slaves[1]))
+        try:
+            with NetworkResolver(standard_registry) as resolver:
+                aborted, reasons, terminated = self.run_bad(system, resolver)
+            assert str(aborted) == "slave 'bad' do_step: CosimError: RuntimeError: diverged"
+            assert type(aborted.__cause__) is CosimError
+            assert str(aborted.__cause__) == "RuntimeError: diverged"
+            assert reasons == [f"aborted: {aborted}"]
+            assert terminated == ["bad", "right"]
+            spawn_within(prov.address, 1.0)
+        finally:
+            prov.shutdown()
 
 
 class TestFaultMatrix:

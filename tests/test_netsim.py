@@ -268,9 +268,7 @@ class TestRemoteSlave:
             t = 0.0
             for _ in range(20):
                 slave.set_inputs([0.25])
-                outcome = slave.do_step(t, 0.05)
-                assert outcome.ok
-                t = outcome.end_time
+                t = slave.do_step(t, 0.05)
                 out.extend(slave.get_outputs())
             slave.terminate()
             return out
@@ -312,7 +310,7 @@ class TestRemoteSlave:
             msg_type, body = recv_frame(slave._sock)
             assert msg_type == MT.ERROR and Reader(body).u64() == 2
             slave.set_inputs([0.5])
-            assert slave.do_step(0.0, 0.1).ok
+            assert slave.do_step(0.0, 0.1) == 0.1
         finally:
             slave.terminate()
 
@@ -333,7 +331,7 @@ class TestRemoteSlave:
             assert r.f64() == 0.1 and r.count() == 0
             r.done()
             # through the proxy too, which still has no outputs to give
-            assert slave.do_step(0.1, 0.1).ok
+            assert slave.do_step(0.1, 0.1) == 0.2
             with pytest.raises(InvalidState, match="before bind"):
                 slave.get_outputs()
         finally:
@@ -351,8 +349,7 @@ class TestRemoteSlave:
             out = list(slave.get_outputs())
             t = 0.0
             for _ in range(5):
-                outcome = slave.do_step(t, 0.05)
-                t = outcome.end_time
+                t = slave.do_step(t, 0.05)
                 out += slave.get_outputs()
             slave.terminate()
             return out
@@ -427,9 +424,9 @@ class TestRemoteSlave:
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
-            outcome = slave.do_step(0.0, 0.5)
-            assert not outcome.ok
-            assert "diverged" in outcome.diagnostic
+            with pytest.raises(CosimError, match="diverged") as err:
+                slave.do_step(0.0, 0.5)
+            assert "in reply to STEP" in err.value.__notes__
         finally:
             slave.terminate()
 

@@ -9,7 +9,6 @@ from cosim.energy import BondEnergy, EnergyReport
 from cosim.master import LocalResolver, StepRecord, initialize_run, run_to_end
 from cosim.models import registry as standard_registry
 from cosim.observers import CsvObserver, MemoryObserver, Observer
-from cosim.slave import StepOutcome, StepStatus
 from cosim.system import FixedStepPolicy
 
 from conftest import msd_pair_system, run_system
@@ -151,14 +150,12 @@ class TestIsolation:
             assert ra.energy.epsilon == rb.energy.epsilon
 
     @pytest.mark.parametrize("value, fields", [
-        (StepOutcome(StepStatus.OK, 0.1),
-         ["status", "end_time", "diagnostic"]),
         (BondEnergy("link", 1.0, -1.0, 0.0, 0.0, 0.0),
          ["bond", "p1", "p2", "dp", "de", "cumulative_de"]),
         (EnergyReport((), 0.0), ["bonds", "epsilon"]),
         (StepRecord(0, 0.0, 0.1, 0.1, {}, {}, EnergyReport((), 0.0)),
          ["index", "t", "dt", "t_next", "inputs", "outputs", "energy"]),
-    ], ids=["StepOutcome", "BondEnergy", "EnergyReport", "StepRecord"])
+    ], ids=["BondEnergy", "EnergyReport", "StepRecord"])
     def test_step_values_are_read_only(self, value, fields):
         # No observer can reassign a field that the next one reads.
         assert list(inspect.signature(type(value)).parameters) == fields
@@ -167,11 +164,6 @@ class TestIsolation:
                 setattr(value, name, None)
         with pytest.raises(AttributeError):
             value.extra = None
-
-    def test_step_outcome_diagnostic_defaults_to_empty(self):
-        outcome = StepOutcome(StepStatus.FAILED, 0.1)
-        assert outcome.diagnostic == ""
-        assert not outcome.ok
 
     def test_raising_observer_is_dropped(self):
         class Grenade:

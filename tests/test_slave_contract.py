@@ -13,8 +13,6 @@ from cosim.errors import (
     UnknownVariable,
 )
 from cosim.models import registry
-from cosim.slave import StepStatus
-
 from conftest import extended_registry, single_slave
 
 
@@ -29,9 +27,7 @@ class TestLifecycle:
         slave.initialize()
         slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([0.0])
-        outcome = slave.do_step(0.0, 0.1)
-        assert outcome.status is StepStatus.OK
-        assert outcome.end_time == pytest.approx(0.1)
+        assert slave.do_step(0.0, 0.1) == pytest.approx(0.1)
         slave.get_outputs()
         slave.terminate()
 
@@ -136,9 +132,9 @@ class TestStepContract:
         slave = single_slave("msd_integral")
         t = 0.0
         for dt in (0.1, 0.05, 0.2):
-            outcome = slave.do_step(t, dt)
+            end = slave.do_step(t, dt)
             t += dt
-            assert outcome.end_time == pytest.approx(t, abs=1e-12)
+            assert end == pytest.approx(t, abs=1e-12)
 
     def test_fixed_step_slave_latches_first_dt(self):
         slave = single_slave("sum_delay")
@@ -154,11 +150,11 @@ class TestStepContract:
         slave = reg.create("fail_after", {})
         slave.setup(0.0, 10.0)
         slave.initialize()
-        ok = slave.do_step(0.0, 0.25)
-        assert ok.status is StepStatus.OK
-        bad = slave.do_step(0.25, 0.5)
-        assert bad.status is StepStatus.FAILED
-        assert "diverged" in bad.diagnostic
+        assert slave.do_step(0.0, 0.25) == 0.25
+        with pytest.raises(RuntimeError, match="diverged"):
+            slave.do_step(0.25, 0.5)
+        # The clock stays where the last step that returned left it.
+        assert slave.do_step(0.25, 0.25) == 0.5
 
 
 class TestVariableAccess:

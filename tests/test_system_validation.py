@@ -1,4 +1,5 @@
 """System validation: every finding category, and clean systems pass."""
+import math
 from unittest import mock
 
 import pytest
@@ -354,6 +355,19 @@ def test_a_last_step_rounded_up_leaves_a_sliver():
     system = rigid_system(FixedStepPolicy(1 / 3), 2.766666666666666, 0.1)
     assert codes(system) == ["bad-horizon"]
     assert not runs_to_end(system)
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, math.inf),
+    (-math.inf, 1.0)])
+def test_non_finite_horizon(t_start, t_end):
+    # The step sum never reaches such an end, so a run would never stop;
+    # a span without a last step is no whole number of steps either.
+    base = quarter_car_system(FixedStepPolicy(1e-3))
+    for system in (build(slaves=base.slaves, bonds=base.bonds,
+                         t_start=t_start, t_end=t_end),
+                   rigid_system(FixedStepPolicy(0.01), t_end, t_start)):
+        assert codes(system) == ["bad-horizon"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,7 +143,7 @@ class TestFrames:
         assert {m.name: int(m) for m in MessageType} == expected
 
     def test_protocol_version(self):
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
 
 
 class TestErrors:
