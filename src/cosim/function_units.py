@@ -266,8 +266,8 @@ class EvaluationPlan:
     ``bonds`` holds each bond's legs as positions in those lists.
 
     ``ops`` are the plain tuples ``evaluate_plan`` runs, slots as above:
-    a copy is ``(None, src, dst, factor)``, with ``factor`` the unit
-    conversion (exactly 1.0 for identical units); an evaluation is
+    a copy is ``(None, src, dst, factor)``, with ``factor`` from
+    ``conversion_factor`` (exactly 1.0 for equal scales); an evaluation is
     ``(fu, inputs, outputs, None)``, its slots in descriptor order.
     """
 
@@ -282,12 +282,6 @@ class EvaluationPlan:
     @property
     def n_init(self) -> int:
         return 1 + self.chain_length  # the cap on settle passes
-
-
-def _copy_factor(src_v: VariableDescriptor, dst_v: VariableDescriptor) -> float:
-    if src_v.unit is None or dst_v.unit is None or src_v.unit == dst_v.unit:
-        return 1.0
-    return conversion_factor(src_v.unit, dst_v.unit)
 
 
 def _si(v: VariableDescriptor) -> float:
@@ -331,7 +325,7 @@ def build_plan(
     after: dict[str, list[tuple]] = {name: [] for name in fus}
 
     def copy(src: PortRef, dst: PortRef):
-        factor = _copy_factor(var_of[src], var_of[dst])
+        factor = conversion_factor(var_of[src].unit, var_of[dst].unit)
         after.get(src.owner, ops).append((None, slot[src], slot[dst], factor))
 
     bonds: list[BondLegs] = []

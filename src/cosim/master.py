@@ -15,8 +15,9 @@ named tuples, cheap to build on every step.
 
 The run's time is the exact step sum: ``t_start`` plus the steps taken,
 held as a few non-overlapping partials and rounded once by
-``math.fsum``.  The final step is the exact remainder, so the step
-sizes taken sum exactly to the requested span.
+``math.fsum``.  The final step is the remainder, rounded once, and the
+run ends with it: the exact sum of the steps taken is the requested
+span to within half an ulp of that last step.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ class SimulationRun:
 
 
 def _terminate_all(slaves: dict[str, SlaveInstance]) -> None:
-    """Terminate every slave once; a failing terminate is logged, not raised."""
+    """Terminate every slave once; a failing terminate is logged in one
+    line, with no traceback, and not raised."""
     for name, slave in slaves.items():
         try:
             slave.terminate()
         except Exception as exc:
-            log.warning("terminate failed for slave %r: %s: %s",
-                        name, type(exc).__name__, exc, exc_info=True)
+            log.warning("terminate failed for slave %r: %s: %s", name, type(exc).__name__, exc)
 
 
 def initialize_run(
@@ -427,7 +428,7 @@ def _indicator_reason(energy: EnergyReport) -> str:
 
 
 def run_to_end(run: SimulationRun) -> SimulationResult:
-    """Step until the step sum lands exactly on t_end; terminate everything.
+    """Step until the remainder step reaches t_end; terminate everything.
 
     Each step record goes to the observers and is not kept here: the
     returned summary carries the step count and the span.  Attach a
@@ -441,16 +442,11 @@ def run_to_end(run: SimulationRun) -> SimulationResult:
     slack = 1.0 + LAST_STEP_RTOL
     run._notify("on_start", run.start_info())
     try:
-        while True:
-            rem = -math.fsum(chain(head, run.dt_partials))
-            if rem <= 0.0:
-                break
-            dt = run.next_dt
-            if rem <= dt * slack:
-                # The last step is the remainder itself, so the exact sum
-                # of all step sizes equals t_end - t_start.
-                dt = rem
-            step_once(run, dt)
+        while (rem := -math.fsum(chain(head, run.dt_partials))) > run.next_dt * slack:
+            step_once(run, run.next_dt)
+        if rem > 0.0:
+            # The last step is the remainder, rounded once; the run ends with it.
+            step_once(run, rem)
         run._notify("on_end", "completed")
     except KeyboardInterrupt as exc:
         run._abort(str(exc) or "interrupted", cause=exc)

@@ -1,18 +1,18 @@
 """Built-in demonstration models, most with an internal fixed-step RK4 solver.
 
 Each integrating model subdivides a macro step into equal micro steps
-of size at most ``h`` (parameter; 0 means one tenth of the macro step,
-``micro_grid`` fixes the count) and integrates with the classical
-4th-order Runge-Kutta scheme.  Inputs are held constant over the macro
-step and parameters are read once per step.  Every 2- and 3-state
-model runs its own fused kernel: the micro-step loop as straight-line
-scalar code with the right-hand side inline, doing each operation of
-``rk4_step`` in the same order, so its bits equal the ``rk4_step`` loop.
-Terms that are constant over the step are computed once.  The one-state
-generators, like any other model, use ``rk4_integrate``, the generic
-loop over ``rk4_step``.  ``msd_differential`` integrates its one state
-exactly; the sources, ``sum_delay`` and ``gain_block`` have no state to
-integrate.
+of size at most its ``h`` parameter and integrates with the classical
+4th-order Runge-Kutta scheme.  ``micro_grid(dt, h)`` alone fixes the
+micro steps from ``h`` as declared: ``h <= 0`` means ten of ``dt/10``.
+Inputs are held constant over the macro step and parameters are read
+once per step.  Every 2- and 3-state model runs its own fused kernel:
+the micro-step loop as straight-line scalar code with the right-hand
+side inline, doing each operation of ``rk4_step`` in the same order, so
+its bits equal the ``rk4_step`` loop.  Terms that are constant over the
+step are computed once.  The one-state generators, like any other
+model, use ``rk4_integrate``, the generic loop over ``rk4_step``.
+``msd_differential`` integrates its one state exactly; the sources,
+``sum_delay`` and ``gain_block`` have no state to integrate.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ def rk4_step(f, t, y, h):
 
 
 def micro_grid(dt: float, h: float) -> tuple[int, float]:
-    """The micro steps of a macro step: n = ceil(dt/h), at least 1, of size dt/n."""
-    n = max(1, math.ceil(dt / h - 1e-9))
-    return n, dt / n
+    """The micro steps of a macro step for a model's ``h`` parameter:
+    n = ceil(dt/h), at least 1, of size dt/n; ``h <= 0`` means ten of dt/10."""
+    if h > 0.0:
+        n = max(1, math.ceil(dt / h - 1e-9))
+        return n, dt / n
+    return 10, dt / 10
 
 
 def rk4_integrate(f, t0, y, dt, h):
@@ -101,11 +104,6 @@ def _wheel_kernel(x, v, F, z_road, kt, m2, dt, h):
     return [x, v]
 
 
-def micro_step(params: dict[str, float], dt: float) -> float:
-    h = params.get("h", 0.0)
-    return h if h > 0.0 else dt / 10.0
-
-
 registry = ModelRegistry()
 
 
@@ -135,7 +133,7 @@ class MsdIntegral(ModelSlave):
     def _step(self, t, dt):
         p = self.params
         tau = self.inputs["tau"]
-        self.state = _msd_kernel(*self.state, tau, p["m"], p["d"], p["k"], dt, micro_step(p, dt))
+        self.state = _msd_kernel(*self.state, tau, p["m"], p["d"], p["k"], dt, p["h"])
         self._publish()
 
     def _publish(self):
@@ -276,9 +274,9 @@ class MsdHybrid(ModelSlave):
         self._binding = None
 
     def _step(self, t, dt):
-        m, d, k = self.params["m"], self.params["d"], self.params["k"]
-        h = micro_step(self.params, dt)
-        self._last_h = h
+        m, d, k, h = self.params["m"], self.params["d"], self.params["k"], self.params["h"]
+        n, hh = micro_grid(dt, h)
+        self._last_h = hh
         if self._mode == "integral":
             self.x, self.vel = _msd_kernel(self.x, self.vel, self.inputs["tau"], m, d, k, dt, h)
             self.outputs["x"] = self.x
@@ -287,7 +285,6 @@ class MsdHybrid(ModelSlave):
         # x' = v, w' = (v - w)/T: x gains the same amount every micro step
         v = self.inputs["v"]
         T = self._filter_tc()
-        n, hh = micro_grid(dt, h)
         h2, h6 = hh / 2, hh / 6
         x, w = self.x, self.w
         dx = h6 * (v + 2 * v + 2 * v + v)
@@ -326,7 +323,7 @@ class QuarterCarChassis(ModelSlave):
 
     def _step(self, t, dt):
         # z1' = v1, v1' = -F/m1: the acceleration is fixed over the step
-        n, hh = micro_grid(dt, micro_step(self.params, dt))
+        n, hh = micro_grid(dt, self.params["h"])
         h2, h6 = hh / 2, hh / 6
         a = -self.inputs["F"] / self.params["m1"]
         ah2, ahh, dv = h2 * a, hh * a, h6 * (a + 2 * a + 2 * a + a)
@@ -380,7 +377,7 @@ class QuarterCarWheelSusp(ModelSlave):
         p = self.params
         k, d, kt, m2 = p["k"], p["d"], p["kt"], p["m2"]
         u = self.inputs["v1"]
-        n, hh = micro_grid(dt, micro_step(p, dt))
+        n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2, hh / 6
         uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
         y, x, v = self.state
@@ -438,7 +435,7 @@ class QuarterCarChassisSusp(ModelSlave):
         p = self.params
         k, d, m1 = p["k"], p["d"], p["m1"]
         u = self.inputs["v2"]
-        n, hh = micro_grid(dt, micro_step(p, dt))
+        n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2, hh / 6
         uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
         x, v, y = self.state
@@ -482,7 +479,7 @@ class QuarterCarWheel(ModelSlave):
     def _step(self, t, dt):
         p = self.params
         F = self.inputs["F"]
-        self.state = _wheel_kernel(*self.state, F, 0.0, p["kt"], p["m2"], dt, micro_step(p, dt))
+        self.state = _wheel_kernel(*self.state, F, 0.0, p["kt"], p["m2"], dt, p["h"])
         self._publish()
 
     def _publish(self):
@@ -515,8 +512,7 @@ class QuarterCarWheelRoad(ModelSlave):
 
     def _step(self, t, dt):
         p, u = self.params, self.inputs
-        h = micro_step(p, dt)
-        self.state = _wheel_kernel(*self.state, u["F"], u["z_road"], p["kt"], p["m2"], dt, h)
+        self.state = _wheel_kernel(*self.state, u["F"], u["z_road"], p["kt"], p["m2"], dt, p["h"])
         self._publish()
 
     def _publish(self):
@@ -556,7 +552,7 @@ class GeneratorVoltage(ModelSlave):
         def f(_t, y):
             return [(V_set - R * I - y[0]) / T]
 
-        (self.V,) = rk4_integrate(f, t, [self.V], dt, micro_step(p, dt))
+        (self.V,) = rk4_integrate(f, t, [self.V], dt, p["h"])
         self.outputs["V"] = self.V
 
 
@@ -586,7 +582,7 @@ class GeneratorCurrent(ModelSlave):
         def f(_t, y):
             return [(I_set - y[0]) / T]
 
-        (self.I,) = rk4_integrate(f, t, [self.I], dt, micro_step(p, dt))
+        (self.I,) = rk4_integrate(f, t, [self.I], dt, p["h"])
         self.outputs["I"] = self.I
 
 
@@ -626,7 +622,7 @@ class ElMotor(ModelSlave):
         R, Ke, L = p["R"], p["Ke"], p["L"]
         Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
         V = self.inputs["V"]
-        n, hh = micro_grid(dt, micro_step(p, dt))
+        n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2, hh / 6
         i, w = self.state
         for _ in range(n):

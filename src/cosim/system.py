@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import AlgebraicLoop, DimensionMismatch
-from .units import Unit, is_power_conjugate
+from .units import Unit, conversion_factor, is_power_conjugate
 
 
 class Causality(enum.Enum):
@@ -403,10 +403,6 @@ def validate_system(
         if port(ref, what, Causality.INPUT) is not None:
             wired[ref] = wired.get(ref, 0) + 1
 
-    def mismatched(out_v, in_v) -> bool:
-        return (out_v.unit is not None and in_v.unit is not None
-                and out_v.unit.dimension != in_v.unit.dimension)
-
     # Power bonds: unique names, complementary effort/flow roles and the
     # watt check.
     bond_names: set[str] = set()
@@ -453,7 +449,9 @@ def validate_system(
                 )
         # Units must also match across each leg (conversion permitted).
         for out_v, in_v in ((out_a, in_b), (out_b, in_a)):
-            if mismatched(out_v, in_v):
+            try:
+                conversion_factor(out_v.unit, in_v.unit)
+            except DimensionMismatch:
                 add("dimension-mismatch", f"bond leg {out_v.name} -> {in_v.name}: "
                     f"{out_v.unit} vs {in_v.unit}", where)
 
@@ -463,7 +461,11 @@ def validate_system(
         out_v = port(sig.source, where, Causality.OUTPUT)
         wire(sig.target, where)
         in_v = var_of.get(sig.target)
-        if out_v is not None and in_v is not None and mismatched(out_v, in_v):
+        if out_v is None or in_v is None:
+            continue
+        try:
+            conversion_factor(out_v.unit, in_v.unit)
+        except DimensionMismatch:
             add("dimension-mismatch", f"{out_v.unit} does not convert to {in_v.unit}", where)
 
     # Every slave and FU input wired exactly once.
@@ -504,7 +506,7 @@ def _last_step_fits(t_start: float, t_end: float, dt: float) -> bool:
     """Whether a model that cannot vary its step takes every step of
     ``run_to_end`` at a constant ``dt``: its last, the remainder rounded as
     ``math.fsum`` rounds it, must be the only one or within FIXED_STEP_RTOL
-    of ``dt``, and not rounded up, which leaves a sliver of a step."""
+    of ``dt``."""
     if not 0.0 < dt < math.inf:
         return True  # a bad dt is a finding of its own
     from fractions import Fraction  # imported here: only such runs need it
@@ -514,6 +516,5 @@ def _last_step_fits(t_start: float, t_end: float, dt: float) -> bool:
     bound = dt * (1.0 + LAST_STEP_RTOL)
     while float(span - k * step) > bound:
         k += 1
-    last = float(rest := span - k * step)
-    return (k == 0 or abs(last - dt) <= FIXED_STEP_RTOL * dt) and rest <= last
+    return k == 0 or abs(float(span - k * step) - dt) <= FIXED_STEP_RTOL * dt
 

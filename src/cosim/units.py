@@ -81,26 +81,17 @@ class Unit:
         return self.name
 
 
-def convert_value(value: float, from_unit: Unit, to_unit: Unit) -> float:
-    """Convert a value between two units of the same dimension.
+def conversion_factor(from_unit: Unit | None, to_unit: Unit | None) -> float:
+    """Multiplier applied to values travelling from one port's unit to
+    another's: the one rule for how two ports convert.
 
-    Raises DimensionMismatch when the dimensions differ; conversion is a
-    single multiplication so it is exact for equal scales.
+    A ``None`` unit is a dimension-polymorphic port and takes a value as
+    it is (1.0).  Units of one dimension convert by the ratio of their
+    scales, exactly 1.0 for equal scales.  Raises DimensionMismatch when
+    the dimensions differ.
     """
-    if from_unit.dimension != to_unit.dimension:
-        raise DimensionMismatch(
-            f"cannot convert {from_unit} ({from_unit.dimension}) "
-            f"to {to_unit} ({to_unit.dimension})",
-            from_unit.dimension,
-            to_unit.dimension,
-        )
-    if from_unit.scale_to_si == to_unit.scale_to_si:
-        return value
-    return value * (from_unit.scale_to_si / to_unit.scale_to_si)
-
-
-def conversion_factor(from_unit: Unit, to_unit: Unit) -> float:
-    """Multiplier applied to values travelling from one unit to the other."""
+    if from_unit is None or to_unit is None:
+        return 1.0
     if from_unit.dimension != to_unit.dimension:
         raise DimensionMismatch(
             f"no conversion from {from_unit} to {to_unit}",
@@ -110,23 +101,27 @@ def conversion_factor(from_unit: Unit, to_unit: Unit) -> float:
     return from_unit.scale_to_si / to_unit.scale_to_si
 
 
-def check_power_bond(effort_unit: Unit, flow_unit: Unit) -> None:
-    """Require that effort times flow has the dimension of power (watts).
+def convert_value(value: float, from_unit: Unit, to_unit: Unit) -> float:
+    """Convert a value between two units of the same dimension: a single
+    multiplication by ``conversion_factor``, so exact for equal scales."""
+    return value * conversion_factor(from_unit, to_unit)
 
-    The scale factors are irrelevant here; only the dimension sum counts.
-    Raises DimensionMismatch otherwise.
-    """
-    total = effort_unit.dimension + flow_unit.dimension
-    if total != WATT_DIM:
+
+def is_power_conjugate(effort_unit: Unit, flow_unit: Unit) -> bool:
+    """Whether effort times flow has the dimension of power (watts); the
+    scale factors are irrelevant here."""
+    return effort_unit.dimension + flow_unit.dimension == WATT_DIM
+
+
+def check_power_bond(effort_unit: Unit, flow_unit: Unit) -> None:
+    """Raise DimensionMismatch unless ``is_power_conjugate``."""
+    if not is_power_conjugate(effort_unit, flow_unit):
+        total = effort_unit.dimension + flow_unit.dimension
         raise DimensionMismatch(
             f"effort {effort_unit} x flow {flow_unit} has dimension {total}, not watts",
             effort_unit.dimension,
             flow_unit.dimension,
         )
-
-
-def is_power_conjugate(effort_unit: Unit, flow_unit: Unit) -> bool:
-    return effort_unit.dimension + flow_unit.dimension == WATT_DIM
 
 
 # Catalogue of units the built-in models and the config format speak.

@@ -8,9 +8,13 @@ runtime generates no code, so it also reports every call of the builtins
 ``exec``, ``eval`` and ``compile``.  State that is written and never read
 is dead code too, so it reports every private attribute the package
 assigns and never reads, and every message type that neither end of the
-protocol names and that is not marked reserved.
+protocol names and that is not marked reserved.  The network layer sits
+on top of the core, so it reports every import of ``cosim.net`` from a
+core module, and checks that ``import cosim`` loads no socket code.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -176,3 +180,45 @@ def test_every_message_type_is_used_or_reserved():
     assert RESERVED <= members
     assert sorted(members - RESERVED - named) == []
     assert sorted(RESERVED & named) == []
+
+
+# The core runs without the network layer; only the command line wires it in.
+NET_USERS = {"cli.py"}
+
+
+def net_imports(source: str) -> list[str]:
+    """Every import of ``cosim.net`` in a module directly under ``cosim``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("cosim" if node.level else "", node.module)))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "cosim.net" or n.startswith("cosim.net.") for n in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_sees_a_net_import():
+    source = ("from .units import WATT\nfrom .net import wire\nfrom . import net, units\n"
+              "import cosim.net.client\nfrom cosim import network\nfrom cosim.net.wire import MT\n"
+              "import socket\n")
+    assert net_imports(source) == ["line 2", "line 3", "line 4", "line 6"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name not in NET_USERS),
+                         ids=lambda p: p.name)
+def test_core_does_not_import_the_network_layer(path):
+    assert net_imports(path.read_text()) == []
+
+
+def test_importing_cosim_loads_no_network_code():
+    code = "import sys, cosim; print(sorted({'socket', 'cosim.net'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

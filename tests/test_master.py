@@ -41,7 +41,6 @@ from cosim.units import METER_PER_SECOND, NEWTON
 
 from conftest import (
     FaultyModel,
-    InjectedFault,
     ThreadCounter,
     extended_registry,
     msd_pair_system,
@@ -86,6 +85,17 @@ class TestSchedule:
         assert len(dts) == 4
         assert math.fsum(dts) == 1.0
         assert result.records[-1].t_next == pytest.approx(1.0, abs=1e-15)
+
+    def test_the_remainder_step_ends_the_run(self):
+        # The remainder rounds to 0.3333333333333329; a step of a few ulps
+        # must not follow it.
+        system = dataclasses.replace(
+            parse_config((CONFIG_DIR / "msd_pair.cfg").read_text()),
+            step_policy=FixedStepPolicy(1 / 3), t_start=0.1, t_end=2.766666666666666)
+        records = run_system(system).records
+        assert len(records) == 8
+        assert records[-1].dt == 0.3333333333333329
+        assert records[-1].t_next == system.t_end
 
     def test_divisible_horizon_needs_no_tail(self):
         result = run_system(source_only_system(FixedStepPolicy(0.25)))
@@ -603,7 +613,8 @@ class TestFaultMatrix:
                 # A failing terminate is logged; the run itself completed.
                 run_to_end(run)
                 (reason,) = [r.getMessage() for r in caplog.records]
-                assert isinstance(caplog.records[0].exc_info[1], InjectedFault)
+                assert "InjectedFault: terminate call 1" in reason
+                assert caplog.records[0].exc_info is None
                 assert ends.reasons == ["completed"]
             else:
                 with pytest.raises(RunAborted) as err:

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import single_slave
 from cosim.errors import InvalidState, NotAnInput
-from cosim.models import registry, rk4_integrate, rk4_step
+from cosim.models import micro_grid, registry, rk4_integrate, rk4_step
 
 
 def march(slave, t_end, dt, inputs=None):
@@ -394,6 +394,15 @@ class TestRk4Kernels:
         for i in range(n):
             y = rk4_step(f, t0 + i * hh, y, hh)
         return y
+
+    def test_micro_grid_reads_the_h_parameter(self):
+        # The rule ``micro_grid`` took over: ``h <= 0`` is a tenth of dt.
+        rng = random.Random(0x9D)
+        for dt in (1e-3, 1e-2, 0.05, 1 / 3, 7.5, *(rng.uniform(1e-6, 10.0) for _ in range(500))):
+            for h in (0.0, -1.0, 1e-4, dt, 3 * dt):
+                step = h if h > 0.0 else dt / 10.0
+                n = max(1, math.ceil(dt / step - 1e-9))
+                assert micro_grid(dt, h) == (n, dt / n), (dt, h)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_integrate_is_bit_identical_to_rk4_step(self, size):

@@ -88,6 +88,35 @@ class TestConversion:
         with pytest.raises(DimensionMismatch):
             convert_value(1.0, NEWTON, METER_PER_SECOND)
 
+    def test_one_rule_for_every_pair_of_ports(self):
+        # The rules ``conversion_factor`` took over, restated for ports
+        # whose dimensions match: the plan's copy factor, and
+        # ``convert_value`` with its own equal-scale shortcut.
+        def copy_factor(a, b):
+            if a is None or b is None or a == b:
+                return 1.0
+            return a.scale_to_si / b.scale_to_si
+
+        def old_convert(value, a, b):
+            if a.scale_to_si == b.scale_to_si:
+                return value
+            return value * (a.scale_to_si / b.scale_to_si)
+
+        catalogue = [parse_unit(name) for name in known_units()]
+        values = (1.5, -0.0, 1e-300, -3e300, math.pi, math.inf, math.nan)
+        for a in (None, *catalogue):
+            for b in (None, *catalogue):
+                if a is not None and b is not None and a.dimension != b.dimension:
+                    with pytest.raises(DimensionMismatch):
+                        conversion_factor(a, b)
+                    with pytest.raises(DimensionMismatch):
+                        convert_value(1.0, a, b)
+                    continue
+                assert conversion_factor(a, b).hex() == copy_factor(a, b).hex(), (a, b)
+                if a is not None and b is not None:
+                    assert ([convert_value(v, a, b).hex() for v in values]
+                            == [old_convert(v, a, b).hex() for v in values]), (a, b)
+
 
 class TestPowerConjugacy:
     def test_force_velocity_is_a_power_pair(self):
