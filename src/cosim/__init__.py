@@ -9,15 +9,7 @@ in-process or across networked slave providers with bit-identical results.
 """
 
 from .config import ConfigError, Diagnostic, emit_config, parse_config
-from .energy import (
-    BondEnergy,
-    EnergyReport,
-    account_step,
-    bracket_powers,
-    error_indicator,
-    residual_energy,
-    residual_power,
-)
+from .energy import BondEnergy, EnergyReport, account_step
 from .errors import (
     AlgebraicLoop,
     BarrierTimeout,
@@ -70,9 +62,7 @@ from .system import (
 from .units import (
     Dimension,
     Unit,
-    check_power_bond,
     conversion_factor,
-    convert_value,
     is_power_conjugate,
     known_units,
     parse_unit,

@@ -6,6 +6,9 @@ the imbalance is energy spuriously created or destroyed by the
 coupling itself.  Summed and normalized, it yields a cheap error
 indicator that needs no rollback and no model internals.  The
 step-size law it drives is ``system.AdaptiveStepPolicy.propose``.
+
+``account_step`` is the one code for this rule; ``tests/test_energy.py``
+restates it step by step as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -43,50 +46,6 @@ class EnergyReport(NamedTuple):
     epsilon: float
 
 
-def bracket_powers(
-    sign: float, e_held: float, f_held: float, e_new: float, f_new: float
-) -> tuple[float, float]:
-    """The two per-side powers a bond transmitted during a step.
-
-    ``e_held``/``f_held`` are the effort and flow inputs latched over
-    the step; ``e_new``/``f_new`` the fresh outputs at its end; all in
-    SI.  ``sign`` is +1 when side a counts incoming power as positive,
-    -1 when the bond is declared the other way around.
-    """
-    p1 = sign * e_held * f_new
-    p2 = -sign * e_new * f_held
-    return p1, p2
-
-
-def residual_power(p1: float, p2: float) -> float:
-    """Power the coupling creates out of nothing: dp = -(p1 + p2)."""
-    return -(p1 + p2)
-
-
-def residual_energy(dp: float, dt: float) -> float:
-    """Rectangle-rule energy residual over one step."""
-    return dp * dt
-
-
-def error_indicator(
-    bonds: list[tuple[float, float, float]], dt: float, e_floor: float = E_FLOOR
-) -> float:
-    """RMS of per-bond residual energies relative to transmitted energy.
-
-    Each entry is (de, p1, p2); the scale is the mean transmitted
-    energy 0.5*(|p1|+|p2|)*dt floored at ``e_floor``.  Systems without
-    bonds report 0, degrading adaptive control to a fixed step.
-    """
-    if not bonds:
-        return 0.0
-    acc = 0.0
-    for de, p1, p2 in bonds:
-        scale = 0.5 * (abs(p1) + abs(p2)) * dt
-        r = de / max(scale, e_floor)
-        acc += r * r
-    return math.sqrt(acc / len(bonds))
-
-
 def account_step(
     bonds, held: list[float], fresh: list[float], dt: float, cumulative: list[float]
 ) -> EnergyReport:
@@ -95,10 +54,11 @@ def account_step(
     ``bonds`` are the plan's ``BondLegs``: positions in ``held`` (the
     inputs latched over the step) and ``fresh`` (the outputs at its end)
     and their scales to SI.  ``cumulative`` holds each bond's running dE
-    and is advanced in place.  The arithmetic is that of
-    ``bracket_powers``, ``residual_power``, ``residual_energy`` and
-    ``error_indicator``, inline and in their operation order, so the
-    bits are theirs.
+    and is advanced in place.  The plan lays the bonds out in name order,
+    so epsilon's sum does not depend on the order they are declared in.
+    ``tests/test_energy.py`` keeps the rule as separate steps (the powers
+    each side received, the residual power and energy, the RMS
+    indicator) and checks this one pass against them bit for bit.
     """
     reports = []
     acc = 0.0

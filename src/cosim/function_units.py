@@ -263,7 +263,8 @@ class EvaluationPlan:
     (system order, then descriptor order), then FU ports.  ``slaves``
     names each slave's inputs and outputs in that order, so a slave's
     share of ``inputs`` and of ``outputs`` is one contiguous run;
-    ``bonds`` holds each bond's legs as positions in those lists.
+    ``bonds`` holds each bond's legs as positions in those lists, in
+    bond-name order.
 
     ``ops`` are the plain tuples ``evaluate_plan`` runs, slots as above:
     a copy is ``(None, src, dst, factor)``, with ``factor`` from
@@ -317,10 +318,11 @@ def build_plan(
     n_in = sum(len(ins) for _, ins, _ in slaves)
 
     # File every directed copy by its source as it is collected, bond
-    # legs first, then signals, in declaration order, which fixes
-    # evaluation determinism: copies out of a slave run before every
-    # evaluation, copies out of an FU right after it.  Each bond's legs
-    # are also kept as list positions for energy accounting.
+    # legs first, then signals, which fixes evaluation determinism:
+    # copies out of a slave run before every evaluation, copies out of an
+    # FU right after it.  Each bond's legs are also kept as list positions
+    # for energy accounting, in bond-name order, so that the order the
+    # bonds are declared in cannot change the bits of epsilon's sum.
     ops: list[tuple] = []
     after: dict[str, list[tuple]] = {name: [] for name in fus}
 
@@ -329,7 +331,7 @@ def build_plan(
         after.get(src.owner, ops).append((None, slot[src], slot[dst], factor))
 
     bonds: list[BondLegs] = []
-    for bond in system.bonds:
+    for bond in sorted(system.bonds, key=lambda bond: bond.name):
         a, b = bond.side_a, bond.side_b
         pos, si = {}, {}
         for side in (a, b):

@@ -50,9 +50,10 @@ class CsvObserver:
 
     ``signals.csv`` has one row per completed macro step with every slave
     output at the step's end time; ``energy.csv`` has one row per bond per
-    step with the power/energy accounting.  A run with zero steps leaves
-    headers only.  Values are written as shortest round-trip decimals, so
-    parsing a column back yields bit-identical floats.
+    step with the power/energy accounting, the bonds in name order.  A
+    run with zero steps leaves headers only.  Values are written as
+    shortest round-trip decimals, so parsing a column back yields
+    bit-identical floats.
 
     An IO error closes both files and propagates to the master, which
     drops this observer and carries on; the run's caller can tell by

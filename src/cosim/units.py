@@ -101,27 +101,10 @@ def conversion_factor(from_unit: Unit | None, to_unit: Unit | None) -> float:
     return from_unit.scale_to_si / to_unit.scale_to_si
 
 
-def convert_value(value: float, from_unit: Unit, to_unit: Unit) -> float:
-    """Convert a value between two units of the same dimension: a single
-    multiplication by ``conversion_factor``, so exact for equal scales."""
-    return value * conversion_factor(from_unit, to_unit)
-
-
 def is_power_conjugate(effort_unit: Unit, flow_unit: Unit) -> bool:
     """Whether effort times flow has the dimension of power (watts); the
     scale factors are irrelevant here."""
     return effort_unit.dimension + flow_unit.dimension == WATT_DIM
-
-
-def check_power_bond(effort_unit: Unit, flow_unit: Unit) -> None:
-    """Raise DimensionMismatch unless ``is_power_conjugate``."""
-    if not is_power_conjugate(effort_unit, flow_unit):
-        total = effort_unit.dimension + flow_unit.dimension
-        raise DimensionMismatch(
-            f"effort {effort_unit} x flow {flow_unit} has dimension {total}, not watts",
-            effort_unit.dimension,
-            flow_unit.dimension,
-        )
 
 
 # Catalogue of units the built-in models and the config format speak.
@@ -166,14 +149,14 @@ _CATALOGUE = {
 }
 
 
+def known_units() -> tuple[str, ...]:
+    return tuple(sorted(_CATALOGUE))
+
+
 def parse_unit(name: str) -> Unit:
     """Look a unit up by its catalogue name (as used in config files)."""
     try:
         return _CATALOGUE[name]
     except KeyError:
-        known = ", ".join(sorted(_CATALOGUE))
+        known = ", ".join(known_units())
         raise KeyError(f"unknown unit {name!r}; known units: {known}") from None
-
-
-def known_units() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOGUE))

@@ -51,9 +51,7 @@ from cosim.units import (
     RPM,
     Unit,
     WATT_DIM,
-    check_power_bond,
     conversion_factor,
-    convert_value,
     is_power_conjugate,
 )
 
@@ -520,7 +518,7 @@ def test_10_unit_algebra(capsys):
             ua = Unit("ua", d, scale_a)
             ub = Unit("ub", d, scale_b)
             value = rng.uniform(-1e12, 1e12)
-            back = convert_value(convert_value(value, ua, ub), ub, ua)
+            back = value * conversion_factor(ua, ub) * conversion_factor(ub, ua)
             assert back == pytest.approx(value, rel=1e-12, abs=1e-300)
             cases += 1
 
@@ -529,7 +527,6 @@ def test_10_unit_algebra(capsys):
             eu = Unit("e", effort_dim, 1.0)
             fu = Unit("f", flow_dim, 1.0)
             assert is_power_conjugate(eu, fu)
-            check_power_bond(eu, fu)
             cases += 1
 
             axis = rng.randrange(7)
@@ -538,17 +535,16 @@ def test_10_unit_algebra(capsys):
             wrong = Unit("w", Dimension(tuple(bumped)), 1.0)
             assert not is_power_conjugate(eu, wrong)
             with pytest.raises(DimensionMismatch):
-                check_power_bond(eu, wrong)
+                conversion_factor(fu, wrong)
             cases += 1
 
         kn_factor = conversion_factor(KILONEWTON, NEWTON)
         rpm_factor = conversion_factor(RAD_PER_SECOND, RPM)
         assert kn_factor == pytest.approx(1e3, rel=1e-12)
         assert rpm_factor == pytest.approx(60.0 / (2 * math.pi), rel=1e-12)
-        assert convert_value(1.0, NEWTON, KILONEWTON) == pytest.approx(
+        assert conversion_factor(NEWTON, KILONEWTON) == pytest.approx(
             1e-3, rel=1e-12)
-        assert convert_value(math.tau, RAD_PER_SECOND, RPM) == pytest.approx(
-            60.0, rel=1e-12)
+        assert math.tau * rpm_factor == pytest.approx(60.0, rel=1e-12)
         cases += 4
 
         out.ok = cases >= 10_000

@@ -10,7 +10,10 @@ is dead code too, so it reports every private attribute the package
 assigns and never reads, and every message type that neither end of the
 protocol names and that is not marked reserved.  The network layer sits
 on top of the core, so it reports every import of ``cosim.net`` from a
-core module, and checks that ``import cosim`` loads no socket code.
+core module, and checks that ``import cosim`` loads no socket code.  A
+public function that only tests call is code the runtime does not need,
+so it reports every one that neither the package nor the benchmark
+names.
 """
 import ast
 import os
@@ -20,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cosim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cosim"
 # ``__init__.py`` files import names to re-export them.
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
@@ -222,3 +226,54 @@ def test_importing_cosim_loads_no_network_code():
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` uses as code: a bare name, an attribute or an
+    imported name, not a word in a docstring or comment."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def unused_public_functions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """Public top-level functions of ``modules`` that no module and no
+    source in ``users`` names.  A module's own calls count; a re-export in
+    an ``__init__.py`` does not, as it is not a use."""
+    used = set()
+    for module, source in modules.items():
+        if not module.endswith("__init__.py"):
+            used |= names_used(source)
+    for source in users:
+        used |= names_used(source)
+    return [f"{module}: {node.name}" for module, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_checker_sees_an_unused_public_function():
+    modules = {
+        "__init__.py": "from .a import kept, exported\n",
+        "a.py": ('"""Call dead() or mentioned() by hand."""\n'
+                 "def kept(x):\n    return helper(x)\ndef helper(x):\n    return x\n"
+                 "def dead():\n    pass\ndef mentioned():\n    pass  # not kept(mentioned)\n"
+                 "def exported():\n    pass\ndef patched():\n    pass\n"
+                 "def _private():\n    pass\nclass C:\n    def method(self):\n        pass\n"),
+        "b.py": "from .a import kept as k\nk(1)\n",
+    }
+    users = ["from cosim import a\na.patched = wrap(a.patched)\n"]
+    assert unused_public_functions(modules, users) == [
+        "a.py: dead", "a.py: mentioned", "a.py: exported"]
+
+
+def test_every_public_function_has_a_user_outside_the_tests():
+    modules = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unused_public_functions(modules, bench) == []

@@ -182,6 +182,35 @@ class TestDeterminism:
             assert ra.outputs == rb.outputs
             assert ra.inputs == rb.inputs
 
+    @pytest.mark.parametrize("policy", [
+        FixedStepPolicy(1e-3),
+        AdaptiveStepPolicy(dt0=1e-3, dt_min=1e-5, dt_max=1e-2, tolerance=1e-2),
+    ], ids=["fixed", "adaptive"])
+    def test_bond_order_cannot_change_values(self, policy):
+        # Three bonded pairs; epsilon sums one squared ratio per bond, so
+        # a sum in declaration order would move its bits, and under the
+        # adaptive policy every dt after that.
+        slaves, bonds = [], []
+        for i, (m, d, k, x0) in enumerate(((1.0, 0.5, 2.0, 1.0), (1.7, 0.3, 3.1, -0.6),
+                                           (0.6, 0.9, 1.3, 0.4))):
+            slaves += [SlaveSpec(f"left{i}", "msd_integral",
+                                 {"m": m, "d": d, "k": k, "x0": x0, "h": 1e-3}),
+                       SlaveSpec(f"right{i}", "msd_differential",
+                                 {"m": 0.2 * m, "d": 0.1, "k": 0.5, "h": 1e-3})]
+            bonds.append(PowerBond(f"link{i}", BondSide(f"left{i}", "v", "tau"),
+                                   BondSide(f"right{i}", "tau", "v"), positive_side="a"))
+        system = SystemDescription(
+            slaves=tuple(slaves), bonds=tuple(bonds), signals=(), function_units=(),
+            step_policy=policy, t_start=0.0, t_end=1.0)
+        runs = [run_system(dataclasses.replace(system, bonds=tuple(bonds[j] for j in order)))
+                for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0))]
+
+        def bits(run):
+            return [(r.dt.hex(), r.energy.epsilon.hex()) for r in run.records]
+
+        assert bits(runs[1]) == bits(runs[0])
+        assert bits(runs[2]) == bits(runs[0])
+
     def test_uncoupled_subsystems_do_not_interact(self):
         def chain(name_prefix, freq):
             src = SlaveSpec(f"{name_prefix}_src", "sine_source", {"freq": freq})

@@ -15,9 +15,7 @@ from cosim.units import (
     RPM,
     Unit,
     WATT_DIM,
-    check_power_bond,
     conversion_factor,
-    convert_value,
     dim,
     is_power_conjugate,
     known_units,
@@ -65,33 +63,34 @@ class TestConversion:
         d = dim(length=1)
         a = Unit("a", d, sa)
         b = Unit("b", d, sb)
-        there = convert_value(value, a, b)
-        back = convert_value(there, b, a)
+        there = value * conversion_factor(a, b)
+        back = there * conversion_factor(b, a)
         assert back == pytest.approx(value, rel=1e-12, abs=1e-300)
 
     @given(scales, finite)
     @settings(max_examples=1000)
     def test_identity_conversion_is_exact(self, s, value):
         u = Unit("u", dim(mass=1), s)
-        assert convert_value(value, u, u) == value
+        assert conversion_factor(u, u) == 1.0
+        assert value * conversion_factor(u, u) == value
 
     def test_kilonewton_to_newton(self):
         assert conversion_factor(KILONEWTON, NEWTON) == pytest.approx(1e3)
-        assert convert_value(1.5, KILONEWTON, NEWTON) == pytest.approx(1500.0)
+        assert 1.5 * conversion_factor(KILONEWTON, NEWTON) == pytest.approx(1500.0)
 
     def test_rad_per_second_to_rpm(self):
         # one full turn per second
-        assert convert_value(2 * math.pi, RAD_PER_SECOND, RPM) == pytest.approx(60.0)
-        assert convert_value(60.0, RPM, RAD_PER_SECOND) == pytest.approx(2 * math.pi)
+        assert 2 * math.pi * conversion_factor(RAD_PER_SECOND, RPM) == pytest.approx(60.0)
+        assert 60.0 * conversion_factor(RPM, RAD_PER_SECOND) == pytest.approx(2 * math.pi)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            convert_value(1.0, NEWTON, METER_PER_SECOND)
+            conversion_factor(NEWTON, METER_PER_SECOND)
 
     def test_one_rule_for_every_pair_of_ports(self):
         # The rules ``conversion_factor`` took over, restated for ports
-        # whose dimensions match: the plan's copy factor, and
-        # ``convert_value`` with its own equal-scale shortcut.
+        # whose dimensions match: the plan's copy factor, and a value
+        # conversion with its own equal-scale shortcut.
         def copy_factor(a, b):
             if a is None or b is None or a == b:
                 return 1.0
@@ -109,27 +108,22 @@ class TestConversion:
                 if a is not None and b is not None and a.dimension != b.dimension:
                     with pytest.raises(DimensionMismatch):
                         conversion_factor(a, b)
-                    with pytest.raises(DimensionMismatch):
-                        convert_value(1.0, a, b)
                     continue
                 assert conversion_factor(a, b).hex() == copy_factor(a, b).hex(), (a, b)
                 if a is not None and b is not None:
-                    assert ([convert_value(v, a, b).hex() for v in values]
+                    assert ([(v * conversion_factor(a, b)).hex() for v in values]
                             == [old_convert(v, a, b).hex() for v in values]), (a, b)
 
 
 class TestPowerConjugacy:
     def test_force_velocity_is_a_power_pair(self):
         assert is_power_conjugate(NEWTON, METER_PER_SECOND)
-        check_power_bond(NEWTON, METER_PER_SECOND)
 
     def test_kilonewton_velocity_is_a_power_pair(self):
         assert is_power_conjugate(KILONEWTON, METER_PER_SECOND)
 
     def test_force_force_is_not(self):
         assert not is_power_conjugate(NEWTON, NEWTON)
-        with pytest.raises(DimensionMismatch):
-            check_power_bond(NEWTON, NEWTON)
 
     @given(dimensions)
     @settings(max_examples=2500)
@@ -147,5 +141,7 @@ class TestCatalogue:
             assert parse_unit(name).name == name
 
     def test_unknown_unit_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as err:
             parse_unit("furlong/fortnight")
+        assert err.value.args[0] == ("unknown unit 'furlong/fortnight'; known units: "
+                                     + ", ".join(sorted(known_units())))
