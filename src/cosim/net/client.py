@@ -1,19 +1,17 @@
 """Client side of the provider protocol: catalogue access and remote slaves.
 
-``ProviderClient.spawn`` sends SPAWN on a connection of its own, which the
-provider then serves as the slave's session; the RemoteSlave it returns
-owns that socket.  A RemoteSlave satisfies the same contract as an
-in-process slave, and reals cross the wire as exact binary64, so a
-distributed run reproduces an in-process run bit for bit.  ``bind`` sends
-the input and output names once, in a BIND frame; later frames carry
-values only, in the bound order.  A step is one round trip: STEP carries
-the inputs ``set_inputs`` stored, and its reply the outputs
-``get_outputs`` returns.  Only reads before any step send GET_OUTPUTS.
-SETUP, INITIALIZE and BIND answer only OK: they go out without waiting,
-and the owed OKs are read, in order, before the next request that returns
-data; an ERROR there raises noted ``in reply to`` the request it answers.
-SPAWN goes out behind HELLO, unwaited.  ``NetworkResolver`` sends one
-DESCRIBE per provider and model id.
+A ``ProviderClient`` is one session with one provider: the connection that
+its catalogue requests and every slave it spawns share, and the queue of
+the replies owed on it.  A RemoteSlave names its slave by the index that
+SPAWNED gave, and lives no longer than its client.  It keeps the contract
+of an in-process slave, and reals cross the wire as exact binary64, so a
+distributed run reproduces an in-process run bit for bit.  BIND sends the
+port names once; later frames carry the index and values, in bound order.  A
+step is one round trip: STEP carries the inputs ``set_inputs`` stored, and
+STEP_OK the outputs.  Only reads before any step send GET_OUTPUTS.  SETUP,
+INITIALIZE and BIND answer only OK, so they go out without waiting; a read
+takes the older owed OKs first, and an ERROR raises noted ``in reply to``
+the request it answers.  ``NetworkResolver`` keeps one client per provider.
 """
 from __future__ import annotations
 
@@ -24,9 +22,9 @@ from ..errors import ConnectionLost, CosimError, InvalidState, ProtocolError
 from ..slave import ModelRegistry, SlaveInstance
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
-from .wire import MessageType as MT, Reader, Writer
+from .wire import CONTROL_TIMEOUT, MessageType as MT, Reader, Writer
 
-CONTROL_TIMEOUT = 5.0
+_OK_ONLY = frozenset((MT.SETUP, MT.INITIALIZE, MT.BIND))
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -51,24 +49,13 @@ def _reply(got: int, body: bytes, expect: int) -> Reader:
     return Reader(body)
 
 
-def _request(sock: socket.socket, msg_type: int, payload: bytes,
-             expect: int) -> Reader:
-    """One round trip; ERROR frames come back as typed exceptions."""
-    wire.send_frame(sock, msg_type, payload)
-    return _reply(*wire.recv_frame(sock), expect)
-
-
-def _connect(address: str, timeout: float, *then: tuple[int, bytes]) -> socket.socket:
-    """A connection to the provider at ``address`` that has passed HELLO.
-    The requests ``then`` go out behind HELLO before its reply is read;
-    their replies are the caller's to read."""
+def _connect(address: str, timeout: float) -> socket.socket:
+    """A connection to the provider at ``address`` that has passed HELLO."""
     sock = socket.create_connection(_split_address(address), timeout=timeout)
     try:
         # Frames go out at once: Nagle would hold one sent behind another.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello = (MT.HELLO, Writer().u64(wire.PROTOCOL_VERSION).payload())
-        for msg_type, payload in (hello, *then):
-            wire.send_frame(sock, msg_type, payload)
+        wire.send_frame(sock, MT.HELLO, Writer().u64(wire.PROTOCOL_VERSION).payload())
         r = _reply(*wire.recv_frame(sock), MT.HELLO_OK)
         version = r.u64()
         r.done()
@@ -83,29 +70,30 @@ def _connect(address: str, timeout: float, *then: tuple[int, bytes]) -> socket.s
 
 
 class ProviderClient:
-    """Control connection to one provider."""
+    """One session with one provider; its ``timeout`` bounds every reply
+    but a STEP reply that the master reads."""
 
     def __init__(self, address: str, timeout: float = CONTROL_TIMEOUT):
         self.address = address
-        self._timeout = timeout
+        self.timeout = timeout
         self._sock = _connect(address, timeout)
+        self._owed: list[tuple[int, int | None]] = []  # (request, slave index), oldest first
 
     def list_models(self) -> tuple[str, ...]:
-        r = _request(self._sock, MT.LIST_MODELS, b"", MT.MODEL_LIST)
+        r = self._call(MT.LIST_MODELS, None, b"", MT.MODEL_LIST)
         models = tuple(r.string() for _ in range(r.count()))
         r.done()
         return models
 
     def describe(self, model_id: str) -> SlaveDescriptor:
-        r = _request(self._sock, MT.DESCRIBE,
-                     Writer().string(model_id).payload(), MT.DESCRIPTION)
+        r = self._call(MT.DESCRIBE, None, Writer().string(model_id).payload(), MT.DESCRIPTION)
         desc = wire.read_descriptor(r)
         r.done()
         return desc
 
     def spawn(self, model_id: str,
               parameters: dict[str, float] | None = None) -> "RemoteSlave":
-        """A new slave, whose session is a connection of its own."""
+        """A new slave on this session."""
         w = Writer().string(model_id)
         parameters = parameters or {}
         w.count(len(parameters))
@@ -116,15 +104,53 @@ class ProviderClient:
                     f"remote slaves take numeric parameters only")
             w.string(name)
             w.f64(value)
-        sock = _connect(self.address, self._timeout, (MT.SPAWN, w.payload()))
-        try:
-            r = _reply(*wire.recv_frame(sock), MT.SPAWNED)
-            desc = wire.read_descriptor(r)
-            r.done()
-        except BaseException:
-            sock.close()
-            raise
-        return RemoteSlave(sock, desc)
+        r = self._call(MT.SPAWN, None, w.payload(), MT.SPAWNED)
+        index = r.u64()
+        desc = wire.read_descriptor(r)
+        r.done()
+        return RemoteSlave(self, index, desc)
+
+    def _post(self, msg_type: int, index: int | None, payload: bytes = b"") -> None:
+        """Send a request, a slave's begun with its index.  Only reads are
+        timed: the few frames sent ahead of their replies fit in the
+        socket buffers."""
+        if index is not None:
+            payload = Writer().u64(index).payload() + payload
+        self._owed.append((msg_type, index))
+        wire.send_frame(self._sock, msg_type, payload)
+
+    def _read(self, index: int | None, expect: int, timeout: float) -> Reader:
+        """The reply to slave ``index``'s next request that returns data, the
+        older owed OKs read first, each frame waited for up to ``timeout``
+        seconds.  The first ERROR raises, noted with the request it answers,
+        once that reply is read, so the session stays in step."""
+        self._sock.settimeout(timeout)
+        error = None
+        while True:
+            request, owner = self._owed[0]
+            ok_only = request in _OK_ONLY
+            if not ok_only and owner != index:
+                raise InvalidState(f"the reply owed next is to slave {owner}'s "
+                                   f"{MT(request).name}")
+            got, body = wire.recv_frame(self._sock)
+            del self._owed[0]
+            try:
+                r = _reply(got, body, MT.OK if ok_only else expect)
+                if ok_only:
+                    r.done()
+            except CosimError as exc:
+                if hasattr(exc, "add_note"):  # Python 3.11 and later
+                    exc.add_note(f"in reply to {MT(request).name}")
+                error = error or exc
+            if not ok_only:
+                if error is not None:
+                    raise error
+                return r
+
+    def _call(self, msg_type: int, index: int | None, payload: bytes,
+              expect: int) -> Reader:
+        self._post(msg_type, index, payload)
+        return self._read(index, expect, self.timeout)
 
     def close(self) -> None:
         try:
@@ -140,47 +166,21 @@ class ProviderClient:
 
 
 class RemoteSlave(SlaveInstance):
-    """Proxy for a spawned slave; owns its session socket, whose timeout
-    bounds every reply but a STEP reply that the master reads."""
+    """Proxy for the slave at ``index`` on a provider session."""
 
-    def __init__(self, sock: socket.socket, descriptor: SlaveDescriptor):
-        self._sock = sock
+    def __init__(self, session: ProviderClient, index: int,
+                 descriptor: SlaveDescriptor):
+        self._session = session
+        self._index = index
         self._desc = descriptor
         self._n_inputs: int | None = None  # bound counts; None until bound
         self._n_outputs = 0
         self._inputs: list[float] = []  # stored since the last request
         self._outputs: list[float] | None = None  # as last read, while current
-        self._timeout = sock.gettimeout()
-        self._closed = False
-        self._owed: list[int] = []  # requests whose replies are unread, oldest first
+        self._terminated = False
 
     def descriptor(self) -> SlaveDescriptor:
         return self._desc
-
-    def _post(self, msg_type: int, payload: bytes = b"") -> None:
-        # Only reads are timed: the few frames sent ahead of their replies
-        # fit in the socket buffers.
-        self._owed.append(msg_type)
-        wire.send_frame(self._sock, msg_type, payload)
-
-    def _send(self, msg_type: int, payload: bytes = b"") -> None:
-        """Send a request that returns data, once every owed reply is read."""
-        while self._owed:
-            self._read(self._timeout, MT.OK).done()
-        self._post(msg_type, payload)
-
-    def _read(self, timeout: float, expect: int) -> Reader:
-        """The oldest reply owed, waited for up to ``timeout`` seconds; an
-        ERROR raises with a note that names the request it answers."""
-        self._sock.settimeout(timeout)
-        got, body = wire.recv_frame(self._sock)
-        request = self._owed.pop(0)
-        try:
-            return _reply(got, body, expect)
-        except CosimError as exc:
-            if hasattr(exc, "add_note"):  # Python 3.11 and later
-                exc.add_note(f"in reply to {MT(request).name}")
-            raise
 
     def _with_inputs(self, w: Writer) -> bytes:
         """``w``'s payload, ending with the inputs stored since the last request."""
@@ -196,10 +196,10 @@ class RemoteSlave(SlaveInstance):
         self._outputs = values
 
     def setup(self, t_start: float, t_end: float) -> None:
-        self._post(MT.SETUP, Writer().f64(t_start).f64(t_end).payload())
+        self._session._post(MT.SETUP, self._index, Writer().f64(t_start).f64(t_end).payload())
 
     def initialize(self) -> None:
-        self._post(MT.INITIALIZE)
+        self._session._post(MT.INITIALIZE, self._index)
 
     def bind(self, inputs: list[str], outputs: list[str]) -> None:
         w = Writer()
@@ -207,7 +207,7 @@ class RemoteSlave(SlaveInstance):
             w.count(len(names))
             for name in names:
                 w.string(name)
-        self._post(MT.BIND, w.payload())
+        self._session._post(MT.BIND, self._index, w.payload())
         self._n_inputs, self._n_outputs = len(inputs), len(outputs)
         self._inputs, self._outputs = [], None
 
@@ -221,14 +221,14 @@ class RemoteSlave(SlaveInstance):
 
     def do_step(self, t: float, dt: float) -> float:
         self.start_step(t, dt)
-        return self.finish_step(t, dt, self._timeout)
+        return self.finish_step(t, dt, self._session.timeout)
 
     def start_step(self, t: float, dt: float) -> None:
         self._outputs = None
-        self._send(MT.STEP, self._with_inputs(Writer().f64(t).f64(dt)))
+        self._session._post(MT.STEP, self._index, self._with_inputs(Writer().f64(t).f64(dt)))
 
     def finish_step(self, t: float, dt: float, timeout: float) -> float:
-        r = self._read(timeout, MT.STEP_OK)
+        r = self._session._read(self._index, MT.STEP_OK, timeout)
         end = r.f64()
         self._keep_outputs(r)
         return end
@@ -236,25 +236,21 @@ class RemoteSlave(SlaveInstance):
     def get_outputs(self) -> list[float]:
         # Unbound, the provider says why there are no outputs to read.
         if self._outputs is None or self._n_inputs is None:
-            self._send(MT.GET_OUTPUTS, self._with_inputs(Writer()))
-            self._keep_outputs(self._read(self._timeout, MT.OUTPUTS))
+            self._keep_outputs(self._session._call(
+                MT.GET_OUTPUTS, self._index, self._with_inputs(Writer()), MT.OUTPUTS))
         return list(self._outputs)
 
     def terminate(self) -> None:
-        if self._closed:
+        if self._terminated:
             raise InvalidState("slave is already terminated")
-        try:
+        self._terminated = True
+        session = self._session
+        if session._owed:
             # An owed reply desyncs the stream, so only close; the provider
-            # frees the slave once the call it is serving returns.
-            if not self._owed:
-                self._send(MT.TERMINATE)
-                self._read(self._timeout, MT.TERMINATED).done()
-        finally:
-            self._closed = True
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            # ends every slave on the session once the call it serves returns.
+            session.close()
+        elif session._sock.fileno() != -1:  # a closed session does no I/O
+            session._call(MT.TERMINATE, self._index, b"", MT.TERMINATED).done()
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,10 @@ def discover(addresses: list[str],
 class NetworkResolver:
     """Builds slaves locally or on providers, per each spec's provider field.
 
-    Control connections are opened lazily and shared across specs that name
-    the same provider address; each remote slave has a connection of its own.
+    One session per provider address, opened lazily, carries the catalogue
+    requests and every slave placed there, so a run opens one connection
+    per provider; ``close`` ends the sessions, and the provider ends every
+    slave still on them.
     """
 
     def __init__(self, registry: ModelRegistry):

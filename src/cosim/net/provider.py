@@ -1,13 +1,17 @@
 """Slave-provider daemon: publishes models over TCP and spawns live slaves.
 
 One listening socket is the provider's only port.  Each connection it
-accepts is served on its own thread and answers control requests (HELLO,
-LIST_MODELS, DESCRIBE, SPAWN).  A successful SPAWN replies SPAWNED with the
-slave's descriptor and turns that connection into the slave's session,
-served on the same thread, so per-slave request ordering is trivially
-strict.  A step is one request: STEP carries the inputs, and STEP_OK the
-bound outputs.  When the session ends, by TERMINATE or a dropped
-connection, the slave is terminated and its slot freed, once.
+accepts is one session, served on a thread of its own by one loop, which
+answers requests in the order they come.  A connection that has not
+completed HELLO within ``wire.CONTROL_TIMEOUT`` is closed; after HELLO
+the session waits for requests without limit.  LIST_MODELS and DESCRIBE
+are answered at any time.  Each SPAWN adds a slave to the session and
+answers SPAWNED with the slave's index and descriptor; every slave
+request begins with that index.  A step is one request: STEP carries the
+inputs, and STEP_OK the bound outputs.  TERMINATE frees its slave's slot
+at once.  When the session ends, every slave still on it is terminated
+and its slot freed, once.  A request that fails, an unknown index
+included, is answered by ERROR, and the session goes on.
 """
 from __future__ import annotations
 
@@ -57,6 +61,7 @@ class Provider:
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         self._live_slaves = 0
+        self._spawned = 0  # slave indexes handed out
         self._conns: set[socket.socket] = set()
         self._closing = False
         self._thread: threading.Thread | None = None
@@ -120,28 +125,30 @@ class Provider:
             except OSError:
                 break
             threading.Thread(
-                target=self._serve_control,
+                target=self._serve,
                 args=(conn, peer),
                 name=f"conn:{peer}",
                 daemon=True,
             ).start()
 
-    def _serve_control(self, conn: socket.socket, peer) -> None:
+    def _serve(self, conn: socket.socket, peer) -> None:
+        """Serve one session until the peer goes; every slave still on it
+        is released here, once."""
         with self._lock:
             if self._closing:
                 conn.close()
                 return
             self._conns.add(conn)
+        slaves: dict[int, tuple[SlaveInstance, bool]] = {}  # index: (slave, bound)
         try:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.settimeout(wire.CONTROL_TIMEOUT)  # for HELLO alone
                 if not self._handshake(conn):
                     return
-                spawned = None
-                while spawned is None:
-                    msg_type, payload = wire.recv_frame(conn)
-                    spawned = self._dispatch_control(conn, msg_type, payload)
-                self._serve_slave(conn, *spawned)
+                conn.settimeout(None)
+                while True:
+                    self._dispatch(conn, slaves, *wire.recv_frame(conn))
         except ConnectionLost:
             pass
         except ProtocolError as exc:
@@ -151,6 +158,11 @@ class Provider:
         finally:
             with self._lock:
                 self._conns.discard(conn)
+            for instance, _ in slaves.values():
+                try:
+                    self._release(instance)
+                except Exception:
+                    log.exception("terminate failed as a session ended")
 
     def _handshake(self, conn: socket.socket) -> bool:
         msg_type, payload = wire.recv_frame(conn)
@@ -169,25 +181,30 @@ class Provider:
                         Writer().u64(wire.PROTOCOL_VERSION).payload())
         return True
 
-    def _dispatch_control(self, conn: socket.socket, msg_type: int, payload: bytes):
-        """Handle one control request; a spawn returns (instance, descriptor)."""
+    def _dispatch(self, conn: socket.socket, slaves: dict, msg_type: int,
+                  payload: bytes) -> None:
+        """Answer one request; a request that fails is answered by ERROR,
+        and the session goes on."""
+        r = Reader(payload)
         try:
+            if msg_type in _SLAVE_REQUESTS:
+                index = r.u64()
+                if index not in slaves:
+                    raise ProtocolError(f"no live slave with index {index} on this session")
+                instance, bound = slaves[index]
             if msg_type == MT.LIST_MODELS:
-                Reader(payload).done()
+                r.done()
                 w = Writer().count(len(self.model_ids))
                 for model_id in self.model_ids:
                     w.string(model_id)
                 wire.send_frame(conn, MT.MODEL_LIST, w.payload())
             elif msg_type == MT.DESCRIBE:
-                r = Reader(payload)
                 model_id = r.string()
                 r.done()
-                desc = self._describe(model_id)
                 w = Writer()
-                wire.write_descriptor(w, desc)
+                wire.write_descriptor(w, self._describe(model_id))
                 wire.send_frame(conn, MT.DESCRIPTION, w.payload())
             elif msg_type == MT.SPAWN:
-                r = Reader(payload)
                 model_id = r.string()
                 parameters = {}
                 for _ in range(r.count()):
@@ -195,13 +212,49 @@ class Provider:
                     parameters[name] = r.f64()
                 r.done()
                 desc = self._describe(model_id)  # refuses unpublished models
-                return self._spawn(model_id, parameters), desc
+                index, instance = self._spawn(model_id, parameters)
+                slaves[index] = instance, False
+                w = Writer().u64(index)
+                wire.write_descriptor(w, desc)
+                wire.send_frame(conn, MT.SPAWNED, w.payload())
+            elif msg_type == MT.SETUP:
+                t_start, t_end = r.f64(), r.f64()
+                r.done()
+                instance.setup(t_start, t_end)
+                wire.send_frame(conn, MT.OK)
+            elif msg_type == MT.INITIALIZE:
+                r.done()
+                instance.initialize()
+                wire.send_frame(conn, MT.OK)
+            elif msg_type == MT.BIND:
+                inputs = [r.string() for _ in range(r.count())]
+                outputs = [r.string() for _ in range(r.count())]
+                r.done()
+                instance.bind(inputs, outputs)
+                slaves[index] = instance, True  # only a bound STEP_OK has outputs
+                wire.send_frame(conn, MT.OK)
+            elif msg_type == MT.STEP:
+                t, dt = r.f64(), r.f64()
+                _set_inputs(instance, r)
+                w = Writer().f64(instance.do_step(t, dt))
+                w.f64s(instance.get_outputs() if bound else ())
+                wire.send_frame(conn, MT.STEP_OK, w.payload())
+            elif msg_type == MT.GET_OUTPUTS:
+                _set_inputs(instance, r)
+                w = Writer().f64s(instance.get_outputs())
+                wire.send_frame(conn, MT.OUTPUTS, w.payload())
+            elif msg_type == MT.TERMINATE:  # frees the slot even if it fails
+                r.done()
+                del slaves[index]
+                self._release(instance)
+                wire.send_frame(conn, MT.TERMINATED)
             else:
-                _send_error(conn, ProtocolError(
-                    f"unexpected control message type {msg_type}"))
+                raise ProtocolError(f"unexpected message type {msg_type}")
         except CosimError as exc:
             _send_error(conn, exc)
-        return None
+        except Exception as exc:  # keep serving; report the failure
+            log.exception("slave operation failed")
+            _send_error(conn, CosimError(f"{type(exc).__name__}: {exc}"))
 
     def _describe(self, model_id: str):
         # Hide registry entries this provider was told not to publish.
@@ -209,87 +262,31 @@ class Provider:
             raise UnknownModel(f"unknown model {model_id!r}")
         return self.registry.describe(model_id)
 
-    def _spawn(self, model_id: str, parameters: dict) -> SlaveInstance:
+    def _spawn(self, model_id: str, parameters: dict) -> tuple[int, SlaveInstance]:
+        """A new slave and its index, unique for the provider's life."""
         with self._lock:
             if self._live_slaves >= self.config.max_slaves:
                 raise SpawnLimitExceeded(
                     f"provider is at its limit of {self.config.max_slaves} slaves")
             self._live_slaves += 1
+            self._spawned += 1
+            index = self._spawned
         try:
-            return self.registry.create(model_id, parameters)
+            return index, self.registry.create(model_id, parameters)
         except BaseException:
             with self._lock:
                 self._live_slaves -= 1
             raise
 
-    def _serve_slave(self, conn: socket.socket, instance: SlaveInstance,
-                     desc) -> None:
-        """Reply SPAWNED, then serve the slave until TERMINATE or a drop;
-        however the session ends, the slave is released here, once."""
-        try:
-            w = Writer()
-            wire.write_descriptor(w, desc)
-            wire.send_frame(conn, MT.SPAWNED, w.payload())
-            bound = False
-            while bound is not None:
-                msg_type, payload = wire.recv_frame(conn)
-                bound = self._dispatch_slave(conn, instance, bound, msg_type, payload)
-        finally:
-            with self._lock:
-                self._live_slaves -= 1
-            try:
-                instance.terminate()
-            except CosimError:
-                pass  # already terminated through the protocol
+    def _release(self, instance: SlaveInstance) -> None:
+        """Free the slave's slot, then terminate it."""
+        with self._lock:
+            self._live_slaves -= 1
+        instance.terminate()
 
-    def _dispatch_slave(self, conn, instance: SlaveInstance, bound: bool,
-                        msg_type: int, payload: bytes) -> bool | None:
-        """Handle one request; returns whether the slave is bound (only a
-        bound slave's STEP_OK has outputs), or None to end the session."""
-        try:
-            if msg_type == MT.SETUP:
-                r = Reader(payload)
-                t_start, t_end = r.f64(), r.f64()
-                r.done()
-                instance.setup(t_start, t_end)
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.INITIALIZE:
-                Reader(payload).done()
-                instance.initialize()
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.BIND:
-                r = Reader(payload)
-                inputs = [r.string() for _ in range(r.count())]
-                outputs = [r.string() for _ in range(r.count())]
-                r.done()
-                instance.bind(inputs, outputs)
-                bound = True
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.STEP:
-                r = Reader(payload)
-                t, dt = r.f64(), r.f64()
-                _set_inputs(instance, r)
-                w = Writer().f64(instance.do_step(t, dt))
-                w.f64s(instance.get_outputs() if bound else ())
-                wire.send_frame(conn, MT.STEP_OK, w.payload())
-            elif msg_type == MT.GET_OUTPUTS:
-                _set_inputs(instance, Reader(payload))
-                w = Writer().f64s(instance.get_outputs())
-                wire.send_frame(conn, MT.OUTPUTS, w.payload())
-            elif msg_type == MT.TERMINATE:
-                Reader(payload).done()
-                instance.terminate()
-                wire.send_frame(conn, MT.TERMINATED)
-                return None
-            else:
-                _send_error(conn, ProtocolError(
-                    f"unexpected slave message type {msg_type}"))
-        except CosimError as exc:
-            _send_error(conn, exc)
-        except Exception as exc:  # keep serving; report the failure
-            log.exception("slave operation failed")
-            _send_error(conn, CosimError(f"{type(exc).__name__}: {exc}"))
-        return bound
+
+_SLAVE_REQUESTS = frozenset((MT.SETUP, MT.INITIALIZE, MT.BIND, MT.STEP,
+                             MT.GET_OUTPUTS, MT.TERMINATE))
 
 
 def _set_inputs(instance: SlaveInstance, r: Reader) -> None:

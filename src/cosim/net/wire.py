@@ -6,6 +6,8 @@ integers as unsigned 64-bit big-endian, reals as IEEE-754 binary64
 big-endian (bit-exact, NaN payloads and signed zeros included), strings as
 a 4-byte length plus UTF-8 bytes, and lists as a 4-byte count followed by
 the elements.  encode/decode is an identity on every well-formed frame.
+A connection is one session: SPAWNED carries the new slave's index, a u64,
+ahead of its descriptor, and every slave request begins with that index.
 """
 from __future__ import annotations
 
@@ -29,7 +31,9 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 5  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 6  # unsigned 16-bit semantics, carried as a u64 field
+
+CONTROL_TIMEOUT = 5.0  # a reply outside a step, and a new connection's HELLO
 
 MAX_FRAME = 1 << 24  # 16 MiB; nothing legitimate comes close
 

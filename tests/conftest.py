@@ -23,7 +23,6 @@ from cosim.slave import ModelRegistry, ModelSlave
 from cosim.system import (
     BondSide,
     Causality,
-    FixedStepPolicy,
     PowerBond,
     SlaveDescriptor,
     SlaveSpec,

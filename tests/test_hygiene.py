@@ -1,8 +1,8 @@
 """Source hygiene checks that need only the standard library.
 
 No linter ships with the project, so an import left behind by deleted
-code would go unnoticed; this test parses each module and reports every
-imported name the module never uses.  The runtime stays pure stdlib, so
+code would go unnoticed; this test parses each module and each test file
+and reports every imported name it never uses.  The runtime stays pure stdlib, so
 it also reports every absolute import outside the standard library.  The
 runtime generates no code, so it also reports every call of the builtins
 ``exec``, ``eval`` and ``compile``.  State that is written and never read
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cosim"
 # ``__init__.py`` files import names to re-export them.
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,7 +50,8 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 3: c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: str(
+    p.relative_to(SRC) if p.is_relative_to(SRC) else p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

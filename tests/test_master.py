@@ -21,7 +21,7 @@ from cosim.master import (
 from cosim.models import registry as standard_registry
 from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.observers import CsvObserver, MemoryObserver
-from cosim.slave import TIME_RTOL, ModelRegistry, ModelSlave
+from cosim.slave import TIME_RTOL, ModelSlave
 from cosim.system import (
     AdaptiveStepPolicy,
     BondSide,

@@ -2,7 +2,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 

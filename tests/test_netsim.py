@@ -177,43 +177,36 @@ class TestControlChannel:
             with pytest.raises(ProtocolError):
                 client.spawn("msd_integral", {"m": "heavy"})
 
-    def test_spawn_goes_out_behind_hello(self, provider, monkeypatch):
-        log = []
-        with ProviderClient(provider.address) as client:
-            client_frames(monkeypatch, log)
-            client.spawn("sine_source", {}).terminate()
-        assert log[:4] == [("sent", MT.HELLO), ("sent", MT.SPAWN),
-                           ("read", MT.HELLO_OK), ("read", MT.SPAWNED)]
-
     def test_a_refused_hello_still_names_the_version(self):
-        # The peer refuses the spawn connection's HELLO and closes with the
-        # SPAWN behind it unread, which resets the connection; the client
-        # still reads the ERROR that came first.
+        # The peer refuses the session's HELLO and closes; the client
+        # raises the ERROR it sent, typed, with its text.
         listener = socket.create_server(("127.0.0.1", 0))
         address = "127.0.0.1:%d" % listener.getsockname()[1]
-        text = "unsupported protocol version 4, this provider speaks 5"
+        text = f"unsupported protocol version {PROTOCOL_VERSION}, this provider speaks 5"
 
         def serve():
-            control, _ = listener.accept()
-            recv_frame(control)
-            send_frame(control, MT.HELLO_OK, Writer().u64(PROTOCOL_VERSION).payload())
-            spawn, _ = listener.accept()
-            recv_frame(spawn)
-            spawn.recv(1, socket.MSG_PEEK)  # the SPAWN has arrived, unread
-            send_frame(spawn, MT.ERROR, Writer().u64(9).string(text).payload())
-            spawn.close()
-            control.close()
+            conn, _ = listener.accept()
+            with conn:
+                assert recv_frame(conn)[0] == MT.HELLO
+                send_frame(conn, MT.ERROR, Writer().u64(9).string(text).payload())
 
         server = threading.Thread(target=serve)
         server.start()
         try:
-            with ProviderClient(address) as client:
-                with pytest.raises(ProtocolError, match=text):
-                    client.spawn("sine_source", {})
+            with pytest.raises(ProtocolError, match=text):
+                ProviderClient(address)
         finally:
             server.join(5.0)
             listener.close()
         assert not server.is_alive()
+
+    def test_describe_after_spawn_is_answered(self, provider):
+        # Catalogue requests are answered at any time on a session.
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("msd_integral", {})
+            assert client.describe("msd_integral") == slave.descriptor()
+            assert "msd_integral" in client.list_models()
+            slave.terminate()
 
     def test_spawned_descriptor_matches_describe(self, provider):
         with ProviderClient(provider.address) as client:
@@ -279,8 +272,8 @@ class TestRemoteSlave:
         assert remote == local  # bit-identical, not merely close
 
     def test_typed_errors_cross_the_wire(self, provider):
-        with ProviderClient(provider.address) as client:
-            slave = client.spawn("msd_integral", {})
+        client = ProviderClient(provider.address)
+        slave = client.spawn("msd_integral", {})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
@@ -305,27 +298,28 @@ class TestRemoteSlave:
             # the session still answers the next request
             assert slave.get_outputs() == [0.0, 0.0]
             # a wrong count that reaches the provider fails there, typed
-            send_frame(slave._sock, MT.STEP,
-                       Writer().f64(0.0).f64(0.1).count(2).f64(0.5).f64(0.5).payload())
-            msg_type, body = recv_frame(slave._sock)
+            send_frame(client._sock, MT.STEP, Writer().u64(slave._index).f64(0.0)
+                       .f64(0.1).count(2).f64(0.5).f64(0.5).payload())
+            msg_type, body = recv_frame(client._sock)
             assert msg_type == MT.ERROR and Reader(body).u64() == 2
             slave.set_inputs([0.5])
             assert slave.do_step(0.0, 0.1) == 0.1
         finally:
             slave.terminate()
+            client.close()
 
     def test_unbound_step_answers_without_outputs(self, provider):
-        with ProviderClient(provider.address) as client:
-            slave = client.spawn("msd_integral", {})
+        client = ProviderClient(provider.address)
+        slave = client.spawn("msd_integral", {})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
             # Reads the owed OKs, then finds no outputs to give.
             with pytest.raises(InvalidState, match="before bind"):
                 slave.get_outputs()
-            send_frame(slave._sock, MT.STEP,
-                       Writer().f64(0.0).f64(0.1).count(0).payload())
-            msg_type, body = recv_frame(slave._sock)
+            send_frame(client._sock, MT.STEP,
+                       Writer().u64(slave._index).f64(0.0).f64(0.1).count(0).payload())
+            msg_type, body = recv_frame(client._sock)
             assert msg_type == MT.STEP_OK
             r = Reader(body)
             assert r.f64() == 0.1 and r.count() == 0
@@ -336,6 +330,7 @@ class TestRemoteSlave:
                 slave.get_outputs()
         finally:
             slave.terminate()
+            client.close()
 
     def test_a_frame_without_values_keeps_the_inputs(self, provider,
                                                      monkeypatch):
@@ -366,8 +361,8 @@ class TestRemoteSlave:
 
     def test_wrong_input_count_fails_before_sending(self, provider,
                                                     monkeypatch):
-        with ProviderClient(provider.address) as client:
-            slave = client.spawn("msd_integral", {})
+        client = ProviderClient(provider.address)
+        slave = client.spawn("msd_integral", {})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
@@ -382,6 +377,7 @@ class TestRemoteSlave:
             assert sent == []
         finally:
             slave.terminate()
+            client.close()
 
     def test_hung_setup_request_closes_without_terminate(self, release_hangs,
                                                           monkeypatch):
@@ -419,8 +415,8 @@ class TestRemoteSlave:
             slave.terminate()
 
     def test_step_failure_reports_diagnostic(self, provider):
-        with ProviderClient(provider.address) as client:
-            slave = client.spawn("fail_after", {"t_fail": 0.1})
+        client = ProviderClient(provider.address)
+        slave = client.spawn("fail_after", {"t_fail": 0.1})
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
@@ -429,6 +425,7 @@ class TestRemoteSlave:
             assert "in reply to STEP" in err.value.__notes__
         finally:
             slave.terminate()
+            client.close()
 
     def test_spawn_limit_and_slot_release(self):
         prov = Provider(
@@ -456,7 +453,7 @@ class TestRemoteSlave:
             prov.shutdown()
 
     def test_concurrent_sessions_free_each_slot_once(self):
-        # Sessions that end by TERMINATE or by a dropped connection, from
+        # Slaves that end by TERMINATE or by closing their session, from
         # more threads than cores, each free their slot exactly once: at
         # the end the provider takes ``limit`` spawns again, and no more.
         limit = 3
@@ -468,8 +465,8 @@ class TestRemoteSlave:
 
         def worker(k):
             try:
-                with ProviderClient(prov.address) as client:
-                    for i in range(15):
+                for i in range(15):
+                    with ProviderClient(prov.address) as client:
                         try:
                             slave = client.spawn("sine_source", {})
                         except SpawnLimitExceeded:
@@ -477,8 +474,7 @@ class TestRemoteSlave:
                         spawned.append(k)
                         if (k + i) % 2:
                             slave.terminate()
-                        else:
-                            slave._sock.close()  # drop without TERMINATE
+                        # otherwise the session closes without TERMINATE
             except Exception as exc:
                 errors.append(exc)
 
@@ -505,6 +501,131 @@ class TestRemoteSlave:
                     client.spawn("sine_source", {})
                 for slave in slaves:
                     slave.terminate()
+        finally:
+            prov.shutdown()
+
+
+class TestSessions:
+    """One connection is one session, which carries every slave spawned on
+    it; every slave request begins with the slave's index."""
+
+    def test_terminate_frees_its_slot_at_once(self):
+        # The provider frees the slot before it answers TERMINATED, so the
+        # next SPAWN needs no retry; the other slave on the session steps on.
+        prov = Provider(standard_registry,
+                        ProviderConfig(host="127.0.0.1", port=0, max_slaves=2)).start()
+        try:
+            with ProviderClient(prov.address) as client:
+                first = client.spawn("sine_source", {})
+                second = client.spawn("msd_integral", {})
+                with pytest.raises(SpawnLimitExceeded):
+                    client.spawn("sine_source", {})
+                first.terminate()
+                third = client.spawn("sine_source", {})
+                second.setup(0.0, 1.0)
+                second.initialize()
+                second.bind(["tau"], ["x"])
+                second.set_inputs([0.5])
+                assert second.do_step(0.0, 0.1) == 0.1
+                assert len(second.get_outputs()) == 1
+                for slave in (second, third):
+                    slave.terminate()
+        finally:
+            prov.shutdown()
+
+    def test_an_unknown_index_is_answered_by_error(self, provider):
+        with ProviderClient(provider.address) as client:
+            gone = client.spawn("sine_source", {})
+            gone.terminate()
+            for index in (gone._index, gone._index + 1000):
+                send_frame(client._sock, MT.GET_OUTPUTS,
+                           Writer().u64(index).count(0).payload())
+                msg_type, body = recv_frame(client._sock)
+                assert msg_type == MT.ERROR
+                r = Reader(body)
+                assert r.u64() == 9  # protocol error
+                assert f"index {index}" in r.string()
+            # the session goes on
+            assert "sine_source" in client.list_models()
+            slave = client.spawn("sine_source", {})
+            slave.setup(0.0, 1.0)
+            slave.terminate()
+
+    def test_a_reply_read_out_of_turn_is_refused(self, provider):
+        # Replies come back in request order, so a read for one slave while
+        # another's reply is owed first would take the other's values.
+        with ProviderClient(provider.address) as client:
+            first, second = (client.spawn("sine_source", {}) for _ in range(2))
+            for slave in (first, second):
+                slave.setup(0.0, 1.0)
+                slave.initialize()
+                slave.start_step(0.0, 0.1)
+            with pytest.raises(InvalidState, match="owed next"):
+                second.finish_step(0.0, 0.1, 1.0)
+            assert first.finish_step(0.0, 0.1, 1.0) == 0.1
+            assert second.finish_step(0.0, 0.1, 1.0) == 0.1
+            for slave in (first, second):
+                slave.terminate()
+
+    def test_closing_a_client_frees_every_slot(self):
+        limit = 3
+        prov = Provider(standard_registry,
+                        ProviderConfig(host="127.0.0.1", port=0, max_slaves=limit)).start()
+        try:
+            client = ProviderClient(prov.address)
+            slaves = [client.spawn("msd_integral", {}) for _ in range(limit)]
+            slaves[0].setup(0.0, 1.0)  # one still owes its OK
+            client.close()
+            closed = time.monotonic()
+            with ProviderClient(prov.address) as again:
+                while prov._live_slaves:
+                    assert time.monotonic() - closed < 1.0, "slots not freed within 1 s"
+                    time.sleep(0.01)
+                fresh = [again.spawn("sine_source", {}) for _ in range(limit)]
+                for slave in fresh:
+                    slave.terminate()
+            # the slaves of the closed session do no I/O as they end
+            for slave in slaves:
+                slave.terminate()
+        finally:
+            prov.shutdown()
+
+    def test_a_silent_connection_is_closed_at_the_hello_deadline(self, monkeypatch):
+        # Patched even where the constant is missing, so that a provider
+        # without the deadline fails on the read below, not here.
+        monkeypatch.setattr(wire, "CONTROL_TIMEOUT", 0.2, raising=False)
+        prov = Provider(standard_registry,
+                        ProviderConfig(host="127.0.0.1", port=0)).start()
+        host, port = prov.address.rsplit(":", 1)
+        before = threading.active_count()
+        silent = [socket.create_connection((host, int(port)), timeout=2.0)
+                  for _ in range(3)]
+        try:
+            opened = time.monotonic()
+            for sock in silent:
+                assert sock.recv(1) == b""  # the provider closed it
+                assert time.monotonic() - opened < 0.7
+            while threading.active_count() > before:
+                assert time.monotonic() - opened < 0.7, "a provider thread outlived its connection"
+                time.sleep(0.01)
+        finally:
+            for sock in silent:
+                sock.close()
+            prov.shutdown()
+
+    def test_a_session_that_idles_after_hello_is_not_cut_off(self, monkeypatch):
+        monkeypatch.setattr(wire, "CONTROL_TIMEOUT", 0.2)
+        prov = Provider(standard_registry,
+                        ProviderConfig(host="127.0.0.1", port=0)).start()
+        try:
+            with ProviderClient(prov.address) as client:
+                slave = client.spawn("sine_source", {})
+                time.sleep(0.5)
+                slave.setup(0.0, 1.0)
+                slave.initialize()
+                # the read takes the owed OKs first
+                assert client.describe("sine_source") == slave.descriptor()
+                slave.terminate()
         finally:
             prov.shutdown()
 
@@ -609,6 +730,42 @@ class TestDistributedRuns:
                 prov.shutdown()
         assert sent.count(MT.SPAWN) == 8
         assert sent.count(MT.DESCRIBE) == 4
+
+    def test_a_run_says_hello_once_per_provider(self, monkeypatch):
+        # Two msd pairs on each of two providers: eight slaves, two sessions.
+        sent, _ = client_frames(monkeypatch)
+        providers = [Provider(extended_registry(),
+                              ProviderConfig(host="127.0.0.1", port=0)).start()
+                     for _ in range(2)]
+        try:
+            with NetworkResolver(registry=standard_registry) as resolver:
+                run_to_end(initialize_run(pairs_on(providers, 2), resolver))
+        finally:
+            for prov in providers:
+                prov.shutdown()
+        assert sent.count(MT.SPAWN) == 8
+        assert sent.count(MT.HELLO) == 2
+
+    def test_a_run_is_served_on_one_thread_per_provider(self):
+        before = set(threading.enumerate())
+        providers = [Provider(extended_registry(),
+                              ProviderConfig(host="127.0.0.1", port=0)).start()
+                     for _ in range(2)]
+        serving = []
+
+        class Census(MemoryObserver):
+            def on_step(self, record):
+                serving.append(sum(1 for t in set(threading.enumerate()) - before
+                                   if t.name.startswith("conn:")))
+
+        try:
+            with NetworkResolver(registry=standard_registry) as resolver:
+                run_to_end(initialize_run(pairs_on(providers, 2), resolver,
+                                          observers=[Census()]))
+        finally:
+            for prov in providers:
+                prov.shutdown()
+        assert serving and set(serving) == {2}
 
     def test_setup_sends_every_ok_only_request_before_reading_one(self, provider,
                                                                   monkeypatch):
@@ -785,9 +942,9 @@ class TestDistributedRuns:
         assert run.index > 0 and len(obs.records) == run.index
 
     def test_truncated_step_reply_aborts_as_connection_lost(self):
-        # A fake slave session answers the lifecycle and exchange requests,
-        # then answers STEP with a header promising 8 payload bytes, sends 3
-        # and closes its side.
+        # A fake provider session spawns one slave and answers its lifecycle
+        # and exchange requests, then answers STEP with a header promising 8
+        # payload bytes, sends 3 and closes its side.
         threads_before = set(threading.enumerate())
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(10.0)
@@ -802,8 +959,16 @@ class TestDistributedRuns:
                     while True:
                         msg, body = recv_frame(conn)
                         received.append(msg)
-                        if msg == MT.BIND:
-                            r = Reader(body)
+                        r = Reader(body)
+                        if msg == MT.HELLO:
+                            send_frame(conn, MT.HELLO_OK,
+                                       Writer().u64(PROTOCOL_VERSION).payload())
+                        elif msg == MT.SPAWN:
+                            w = Writer().u64(0)
+                            wire.write_descriptor(w, standard_registry.describe(r.string()))
+                            send_frame(conn, MT.SPAWNED, w.payload())
+                        elif msg == MT.BIND:
+                            assert r.u64() == 0
                             for _ in range(r.count()):
                                 r.string()
                             bound = [r.string() for _ in range(r.count())]
@@ -825,11 +990,15 @@ class TestDistributedRuns:
         server = threading.Thread(target=serve)
         server.start()
 
+        sessions = []
+
         class FakeEndpointResolver(LocalResolver):
             def create(self, spec):
                 if spec.name == "left":
-                    sock = socket.create_connection((host, port), timeout=5.0)
-                    return RemoteSlave(sock, self.describe(spec))
+                    sessions.append(ProviderClient(f"{host}:{port}"))
+                    slave = sessions[0].spawn(spec.model_id, spec.parameters)
+                    assert isinstance(slave, RemoteSlave)
+                    return slave
                 return super().create(spec)
 
         obs = MemoryObserver()
@@ -846,6 +1015,8 @@ class TestDistributedRuns:
             elapsed = time.monotonic() - started
             server.join(5.0)
         finally:
+            for session in sessions:
+                session.close()
             listener.close()
         assert elapsed < step_timeout + 0.5
         assert len(ends) == 1 and ends[0].startswith("aborted: connection lost")

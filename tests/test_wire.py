@@ -1,9 +1,8 @@
 """Binary wire format: field codecs, framing, and descriptor transport."""
-import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from cosim.errors import (
     CosimError,
@@ -143,7 +142,7 @@ class TestFrames:
         assert {m.name: int(m) for m in MessageType} == expected
 
     def test_protocol_version(self):
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
 
 
 class TestErrors:
