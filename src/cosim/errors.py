@@ -10,11 +10,6 @@ class CosimError(Exception):
 class DimensionMismatch(CosimError):
     """Two quantities with incompatible physical dimensions were combined."""
 
-    def __init__(self, message: str, dim_a=None, dim_b=None):
-        super().__init__(message)
-        self.dim_a = dim_a
-        self.dim_b = dim_b
-
 
 class UnknownModel(CosimError):
     """A model id is not present in the registry."""

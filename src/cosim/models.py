@@ -18,6 +18,7 @@ model, use ``rk4_integrate``, the generic loop over ``rk4_step``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .slave import ModelRegistry, ModelSlave, _State
 from .system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
@@ -186,25 +187,9 @@ class MsdDifferential(ModelSlave):
         self.outputs["tau"] = m * dvdt + d * v + k * self.x
 
 
-_HYBRID_INTEGRAL = SlaveDescriptor(
-    model_id="msd_hybrid",
-    variables=(
-        VariableDescriptor("tau", IN, VarKind.EFFORT, NEWTON),
-        VariableDescriptor("v", OUT, VarKind.FLOW, METER_PER_SECOND),
-        VariableDescriptor("x", OUT, VarKind.SIGNAL, METER),
-    ),
-    parameters={"m": 1.0, "d": 1.0, "k": 1.0, "x0": 0.0, "v0": 0.0, "h": 0.0},
-)
-
-_HYBRID_DIFFERENTIAL = SlaveDescriptor(
-    model_id="msd_hybrid",
-    variables=(
-        VariableDescriptor("v", IN, VarKind.FLOW, METER_PER_SECOND),
-        VariableDescriptor("tau", OUT, VarKind.EFFORT, NEWTON),
-        VariableDescriptor("x", OUT, VarKind.SIGNAL, METER),
-    ),
-    parameters=_HYBRID_INTEGRAL.parameters,
-)
+_HYBRID_INTEGRAL = replace(MsdIntegral.DESCRIPTOR, model_id="msd_hybrid")
+_HYBRID_DIFFERENTIAL = replace(MsdDifferential.DESCRIPTOR, model_id="msd_hybrid",
+                               parameters=_HYBRID_INTEGRAL.parameters)
 
 
 @registry.register

@@ -257,13 +257,12 @@ class RemoteSlave(SlaveInstance):
 class CatalogueEntry:
     provider: str
     model_id: str
-    descriptor: SlaveDescriptor
 
 
 def discover(addresses: list[str],
              timeout: float = CONTROL_TIMEOUT,
              ) -> tuple[list[CatalogueEntry], list[str]]:
-    """Collect (provider, model, descriptor) from each reachable provider.
+    """Collect (provider, model) from each reachable provider.
 
     Unreachable or misbehaving providers produce warnings, not failures;
     two providers sharing a model id both stay in the catalogue.
@@ -274,8 +273,7 @@ def discover(addresses: list[str],
         try:
             with ProviderClient(address, timeout=timeout) as client:
                 for model_id in client.list_models():
-                    entries.append(CatalogueEntry(
-                        address, model_id, client.describe(model_id)))
+                    entries.append(CatalogueEntry(address, model_id))
         except (OSError, ConnectionLost, ProtocolError) as exc:
             warnings.append(f"provider {address}: {exc}")
     return entries, warnings

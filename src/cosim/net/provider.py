@@ -1,17 +1,19 @@
 """Slave-provider daemon: publishes models over TCP and spawns live slaves.
 
 One listening socket is the provider's only port.  Each connection it
-accepts is one session, served on a thread of its own by one loop, which
-answers requests in the order they come.  A connection that has not
-completed HELLO within ``wire.CONTROL_TIMEOUT`` is closed; after HELLO
-the session waits for requests without limit.  LIST_MODELS and DESCRIBE
-are answered at any time.  Each SPAWN adds a slave to the session and
-answers SPAWNED with the slave's index and descriptor; every slave
-request begins with that index.  A step is one request: STEP carries the
-inputs, and STEP_OK the bound outputs.  TERMINATE frees its slave's slot
-at once.  When the session ends, every slave still on it is terminated
-and its slot freed, once.  A request that fails, an unknown index
-included, is answered by ERROR, and the session goes on.
+accepts gets a thread of its own, which closes the connection unless
+HELLO completes within ``wire.CONTROL_TIMEOUT`` and then hands it to
+``serve_session``.  That function serves one session and needs no
+``Provider``: it answers requests in the order they come and waits for
+them without limit.  LIST_MODELS and DESCRIBE are answered at any time.
+Each SPAWN takes a slot from the provider's pool, one bounded semaphore,
+and answers SPAWNED with the slave's index, unique within the session,
+and its descriptor; every slave request begins with that index.  A step
+is one request: STEP carries the inputs, and STEP_OK the bound outputs.
+TERMINATE gives its slave's slot back at once.  When the session ends,
+every slave still on it is terminated and its slot given back, once.  A
+request that fails, an unknown index included, is answered by ERROR, and
+the session goes on.
 """
 from __future__ import annotations
 
@@ -59,9 +61,8 @@ class Provider:
             raise CosimError(f"models not in the registry: {', '.join(missing)}")
         self.model_ids = tuple(sorted(wanted))
         self._sock: socket.socket | None = None
-        self._lock = threading.Lock()
-        self._live_slaves = 0
-        self._spawned = 0  # slave indexes handed out
+        self._slots = threading.BoundedSemaphore(self.config.max_slaves)
+        self._lock = threading.Lock()  # guards _conns
         self._conns: set[socket.socket] = set()
         self._closing = False
         self._thread: threading.Thread | None = None
@@ -132,23 +133,19 @@ class Provider:
             ).start()
 
     def _serve(self, conn: socket.socket, peer) -> None:
-        """Serve one session until the peer goes; every slave still on it
-        is released here, once."""
+        """Serve one connection: HELLO within the deadline, then the session."""
         with self._lock:
             if self._closing:
                 conn.close()
                 return
             self._conns.add(conn)
-        slaves: dict[int, tuple[SlaveInstance, bool]] = {}  # index: (slave, bound)
         try:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(wire.CONTROL_TIMEOUT)  # for HELLO alone
-                if not self._handshake(conn):
-                    return
-                conn.settimeout(None)
-                while True:
-                    self._dispatch(conn, slaves, *wire.recv_frame(conn))
+                if _handshake(conn):
+                    conn.settimeout(None)
+                    serve_session(conn, self.registry, self.model_ids, self._slots)
         except ConnectionLost:
             pass
         except ProtocolError as exc:
@@ -158,131 +155,139 @@ class Provider:
         finally:
             with self._lock:
                 self._conns.discard(conn)
-            for instance, _ in slaves.values():
-                try:
-                    self._release(instance)
-                except Exception:
-                    log.exception("terminate failed as a session ended")
 
-    def _handshake(self, conn: socket.socket) -> bool:
-        msg_type, payload = wire.recv_frame(conn)
-        if msg_type != MT.HELLO:
-            _send_error(conn, ProtocolError("expected HELLO first"))
-            return False
-        r = Reader(payload)
-        version = r.u64()
-        r.done()
-        if version != wire.PROTOCOL_VERSION:
-            _send_error(conn, ProtocolError(
-                f"unsupported protocol version {version}, "
-                f"this provider speaks {wire.PROTOCOL_VERSION}"))
-            return False
-        wire.send_frame(conn, MT.HELLO_OK,
-                        Writer().u64(wire.PROTOCOL_VERSION).payload())
-        return True
 
-    def _dispatch(self, conn: socket.socket, slaves: dict, msg_type: int,
-                  payload: bytes) -> None:
-        """Answer one request; a request that fails is answered by ERROR,
-        and the session goes on."""
-        r = Reader(payload)
-        try:
-            if msg_type in _SLAVE_REQUESTS:
-                index = r.u64()
-                if index not in slaves:
-                    raise ProtocolError(f"no live slave with index {index} on this session")
-                instance, bound = slaves[index]
-            if msg_type == MT.LIST_MODELS:
-                r.done()
-                w = Writer().count(len(self.model_ids))
-                for model_id in self.model_ids:
-                    w.string(model_id)
-                wire.send_frame(conn, MT.MODEL_LIST, w.payload())
-            elif msg_type == MT.DESCRIBE:
-                model_id = r.string()
-                r.done()
-                w = Writer()
-                wire.write_descriptor(w, self._describe(model_id))
-                wire.send_frame(conn, MT.DESCRIPTION, w.payload())
-            elif msg_type == MT.SPAWN:
-                model_id = r.string()
-                parameters = {}
-                for _ in range(r.count()):
-                    name = r.string()
-                    parameters[name] = r.f64()
-                r.done()
-                desc = self._describe(model_id)  # refuses unpublished models
-                index, instance = self._spawn(model_id, parameters)
-                slaves[index] = instance, False
-                w = Writer().u64(index)
-                wire.write_descriptor(w, desc)
-                wire.send_frame(conn, MT.SPAWNED, w.payload())
-            elif msg_type == MT.SETUP:
-                t_start, t_end = r.f64(), r.f64()
-                r.done()
-                instance.setup(t_start, t_end)
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.INITIALIZE:
-                r.done()
-                instance.initialize()
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.BIND:
-                inputs = [r.string() for _ in range(r.count())]
-                outputs = [r.string() for _ in range(r.count())]
-                r.done()
-                instance.bind(inputs, outputs)
-                slaves[index] = instance, True  # only a bound STEP_OK has outputs
-                wire.send_frame(conn, MT.OK)
-            elif msg_type == MT.STEP:
-                t, dt = r.f64(), r.f64()
-                _set_inputs(instance, r)
-                w = Writer().f64(instance.do_step(t, dt))
-                w.f64s(instance.get_outputs() if bound else ())
-                wire.send_frame(conn, MT.STEP_OK, w.payload())
-            elif msg_type == MT.GET_OUTPUTS:
-                _set_inputs(instance, r)
-                w = Writer().f64s(instance.get_outputs())
-                wire.send_frame(conn, MT.OUTPUTS, w.payload())
-            elif msg_type == MT.TERMINATE:  # frees the slot even if it fails
-                r.done()
-                del slaves[index]
-                self._release(instance)
-                wire.send_frame(conn, MT.TERMINATED)
-            else:
-                raise ProtocolError(f"unexpected message type {msg_type}")
-        except CosimError as exc:
-            _send_error(conn, exc)
-        except Exception as exc:  # keep serving; report the failure
-            log.exception("slave operation failed")
-            _send_error(conn, CosimError(f"{type(exc).__name__}: {exc}"))
+def _handshake(conn: socket.socket) -> bool:
+    msg_type, payload = wire.recv_frame(conn)
+    if msg_type != MT.HELLO:
+        _send_error(conn, ProtocolError("expected HELLO first"))
+        return False
+    r = Reader(payload)
+    version = r.u64()
+    r.done()
+    if version != wire.PROTOCOL_VERSION:
+        _send_error(conn, ProtocolError(
+            f"unsupported protocol version {version}, "
+            f"this provider speaks {wire.PROTOCOL_VERSION}"))
+        return False
+    wire.send_frame(conn, MT.HELLO_OK,
+                    Writer().u64(wire.PROTOCOL_VERSION).payload())
+    return True
 
-    def _describe(self, model_id: str):
-        # Hide registry entries this provider was told not to publish.
-        if model_id not in self.model_ids:
-            raise UnknownModel(f"unknown model {model_id!r}")
-        return self.registry.describe(model_id)
 
-    def _spawn(self, model_id: str, parameters: dict) -> tuple[int, SlaveInstance]:
-        """A new slave and its index, unique for the provider's life."""
-        with self._lock:
-            if self._live_slaves >= self.config.max_slaves:
-                raise SpawnLimitExceeded(
-                    f"provider is at its limit of {self.config.max_slaves} slaves")
-            self._live_slaves += 1
-            self._spawned += 1
-            index = self._spawned
-        try:
-            return index, self.registry.create(model_id, parameters)
-        except BaseException:
-            with self._lock:
-                self._live_slaves -= 1
-            raise
+def serve_session(conn: socket.socket, registry: ModelRegistry,
+                  model_ids: tuple[str, ...], slots: threading.BoundedSemaphore,
+                  ) -> None:
+    """Serve ``conn``, a connection past HELLO, until the peer goes.
 
-    def _release(self, instance: SlaveInstance) -> None:
-        """Free the slave's slot, then terminate it."""
-        with self._lock:
-            self._live_slaves -= 1
-        instance.terminate()
+    Each SPAWN takes one of ``slots`` without waiting; TERMINATE and the
+    end of the session give it back.  The caller owns ``conn``."""
+    slaves: dict[int, tuple[SlaveInstance, bool]] = {}  # index: (slave, bound)
+    spawned = 0  # indexes handed out on this session
+    try:
+        while True:
+            msg_type, payload = wire.recv_frame(conn)
+            r = Reader(payload)
+            try:
+                if msg_type in _SLAVE_REQUESTS:
+                    index = r.u64()
+                    if index not in slaves:
+                        raise ProtocolError(
+                            f"no live slave with index {index} on this session")
+                    instance, bound = slaves[index]
+                if msg_type == MT.LIST_MODELS:
+                    r.done()
+                    w = Writer().count(len(model_ids))
+                    for model_id in model_ids:
+                        w.string(model_id)
+                    wire.send_frame(conn, MT.MODEL_LIST, w.payload())
+                elif msg_type == MT.DESCRIBE:
+                    model_id = r.string()
+                    r.done()
+                    w = Writer()
+                    wire.write_descriptor(w, _describe(registry, model_ids, model_id))
+                    wire.send_frame(conn, MT.DESCRIPTION, w.payload())
+                elif msg_type == MT.SPAWN:
+                    model_id = r.string()
+                    parameters = {}
+                    for _ in range(r.count()):
+                        name = r.string()
+                        parameters[name] = r.f64()
+                    r.done()
+                    desc = _describe(registry, model_ids, model_id)  # refuses unpublished models
+                    if not slots.acquire(blocking=False):
+                        # CPython keeps the semaphore's size here.
+                        raise SpawnLimitExceeded(
+                            f"provider is at its limit of {slots._initial_value} slaves")
+                    try:
+                        instance = registry.create(model_id, parameters)
+                    except BaseException:
+                        slots.release()
+                        raise
+                    spawned += 1
+                    slaves[spawned] = instance, False
+                    w = Writer().u64(spawned)
+                    wire.write_descriptor(w, desc)
+                    wire.send_frame(conn, MT.SPAWNED, w.payload())
+                elif msg_type == MT.SETUP:
+                    t_start, t_end = r.f64(), r.f64()
+                    r.done()
+                    instance.setup(t_start, t_end)
+                    wire.send_frame(conn, MT.OK)
+                elif msg_type == MT.INITIALIZE:
+                    r.done()
+                    instance.initialize()
+                    wire.send_frame(conn, MT.OK)
+                elif msg_type == MT.BIND:
+                    inputs = [r.string() for _ in range(r.count())]
+                    outputs = [r.string() for _ in range(r.count())]
+                    r.done()
+                    instance.bind(inputs, outputs)
+                    slaves[index] = instance, True  # only a bound STEP_OK has outputs
+                    wire.send_frame(conn, MT.OK)
+                elif msg_type == MT.STEP:
+                    t, dt = r.f64(), r.f64()
+                    _set_inputs(instance, r)
+                    w = Writer().f64(instance.do_step(t, dt))
+                    w.f64s(instance.get_outputs() if bound else ())
+                    wire.send_frame(conn, MT.STEP_OK, w.payload())
+                elif msg_type == MT.GET_OUTPUTS:
+                    _set_inputs(instance, r)
+                    w = Writer().f64s(instance.get_outputs())
+                    wire.send_frame(conn, MT.OUTPUTS, w.payload())
+                elif msg_type == MT.TERMINATE:  # frees the slot even if it fails
+                    r.done()
+                    del slaves[index]
+                    _end(instance, slots)
+                    wire.send_frame(conn, MT.TERMINATED)
+                else:
+                    raise ProtocolError(f"unexpected message type {msg_type}")
+            except CosimError as exc:
+                _send_error(conn, exc)
+            except Exception as exc:  # keep serving; report the failure
+                log.exception("slave operation failed")
+                _send_error(conn, CosimError(f"{type(exc).__name__}: {exc}"))
+    except ConnectionLost:
+        pass
+    finally:
+        for instance, _ in slaves.values():
+            try:
+                _end(instance, slots)
+            except Exception:
+                log.exception("terminate failed as a session ended")
+
+
+def _describe(registry: ModelRegistry, model_ids: tuple[str, ...], model_id: str):
+    # Hide registry entries this provider was told not to publish.
+    if model_id not in model_ids:
+        raise UnknownModel(f"unknown model {model_id!r}")
+    return registry.describe(model_id)
+
+
+def _end(instance: SlaveInstance, slots: threading.BoundedSemaphore) -> None:
+    """Free the slave's slot, then terminate it."""
+    slots.release()
+    instance.terminate()
 
 
 _SLAVE_REQUESTS = frozenset((MT.SETUP, MT.INITIALIZE, MT.BIND, MT.STEP,

@@ -93,11 +93,7 @@ def conversion_factor(from_unit: Unit | None, to_unit: Unit | None) -> float:
     if from_unit is None or to_unit is None:
         return 1.0
     if from_unit.dimension != to_unit.dimension:
-        raise DimensionMismatch(
-            f"no conversion from {from_unit} to {to_unit}",
-            from_unit.dimension,
-            to_unit.dimension,
-        )
+        raise DimensionMismatch(f"no conversion from {from_unit} to {to_unit}")
     return from_unit.scale_to_si / to_unit.scale_to_si
 
 

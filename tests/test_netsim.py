@@ -33,6 +33,7 @@ from cosim.net import (
     discover,
     wire,
 )
+from cosim.net.provider import serve_session
 from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
 from cosim.system import Causality, FixedStepPolicy, VariableDescriptor, VarKind
@@ -87,6 +88,20 @@ def client_frames(monkeypatch, log=None) -> tuple[list[int], list[int]]:
     monkeypatch.setattr(wire, "send_frame", sending)
     monkeypatch.setattr(wire, "recv_frame", reading)
     return sent, read
+
+
+def spawn_until(client, limit, give_up):
+    """``limit`` slaves spawned on ``client``, retrying while the provider
+    is at its limit; fail once ``time.monotonic()`` passes ``give_up``."""
+    slaves = []
+    while len(slaves) < limit:
+        try:
+            slaves.append(client.spawn("sine_source", {}))
+        except SpawnLimitExceeded:
+            if time.monotonic() > give_up:
+                pytest.fail(f"{len(slaves)} of {limit} slots freed in time")
+            time.sleep(0.01)
+    return slaves
 
 
 def pairs_on(providers, per_provider):
@@ -493,10 +508,8 @@ class TestRemoteSlave:
         try:
             assert errors == [] and spawned
             give_up = time.monotonic() + 5.0
-            while prov._live_slaves and time.monotonic() < give_up:
-                time.sleep(0.01)
             with ProviderClient(prov.address) as client:
-                slaves = [client.spawn("sine_source", {}) for _ in range(limit)]
+                slaves = spawn_until(client, limit, give_up)
                 with pytest.raises(SpawnLimitExceeded):
                     client.spawn("sine_source", {})
                 for slave in slaves:
@@ -578,10 +591,7 @@ class TestSessions:
             client.close()
             closed = time.monotonic()
             with ProviderClient(prov.address) as again:
-                while prov._live_slaves:
-                    assert time.monotonic() - closed < 1.0, "slots not freed within 1 s"
-                    time.sleep(0.01)
-                fresh = [again.spawn("sine_source", {}) for _ in range(limit)]
+                fresh = spawn_until(again, limit, closed + 1.0)
                 for slave in fresh:
                     slave.terminate()
             # the slaves of the closed session do no I/O as they end
@@ -628,6 +638,64 @@ class TestSessions:
                 slave.terminate()
         finally:
             prov.shutdown()
+
+
+class TestServeSession:
+    """``serve_session`` serves any connection, with no Provider: here one
+    end of a socket pair, driven by raw frames."""
+
+    def test_a_socketpair_session_matches_in_process(self):
+        ours, theirs = socket.socketpair()
+        slots = threading.BoundedSemaphore(2)
+        returned = []
+        server = threading.Thread(target=lambda: returned.append(serve_session(
+            theirs, standard_registry, tuple(standard_registry.model_ids()), slots)))
+        server.start()
+
+        def call(msg_type, w, expect):
+            send_frame(ours, msg_type, w.payload())
+            got, body = recv_frame(ours)
+            assert got == expect, Reader(body).string() if got == MT.ERROR else got
+            return Reader(body)
+
+        params = {"m": 2.0, "k": 3.0, "x0": 0.25}
+        try:
+            indexes = []
+            for model_id, p in (("msd_integral", params), ("sine_source", {})):
+                w = Writer().string(model_id).count(len(p))
+                for name, value in p.items():
+                    w.string(name).f64(value)
+                r = call(MT.SPAWN, w, MT.SPAWNED)
+                indexes.append(r.u64())
+                assert wire.read_descriptor(r) == standard_registry.describe(model_id)
+                r.done()
+            r = call(MT.SPAWN, Writer().string("sine_source").count(0), MT.ERROR)
+            assert r.u64() == 8  # SpawnLimitExceeded
+            assert r.string() == "provider is at its limit of 2 slaves"
+
+            local = standard_registry.create("msd_integral", params)
+            local.setup(0.0, 1.0)
+            local.initialize()
+            local.bind(["tau"], ["x", "v"])
+            local.set_inputs([0.75])
+            t_end, outputs = local.do_step(0.0, 0.1), local.get_outputs()
+            index = indexes[0]
+            call(MT.SETUP, Writer().u64(index).f64(0.0).f64(1.0), MT.OK).done()
+            call(MT.INITIALIZE, Writer().u64(index), MT.OK).done()
+            bind = Writer().u64(index).count(1).string("tau").count(2)
+            call(MT.BIND, bind.string("x").string("v"), MT.OK).done()
+            r = call(MT.STEP, Writer().u64(index).f64(0.0).f64(0.1).f64s([0.75]),
+                     MT.STEP_OK)
+            assert r.f64().hex() == t_end.hex()
+            assert [v.hex() for v in r.f64s()] == [v.hex() for v in outputs]
+            r.done()
+        finally:
+            ours.close()
+            server.join(5.0)
+        assert not server.is_alive() and returned == [None]
+        # every slave still on the session gave its slot back
+        assert slots.acquire(blocking=False) and slots.acquire(blocking=False)
+        theirs.close()
 
 
 class GhostResolver(NetworkResolver):
@@ -704,6 +772,15 @@ class TestDiscovery:
         assert all(e.provider == provider.address for e in entries)
         assert len(warnings) == 1
         assert "127.0.0.1:1" in warnings[0]
+
+    def test_discover_lists_models_without_describing_them(self, provider,
+                                                         monkeypatch):
+        sent, _ = client_frames(monkeypatch)
+        entries, warnings = discover([provider.address])
+        assert tuple(e.model_id for e in entries) == provider.model_ids
+        assert warnings == []
+        assert sent.count(MT.LIST_MODELS) == 1
+        assert MT.DESCRIBE not in sent
 
 
 class TestDistributedRuns:
