@@ -13,20 +13,12 @@ import tempfile
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .errors import (
-    ConnectionLost,
-    CosimError,
-    InvalidSystem,
-    ProtocolError,
-    RunAborted,
-    Terminated,
-    UnknownModel,
-)
+from .errors import CosimError, InvalidSystem, RunAborted, Terminated
 from .master import initialize_run, run_to_end
 from .models import registry
 from .net import NetworkResolver, Provider, ProviderConfig, ProviderClient, discover
 from .observers import CsvObserver
-from .system import SystemDescription, validate_system
+from .system import Resolution, SystemDescription, validate_system
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -150,14 +142,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     system = _parse(args.config)
-    desc_map = {}
     with NetworkResolver(registry) as resolver:
-        for spec in system.slaves:
-            try:
-                desc_map[spec.model_id] = resolver.describe(spec)
-            except (UnknownModel, ConnectionLost, ProtocolError, OSError):
-                pass  # reported as an unknown-model finding below
-    report = validate_system(system, desc_map)
+        report = validate_system(system, Resolution(system, resolver.describe))
     if report.ok:
         print("configuration is valid")
         return EXIT_OK

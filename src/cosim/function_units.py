@@ -294,11 +294,11 @@ def build_plan(
 ) -> EvaluationPlan:
     """Lay out the port slots and order all copies and FU evaluations.
 
-    ``descriptors`` maps model ids to descriptors, or is the system's
-    ``Resolution``, whose same-instant order gives the FU order and the
-    longest chain.  Assumes the system already passed validation; still
-    raises AlgebraicLoop when the graph is cyclic, since an unplannable
-    system must never reach the master loop.
+    ``descriptors`` is the system's ``Resolution``, or a map of model ids
+    to descriptors for ``Resolution.of``; its same-instant order gives the
+    FU order and the longest chain.  Assumes the system already passed
+    validation; still raises AlgebraicLoop when the graph is cyclic, since
+    an unplannable system must never reach the master loop.
     """
     resolved = Resolution.of(system, descriptors)
     fus, fu_errors = resolved.fus

@@ -38,7 +38,6 @@ from .errors import (
     InvalidSystem,
     RunAborted,
     StepRejected,
-    UnknownModel,
 )
 from .function_units import EvaluationPlan, build_plan, evaluate_plan
 from .slave import ModelRegistry, SlaveInstance, time_matches
@@ -255,19 +254,16 @@ def initialize_run(
 ) -> SimulationRun:
     """Validate, instantiate, set up, initialize, and settle a system.
 
+    A slave that ``resolver.describe`` cannot describe where it is placed
+    is a finding: ``InvalidSystem`` is raised before any slave exists.
+
     Settle passes at t_start push the assigned inputs and apply the plan
     to the outputs again, until one leaves them the same bit for bit or
     ``n_init`` have run, so feedthrough chains settle before the first
     step.  On any failure or interrupt every slave created so far is
     terminated.
     """
-    desc_map = {}
-    for spec in system.slaves:
-        try:
-            desc_map[spec.model_id] = resolver.describe(spec)
-        except UnknownModel:
-            pass  # validation reports the unresolvable model
-    resolved = Resolution(system, desc_map)
+    resolved = Resolution(system, resolver.describe)
     report = validate_system(system, resolved)
     if not report.ok:
         raise InvalidSystem(list(report.findings))

@@ -259,9 +259,7 @@ class CatalogueEntry:
     model_id: str
 
 
-def discover(addresses: list[str],
-             timeout: float = CONTROL_TIMEOUT,
-             ) -> tuple[list[CatalogueEntry], list[str]]:
+def discover(addresses: list[str]) -> tuple[list[CatalogueEntry], list[str]]:
     """Collect (provider, model) from each reachable provider.
 
     Unreachable or misbehaving providers produce warnings, not failures;
@@ -271,7 +269,7 @@ def discover(addresses: list[str],
     warnings: list[str] = []
     for address in addresses:
         try:
-            with ProviderClient(address, timeout=timeout) as client:
+            with ProviderClient(address) as client:
                 for model_id in client.list_models():
                     entries.append(CatalogueEntry(address, model_id))
         except (OSError, ConnectionLost, ProtocolError) as exc:

@@ -82,7 +82,8 @@ class CsvObserver:
             # repr is the shortest decimal that round-trips to the same binary64
             t = repr(record.t_next)
             # ``record.outputs`` is built in ``output_ports`` order, the header's
-            row = [t] + [repr(x) for x in record.outputs.values()]
+            row = [t]
+            row += map(repr, record.outputs.values())
             self._signals.write(",".join(row) + "\n")
             eps = repr(record.energy.epsilon)
             for b in record.energy.bonds:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import AlgebraicLoop, DimensionMismatch
+from .errors import AlgebraicLoop, ConnectionLost, DimensionMismatch, ProtocolError, UnknownModel
 from .units import Unit, conversion_factor, is_power_conjugate
 
 
@@ -249,27 +249,42 @@ class ValidationReport:
 
 
 class Resolution:
-    """A system resolved against its model descriptors, once per set-up.
+    """A system resolved where each slave is placed, once per set-up.
 
-    ``validate_system`` and ``build_plan`` each take one in place of the
-    descriptor map and share its parts: the slaves' descriptors, the FU
-    instances, the port table and the same-instant order.  Each is built
-    on first use, within the validation; what does not resolve is kept
-    for the report, not raised.
+    The constructor calls ``describe(spec)`` once per slave, so every
+    descriptor is had before validation.  A slave whose descriptor cannot
+    be had where it is placed (an unknown model; for a slave on a
+    provider, also a provider unreachable or answering wrongly) keeps the
+    reason, for ``validate_system`` to report as ``unknown-model``.  The
+    FU instances, the port table and the same-instant order, which
+    ``validate_system`` and ``build_plan`` share, are built on first use.
     """
 
-    def __init__(self, system: SystemDescription, descriptors: dict[str, SlaveDescriptor]):
-        self.system, self.descriptors = system, descriptors
+    def __init__(self, system: SystemDescription, describe):
+        self.system = system
+        self.found: list[SlaveDescriptor | str] = []  # descriptor or reason, per slave
+        for spec in system.slaves:
+            remote = (OSError, ConnectionLost, ProtocolError) if spec.provider else ()
+            try:
+                self.found.append(describe(spec))
+            except (UnknownModel, *remote) as exc:
+                where = f"described by provider {spec.provider}: {exc}" if remote else "in registry"
+                self.found.append(f"model {spec.model_id!r} not {where}")
+        self.slaves: dict[str, SlaveDescriptor] = {
+            s.name: d for s, d in zip(system.slaves, self.found) if not isinstance(d, str)}
 
     @classmethod
     def of(cls, system: SystemDescription, descriptors) -> "Resolution":
-        return descriptors if isinstance(descriptors, cls) else cls(system, descriptors)
+        """``descriptors``, or the system resolved by model id against that map."""
+        if isinstance(descriptors, cls):
+            return descriptors
 
-    @cached_property
-    def slaves(self) -> dict[str, SlaveDescriptor]:
-        """Each slave's descriptor by name; a slave of an unknown model is left out."""
-        known = self.descriptors
-        return {s.name: known[s.model_id] for s in self.system.slaves if s.model_id in known}
+        def describe(spec: SlaveSpec) -> SlaveDescriptor:
+            if spec.model_id not in descriptors:
+                raise UnknownModel(f"unknown model {spec.model_id!r}")
+            return descriptors[spec.model_id]
+
+        return cls(system, describe)
 
     @cached_property
     def fus(self) -> tuple[dict, list[tuple[str, Exception]]]:
@@ -343,12 +358,13 @@ def validate_system(
     system: SystemDescription,
     descriptors: dict[str, SlaveDescriptor],
 ) -> ValidationReport:
-    """Check a system description against the registry of blueprints.
+    """Check a system description against its slaves' descriptors.
 
-    ``descriptors`` maps model ids to descriptors, or is the system's
-    ``Resolution``.  Returns a report; an empty findings list means the
-    system can be instantiated by the master without wiring errors.  Pure
-    function: identical inputs produce identical reports.
+    ``descriptors`` is the system's ``Resolution``, or a map of model ids
+    to descriptors for ``Resolution.of``.  Returns a report; an empty
+    findings list means the system can be instantiated by the master
+    without wiring errors.  Pure function: identical inputs produce
+    identical reports.
     """
     resolved = Resolution.of(system, descriptors)
     findings: list[Finding] = []
@@ -367,11 +383,10 @@ def validate_system(
                 add("duplicate-name", f"name also used by a {seen[spec.name]}", spec.name)
             seen[spec.name] = kind
 
-    # Slaves with unknown models are left out of the resolution.
-    for s in system.slaves:
-        d = resolved.descriptors.get(s.model_id)
-        if d is None:
-            add("unknown-model", f"model {s.model_id!r} not in registry", s.name)
+    # Slaves that do not resolve are left out of the rest of the checks.
+    for s, d in zip(system.slaves, resolved.found):
+        if isinstance(d, str):
+            add("unknown-model", d, s.name)
             continue
         for pname, value in s.parameters.items():
             if pname not in d.parameters:

@@ -16,7 +16,7 @@ from cosim.cli import main
 from cosim.config import parse_config
 from cosim.errors import InvalidSystem
 from cosim.master import LocalResolver, initialize_run
-from cosim.net import Provider, ProviderConfig
+from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.models import MsdIntegral, registry
 from cosim.observers import CsvObserver
 from cosim.slave import ModelRegistry, ModelSlave
@@ -126,6 +126,68 @@ target = osc.tau
         code = invoke("validate", str(cfg))
         assert code == 1
         assert "unknown-model" in capsys.readouterr().err
+
+
+class TestOneFront:
+    """``cosim validate`` and the set-up of ``cosim run`` find the same."""
+
+    TWO_PLACES = """\
+[simulation]
+t_end = 1.0
+step = fixed
+dt = 0.1
+
+[slave src]
+model = sine_source
+
+[slave here]
+model = msd_integral
+
+[slave there]
+model = msd_integral
+provider = 127.0.0.1:1
+
+[signal]
+source = src.y
+target = here.tau
+
+[signal]
+source = src.y
+target = there.tau
+"""
+
+    def test_an_unreachable_provider_is_a_finding_in_both(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # The in-process slave of the same model must not stand in for the
+        # remote one.  Port 1 is never listening.
+        cfg = tmp_path / "two_places.cfg"
+        cfg.write_text(self.TWO_PLACES)
+        created = []
+        monkeypatch.setattr(ModelRegistry, "create",
+                            lambda reg, model_id, params=None: created.append(model_id))
+        assert invoke("validate", str(cfg)) == 1
+        validated = capsys.readouterr().err.splitlines()
+        assert invoke("run", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == validated
+        unknown = [line for line in validated if line.startswith("[unknown-model]")]
+        assert len(unknown) == 1
+        assert unknown[0].startswith("[unknown-model] there: ") and "127.0.0.1:1" in unknown[0]
+        assert created == []
+
+    @pytest.mark.parametrize("path", sorted([*CONFIG_DIR.glob("*.cfg"),
+                                             *CONFIG_DIR.glob("invalid/*.cfg")]),
+                             ids=lambda path: str(path.relative_to(CONFIG_DIR)))
+    def test_validate_fails_exactly_when_setup_does(self, path, capsys):
+        code = invoke("validate", str(path))
+        lines = capsys.readouterr().err.splitlines()
+        with NetworkResolver(registry) as resolver:
+            try:
+                run = initialize_run(parse_config(path.read_text()), resolver)
+            except InvalidSystem as exc:
+                assert (code, lines) == (1, [str(f) for f in exc.findings])
+                return
+            run.terminate()
+        assert (code, lines, run.index) == (0, [], 0)
 
 
 class TestRun:

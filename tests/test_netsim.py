@@ -12,6 +12,7 @@ from cosim.errors import (
     ConnectionLost,
     CosimError,
     InvalidState,
+    InvalidSystem,
     NotAnInput,
     NotAnOutput,
     ProtocolError,
@@ -21,7 +22,7 @@ from cosim.errors import (
     UnknownVariable,
 )
 from cosim.master import LocalResolver, initialize_run, run_to_end
-from cosim.models import registry as standard_registry
+from cosim.models import MsdIntegral, registry as standard_registry
 from cosim.net import (
     MessageType as MT,
     PROTOCOL_VERSION,
@@ -36,7 +37,19 @@ from cosim.net import (
 from cosim.net.provider import serve_session
 from cosim.net.wire import Reader, Writer, encode_frame, recv_frame, send_frame
 from cosim.observers import MemoryObserver
-from cosim.system import Causality, FixedStepPolicy, VariableDescriptor, VarKind
+from cosim.slave import ModelRegistry
+from cosim.system import (
+    Causality,
+    FixedStepPolicy,
+    FunctionUnitSpec,
+    PortRef,
+    SignalConnection,
+    SlaveSpec,
+    SystemDescription,
+    VariableDescriptor,
+    VarKind,
+)
+from cosim.units import NEWTON
 
 from conftest import (
     FaultyModel,
@@ -762,6 +775,67 @@ class TestSetupFaults:
         assert type(error) is UnknownVariable
         assert str(error) == "no variable named 'ghost'"
         assert error.__notes__ == ["in reply to BIND"]
+
+
+def crossed_fail_after(address, here_first):
+    """``fail_after`` as ``here`` in process and as ``there`` on
+    ``address``, each driving the other through a gain."""
+    here = SlaveSpec("here", "fail_after")
+    there = SlaveSpec("there", "fail_after", provider=address)
+    wires = [("here.v", "g1.u"), ("g1.y", "there.tau"), ("there.v", "g2.u"), ("g2.y", "here.tau")]
+    return SystemDescription(
+        slaves=(here, there) if here_first else (there, here),
+        signals=tuple(SignalConnection(PortRef(*src.split(".")), PortRef(*dst.split(".")))
+                      for src, dst in wires),
+        function_units=(FunctionUnitSpec("g1", "gain"), FunctionUnitSpec("g2", "gain")),
+        step_policy=FixedStepPolicy(0.1),
+    )
+
+
+class ForceMsd(MsdIntegral):
+    """A provider's own ``msd_integral``, with the input ``force`` in place of ``tau``."""
+
+    DESCRIPTOR = dataclasses.replace(MsdIntegral.DESCRIPTOR, variables=(
+        VariableDescriptor("force", Causality.INPUT, VarKind.EFFORT, NEWTON),
+        *MsdIntegral.DESCRIPTOR.outputs()))
+
+
+class TestSetupResolution:
+    """Set-up describes each slave where it is placed: one slave's
+    descriptor never stands in for another slave of the same model id
+    placed elsewhere."""
+
+    @pytest.mark.parametrize("here_first", [True, False])
+    def test_an_in_process_slave_of_a_model_only_a_provider_serves(self, provider,
+                                                                   monkeypatch, here_first):
+        sent, _ = client_frames(monkeypatch)
+        with NetworkResolver(registry=standard_registry) as resolver:
+            with pytest.raises(InvalidSystem) as err:
+                initialize_run(crossed_fail_after(provider.address, here_first), resolver)
+        findings = err.value.findings
+        assert [(f.where, f.message) for f in findings if f.code == "unknown-model"] == [
+            ("here", "model 'fail_after' not in registry")]
+        assert {f.where.split(".")[0] for f in findings} == {"here"}
+        assert MT.SPAWN not in sent
+
+    def test_a_provider_model_is_checked_against_its_own_ports(self):
+        registry = ModelRegistry()
+        registry.register(ForceMsd)
+        prov = Provider(registry, ProviderConfig(host="127.0.0.1", port=0)).start()
+        system = SystemDescription(
+            slaves=(SlaveSpec("src", "sine_source"), SlaveSpec("here", "msd_integral"),
+                    SlaveSpec("there", "msd_integral", provider=prov.address)),
+            signals=tuple(SignalConnection(PortRef("src", "y"), PortRef(name, "tau"))
+                          for name in ("here", "there")),
+        )
+        try:
+            with NetworkResolver(registry=standard_registry) as resolver:
+                with pytest.raises(InvalidSystem) as err:
+                    initialize_run(system, resolver)
+        finally:
+            prov.shutdown()
+        assert [(f.code, f.where) for f in err.value.findings] == [
+            ("unknown-port", "there.tau"), ("unwired-input", "there.force")]
 
 
 class TestDiscovery:
