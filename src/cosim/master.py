@@ -7,11 +7,13 @@ sum.  Inputs are held constant over the step and every slave integrates
 from the same snapshot, so permuting the slave list cannot change any
 value.
 
-One thread steps all slaves, remote STEP requests first.  ``step_timeout``
-cuts a late remote reply off and catches an in-process overrun on return;
-one clock read after each slave's step checks that deadline and gives the
-next slave its time left.  Energy reports and step records are immutable
-named tuples, cheap to build on every step.
+One thread steps all slaves: it sends the remote STEP requests, steps the
+in-process slaves, then reads the replies, each group in system order; the
+first to fail names the abort.  ``step_timeout`` cuts a late remote reply
+off and catches an in-process overrun on return; one clock read after
+each slave's step checks that deadline and gives the next slave its time
+left.  Energy reports and step records are immutable named tuples, cheap
+to build on every step.
 
 The run's time is the exact step sum: ``t_start`` plus the steps taken,
 held as a few non-overlapping partials and rounded once by
@@ -156,6 +158,8 @@ class SimulationRun:
         self.outputs: list[float] = []  # slave outputs, ``plan.outputs`` order
         self.cumulative = [0.0] * len(plan.bonds)  # running dE, ``plan.bonds`` order
         self._terminated = False
+        self._order = sorted(((n, s, hasattr(s, "start_step")) for n, s in slaves.items()),
+                             key=lambda entry: entry[2])  # in process first, stably
 
         policy = system.step_policy
         self.controller: AdaptiveStepPolicy | None = None
@@ -326,15 +330,11 @@ def _fault_site(run: SimulationRun, exc: Exception) -> str:
     for frame, _ in traceback.walk_tb(exc.__traceback__):
         local, call = frame.f_locals, _SLAVE_CALLS.get(frame.f_code)
         if call is not None:
-            return _slave_site(run, local["slave"], call)
+            name = next(n for n, s in run.slaves.items() if s is local["slave"])
+            return f"slave {name!r} {call}: "
         if frame.f_code is _PLAN_CODE and local.get("fu") is not None:
             return f"function unit {local['fu'].spec.name!r}: "
     return ""
-
-
-def _slave_site(run: SimulationRun, slave: SlaveInstance, call: str) -> str:
-    name = next(n for n, s in run.slaves.items() if s is slave)
-    return f"slave {name!r} {call}: "
 
 
 _SLAVE_CALLS = {SimulationRun.gather_outputs.__code__: "get_outputs",
@@ -349,21 +349,23 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # (1) latch inputs on every slave
     run.push_inputs(held)
 
-    # (2) step to the barrier on this thread, remote STEP requests first;
-    # one clock read per slave checks the deadline and sets the time left
+    # (2) step to the barrier on this thread, in ``run._order``; one clock
+    # read per slave checks the deadline and sets the time left
     deadline = time.monotonic() + run.step_timeout
-    for slave in run.slaves.values():
-        try:
-            slave.start_step(t, dt)
-        except Exception as exc:
-            run._abort(_fault_reason(_slave_site(run, slave, "start_step"), exc), cause=exc)
+    for name, slave, sends in run._order:
+        if sends:
+            try:
+                slave.start_step(t, dt)
+            except Exception as exc:
+                run._abort(_fault_reason(f"slave {name!r} start_step: ", exc), cause=exc)
     t_next = t + dt
     now = time.monotonic()
-    for name, slave in run.slaves.items():
+    for name, slave, sends in run._order:
         left = deadline - now
         try:
             # max(left, 0.0), without a builtin call per slave
-            end = slave.finish_step(t, dt, left if left > 0.0 else 0.0)
+            end = (slave.finish_step(t, dt, left if left > 0.0 else 0.0) if sends
+                   else slave.do_step(t, dt))
         except StepRejected as exc:
             run._abort(f"slave {name!r} rejected the step: {exc}")
         except Exception as exc:

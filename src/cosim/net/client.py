@@ -282,19 +282,27 @@ class NetworkResolver:
 
     One session per provider address, opened lazily, carries the catalogue
     requests and every slave placed there, so a run opens one connection
-    per provider; ``close`` ends the sessions, and the provider ends every
-    slave still on them.
+    per provider; a connection or HELLO that fails is tried once, and its
+    error raised for every later slave placed there.  ``close`` ends the
+    sessions, and the provider ends every slave still on them.
     """
 
     def __init__(self, registry: ModelRegistry):
         self.registry = registry
         self._clients: dict[str, ProviderClient] = {}
+        self._failed: dict[str, Exception] = {}
         self._described: dict[tuple[str, str], SlaveDescriptor] = {}
 
     def _client(self, address: str) -> ProviderClient:
         client = self._clients.get(address)
         if client is None:
-            client = ProviderClient(address)
+            if address in self._failed:
+                raise self._failed[address]
+            try:
+                client = ProviderClient(address)
+            except (OSError, CosimError) as exc:
+                self._failed[address] = exc
+                raise
             self._clients[address] = client
         return client
 
@@ -315,6 +323,7 @@ class NetworkResolver:
         for client in self._clients.values():
             client.close()
         self._clients.clear()
+        self._failed.clear()
         self._described.clear()
 
     def __enter__(self) -> "NetworkResolver":

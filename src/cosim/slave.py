@@ -39,7 +39,11 @@ def time_matches(expected: float, actual: float) -> bool:
 
 
 class SlaveInstance(ABC):
-    """Interface the master drives; local models and remote proxies share it."""
+    """Interface the master drives; local models and remote proxies share it.
+
+    Only a slave that waits on I/O also has ``start_step``, which sends
+    the step, and ``finish_step``, which reads its end time within a timeout.
+    """
 
     @abstractmethod
     def descriptor(self) -> SlaveDescriptor: ...
@@ -60,13 +64,6 @@ class SlaveInstance(ABC):
     @abstractmethod
     def do_step(self, t: float, dt: float) -> float:
         """Step from ``t`` to ``t + dt``; returns the end time, or raises."""
-
-    def start_step(self, t: float, dt: float) -> None:
-        """Begin a step that ``finish_step`` completes; a no-op in process."""
-
-    def finish_step(self, t: float, dt: float, timeout: float) -> float:
-        """Complete the step; only a remote reply is bounded by ``timeout``."""
-        return self.do_step(t, dt)
 
     @abstractmethod
     def get_outputs(self) -> list[float]: ...

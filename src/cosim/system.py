@@ -383,10 +383,13 @@ def validate_system(
                 add("duplicate-name", f"name also used by a {seen[spec.name]}", spec.name)
             seen[spec.name] = kind
 
-    # Slaves that do not resolve are left out of the rest of the checks.
+    # Slaves that do not resolve, and their ports, are left out of the rest
+    # of the checks.
+    unresolved: set[str] = set()
     for s, d in zip(system.slaves, resolved.found):
         if isinstance(d, str):
             add("unknown-model", d, s.name)
+            unresolved.add(s.name)
             continue
         for pname, value in s.parameters.items():
             if pname not in d.parameters:
@@ -406,7 +409,8 @@ def validate_system(
         """The variable at ``ref`` if it has ``causality``; else reported, None."""
         v = var_of.get(ref)
         if v is None:
-            add("unknown-port", f"{what} references unknown port {ref}", str(ref))
+            if ref.owner not in unresolved:
+                add("unknown-port", f"{what} references unknown port {ref}", str(ref))
         elif v.causality is not causality:
             wrong = "targets non-input" if causality is Causality.INPUT else "reads non-output"
             add(f"not-an-{causality.value}", f"{what} {wrong} {ref}", str(ref))

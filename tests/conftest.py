@@ -17,7 +17,7 @@ from cosim.master import (
     run_to_end,
 )
 from cosim.models import registry as standard_registry
-from cosim.net import ProviderClient
+from cosim.net import Provider, ProviderClient, ProviderConfig
 from cosim.observers import MemoryObserver
 from cosim.slave import ModelRegistry, ModelSlave
 from cosim.system import (
@@ -192,6 +192,15 @@ def extended_registry() -> ModelRegistry:
 @pytest.fixture
 def test_registry() -> ModelRegistry:
     return extended_registry()
+
+
+@pytest.fixture
+def provider():
+    """A loopback provider of the extended registry, shut down after the test."""
+    prov = Provider(extended_registry(),
+                    ProviderConfig(host="127.0.0.1", port=0)).start()
+    yield prov
+    prov.shutdown()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ traced run steps (``perfbench/run.py --trace 1``).  A kernel edit that
 renames or deletes one of them would only show there, so these tests
 enter and leave both patch sets, and step a live run under them.
 """
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import cosim.models
 import cosim.net.wire
 from cosim.config import parse_config
 from cosim.master import LocalResolver, initialize_run
+from cosim.net import NetworkResolver, Provider, ProviderConfig
 from cosim.observers import CsvObserver
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +86,36 @@ def test_tracer_times_a_live_run(tracer, tmp_path):
                 "master.barrier_us", "function_units.evaluate_plan_us",
                 "energy.accounting_us", "observers.on_step_us", "models.step_us"):
         assert key in metrics, key
+
+
+def test_tracer_times_a_live_run_with_a_remote_slave(tracer, tmp_path):
+    # Stage (2) sends a remote slave's step and reads its reply around the
+    # in-process steps; every traced step must still fold, which reads the
+    # time between the ``push`` and ``gather`` spans as the barrier.
+    system = parse_config((ROOT / "configs" / "msd_pair.cfg").read_text())
+    prov = Provider(cosim.models.registry, ProviderConfig(host="127.0.0.1", port=0)).start()
+    left = dataclasses.replace(system.slaves[0], provider=prov.address)
+    system = dataclasses.replace(system, slaves=(left, *system.slaves[1:]))
+    try:
+        resolver = tracer.traced_resolver(NetworkResolver(cosim.models.registry))
+        run = initialize_run(system, resolver, observers=[CsvObserver(tmp_path)])
+        try:
+            tracer.before_steps(run)
+            run._notify("on_start", run.start_info())
+            with tracer.step_patches():
+                for _ in range(3):
+                    cosim.master.step_once(run, system.step_policy.dt)
+            run._notify("on_end", "completed")
+        finally:
+            run.terminate()
+            resolver.close()
+    finally:
+        prov.shutdown()
+    assert len(tracer.steps) == 3
+    for step in tracer.steps:
+        assert step["master.barrier_us"] > 0
+        assert step["net.bytes_per_step"] > 0  # the remote slave's step
+        assert step["models.step_us"] > 0  # the in-process slave's
 
 
 def test_tracer_times_one_validation_and_one_plan_per_set_up(tracer):

@@ -103,6 +103,16 @@ class TestValidate:
     def test_every_shipped_config_is_valid(self, name, capsys):
         assert invoke("validate", str(CONFIG_DIR / name)) == 0
 
+    def test_a_slave_that_does_not_resolve_is_one_finding(self, tmp_path, capsys):
+        # Its ports are not reported again as unknown.
+        cfg = tmp_path / "msd_pair.cfg"
+        cfg.write_text((CONFIG_DIR / "msd_pair.cfg").read_text().replace(
+            "model = msd_differential", "model = no_such_model"))
+        assert invoke("validate", str(cfg)) == 1
+        findings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[")]
+        assert findings == ["[unknown-model] right: model 'no_such_model' not in registry"]
+
     def test_unreachable_provider_reports_unknown_model(self, tmp_path,
                                                         capsys):
         cfg = tmp_path / "remote.cfg"
@@ -491,7 +501,7 @@ class TestRun:
         assert code == 1
         assert "algebraic-loop" in capsys.readouterr().err
 
-    def test_unreachable_provider_is_runtime_error(self, tmp_path, capsys):
+    def test_unreachable_provider_is_an_unknown_model_finding(self, tmp_path, capsys):
         cfg = tmp_path / "remote.cfg"
         cfg.write_text("""\
 [simulation]
@@ -503,9 +513,11 @@ dt = 0.1
 model = sine_source
 provider = 127.0.0.1:1
 """)
-        code = invoke("run", str(cfg), "--out", str(tmp_path))
-        assert code in (1, 2)
-        assert capsys.readouterr().err
+        assert invoke("run", str(cfg), "--out", str(tmp_path)) == 1
+        findings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[")]
+        assert len(findings) == 1
+        assert findings[0].startswith("[unknown-model] src: ") and "127.0.0.1:1" in findings[0]
 
     def test_remote_run_through_cli(self, tmp_path, provider, capsys):
         cfg = tmp_path / "remote.cfg"

@@ -495,16 +495,83 @@ class EndLog:
         self.reasons.append(reason)
 
 
+def placed(system, providers):
+    """``system`` with each slave named in ``providers`` placed at its address."""
+    return dataclasses.replace(system, slaves=tuple(
+        dataclasses.replace(s, provider=providers[s.name]) if s.name in providers else s
+        for s in system.slaves))
+
+
+class TestStepOrder:
+    """Each remote STEP goes out first, then every in-process slave steps
+    while the providers compute, then the replies are read; each group in
+    system order."""
+
+    def test_an_in_process_slave_steps_before_a_remote_reply_is_read(self, provider):
+        system = placed(msd_pair_system(FixedStepPolicy(0.01)), {"left": provider.address})
+        calls = []
+        with NetworkResolver(standard_registry) as resolver:
+            run = initialize_run(system, resolver)
+            try:
+                remote, local = run.slaves["left"], run.slaves["right"]
+                for slave, name, method in ((remote, "left", "start_step"),
+                                            (remote, "left", "finish_step"),
+                                            (remote, "left", "do_step"),
+                                            (local, "right", "do_step")):
+                    setattr(slave, method,
+                            counted_call(calls, f"{method}({name})", getattr(slave, method)))
+                step_once(run, 0.01)
+            finally:
+                run.terminate()
+        assert calls == ["start_step(left)", "do_step(right)", "finish_step(left)"]
+
+    def test_an_in_process_slave_takes_one_step_call_per_step(self, provider):
+        system = placed(msd_pair_system(FixedStepPolicy(0.01), t_end=0.05),
+                        {"left": provider.address})
+        calls = []
+        with NetworkResolver(standard_registry) as resolver:
+            run = initialize_run(system, resolver)
+            local = run.slaves["right"]
+            assert not hasattr(local, "start_step") and not hasattr(local, "finish_step")
+            local.do_step = counted_call(calls, "do_step", local.do_step)
+            result = run_to_end(run)
+        assert result.steps == 5
+        assert calls == ["do_step"] * 5
+
+    def test_the_first_slave_in_step_order_names_the_abort(self, provider):
+        # Both 'far' (on the provider, declared first) and 'near' (in
+        # process) fail in the step that passes t = 0.5.
+        def pair(name):
+            partner = f"{name}_right"
+            return ((SlaveSpec(name, "fail_after", {"t_fail": 0.5}),
+                     SlaveSpec(partner, "msd_differential",
+                               {"m": 0.2, "d": 0.1, "k": 0.5, "h": 1e-3})),
+                    PowerBond(name, BondSide(name, "v", "tau"), BondSide(partner, "tau", "v"),
+                              positive_side="a"))
+
+        (far, far_bond), (near, near_bond) = pair("far"), pair("near")
+        system = placed(SystemDescription(slaves=(*far, *near), bonds=(far_bond, near_bond),
+                                          step_policy=FixedStepPolicy(0.2)),
+                        {"far": provider.address})
+        ends = EndLog()
+        with NetworkResolver(extended_registry()) as resolver:
+            run = initialize_run(system, resolver, observers=[ends])
+            with pytest.raises(RunAborted) as err:
+                run_to_end(run)
+        assert str(err.value) == "slave 'near' do_step: RuntimeError: diverged"
+        assert ends.reasons == [f"aborted: {err.value}"]
+
+
 class TestStepFaults:
     """Any exception out of a step ends the run through the abort path."""
 
-    def abort(self, system, tmp_path, inject):
+    def abort(self, system, tmp_path, inject, resolver=None):
         """Run ``system`` with a fault from ``inject(run)``; check the abort.
 
         Returns the ``RunAborted`` and the ``MemoryObserver``.
         """
         csv, memory, ends = CsvObserver(tmp_path), MemoryObserver(), EndLog()
-        run = initialize_run(system, LocalResolver(standard_registry),
+        run = initialize_run(system, resolver or LocalResolver(standard_registry),
                              observers=[csv, memory, ends])
         terminated = []
         for name, slave in run.slaves.items():
@@ -541,7 +608,7 @@ class TestStepFaults:
         assert len(memory.records) == 7
 
     @pytest.mark.parametrize("call", ["set_inputs", "start_step", "do_step"])
-    def test_slave_fault_names_the_slave_and_call(self, tmp_path, call):
+    def test_slave_fault_names_the_slave_and_call(self, tmp_path, provider, call):
         fault = ValueError("bad call")
 
         def inject(run):
@@ -549,7 +616,11 @@ class TestStepFaults:
             setattr(right, call, fail_on_call(3, fault, getattr(right, call)))
 
         system = msd_pair_system(FixedStepPolicy(0.01), t_end=1.0)
-        aborted, memory = self.abort(system, tmp_path, inject)
+        if call == "start_step":
+            # Only a slave that waits on a provider has ``start_step``.
+            system = placed(system, {"right": provider.address})
+        with NetworkResolver(standard_registry) as resolver:
+            aborted, memory = self.abort(system, tmp_path, inject, resolver)
         assert aborted.__cause__ is fault
         assert memory.end_reason == f"aborted: slave 'right' {call}: ValueError: bad call"
         assert len(memory.records) == 2

@@ -43,11 +43,13 @@ from cosim.system import (
     FixedStepPolicy,
     FunctionUnitSpec,
     PortRef,
+    Resolution,
     SignalConnection,
     SlaveSpec,
     SystemDescription,
     VariableDescriptor,
     VarKind,
+    validate_system,
 )
 from cosim.units import NEWTON
 
@@ -58,14 +60,6 @@ from conftest import (
     run_system,
     spawn_within,
 )
-
-
-@pytest.fixture
-def provider():
-    prov = Provider(extended_registry(),
-                    ProviderConfig(host="127.0.0.1", port=0)).start()
-    yield prov
-    prov.shutdown()
 
 
 def remote_pair_system(address, t_end=2.0, remote=("left", "right")):
@@ -836,6 +830,30 @@ class TestSetupResolution:
             prov.shutdown()
         assert [(f.code, f.where) for f in err.value.findings] == [
             ("unknown-port", "there.tau"), ("unwired-input", "there.force")]
+
+    def test_a_silent_provider_costs_one_timeout_per_set_up(self, monkeypatch):
+        # The kernel accepts for the listener, which never answers HELLO.
+        connects = []
+        create_connection = socket.create_connection
+
+        def connect(address, timeout=None):
+            connects.append(address)
+            return create_connection(address, timeout=0.2)
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            host, port = silent.getsockname()
+            system = SystemDescription(slaves=tuple(
+                SlaveSpec(f"s{i}", "sine_source", provider=f"{host}:{port}") for i in range(4)))
+            started = time.monotonic()
+            with NetworkResolver(registry=standard_registry) as resolver:
+                findings = validate_system(system, Resolution(system, resolver.describe)).findings
+            elapsed = time.monotonic() - started
+        assert [(f.code, f.where) for f in findings] == [
+            ("unknown-model", f"s{i}") for i in range(4)]
+        assert len({f.message for f in findings}) == 1
+        assert elapsed < 0.5
+        assert connects == [(host, port)]
 
 
 class TestDiscovery:
