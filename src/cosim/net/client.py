@@ -71,13 +71,17 @@ def _connect(address: str, timeout: float) -> socket.socket:
 
 class ProviderClient:
     """One session with one provider; its ``timeout`` bounds every reply
-    but a STEP reply that the master reads."""
+    but a STEP reply that the master reads.  A reply not read whole, cut
+    off or late, closes the session, which would otherwise take it for
+    the answer to the next request: every later request raises that
+    error without I/O."""
 
     def __init__(self, address: str, timeout: float = CONTROL_TIMEOUT):
         self.address = address
         self.timeout = timeout
         self._sock = _connect(address, timeout)
         self._owed: list[tuple[int, int | None]] = []  # (request, slave index), oldest first
+        self._lost: Exception | None = None  # why a reply could not be read
 
     def list_models(self) -> tuple[str, ...]:
         r = self._call(MT.LIST_MODELS, None, b"", MT.MODEL_LIST)
@@ -114,6 +118,8 @@ class ProviderClient:
         """Send a request, a slave's begun with its index.  Only reads are
         timed: the few frames sent ahead of their replies fit in the
         socket buffers."""
+        if self._lost is not None:
+            raise self._lost
         if index is not None:
             payload = Writer().u64(index).payload() + payload
         self._owed.append((msg_type, index))
@@ -124,15 +130,24 @@ class ProviderClient:
         older owed OKs read first, each frame waited for up to ``timeout``
         seconds.  The first ERROR raises, noted with the request it answers,
         once that reply is read, so the session stays in step."""
+        if self._lost is not None:
+            raise self._lost
         self._sock.settimeout(timeout)
         error = None
         while True:
+            if not self._owed:
+                raise InvalidState("no reply is owed")
             request, owner = self._owed[0]
             ok_only = request in _OK_ONLY
             if not ok_only and owner != index:
                 raise InvalidState(f"the reply owed next is to slave {owner}'s "
                                    f"{MT(request).name}")
-            got, body = wire.recv_frame(self._sock)
+            try:
+                got, body = wire.recv_frame(self._sock)
+            except (ConnectionLost, ProtocolError) as exc:
+                self._lost = exc
+                self.close()
+                raise
             del self._owed[0]
             try:
                 r = _reply(got, body, MT.OK if ok_only else expect)
@@ -282,37 +297,25 @@ class NetworkResolver:
 
     One session per provider address, opened lazily, carries the catalogue
     requests and every slave placed there, so a run opens one connection
-    per provider; a connection or HELLO that fails is tried once, and its
-    error raised for every later slave placed there.  ``close`` ends the
-    sessions, and the provider ends every slave still on them.
+    per provider.  It keeps nothing else: ``Resolution`` asks it once per
+    provider and model, and nothing more of a provider that failed.
+    ``close`` ends the sessions, and the provider ends every slave still
+    on them.
     """
 
     def __init__(self, registry: ModelRegistry):
         self.registry = registry
         self._clients: dict[str, ProviderClient] = {}
-        self._failed: dict[str, Exception] = {}
-        self._described: dict[tuple[str, str], SlaveDescriptor] = {}
 
     def _client(self, address: str) -> ProviderClient:
-        client = self._clients.get(address)
-        if client is None:
-            if address in self._failed:
-                raise self._failed[address]
-            try:
-                client = ProviderClient(address)
-            except (OSError, CosimError) as exc:
-                self._failed[address] = exc
-                raise
-            self._clients[address] = client
-        return client
+        if address not in self._clients:
+            self._clients[address] = ProviderClient(address)
+        return self._clients[address]
 
     def describe(self, spec: SlaveSpec) -> SlaveDescriptor:
-        if not spec.provider:
-            return self.registry.describe(spec.model_id)
-        key = (spec.provider, spec.model_id)
-        if key not in self._described:
-            self._described[key] = self._client(spec.provider).describe(spec.model_id)
-        return self._described[key]
+        if spec.provider:
+            return self._client(spec.provider).describe(spec.model_id)
+        return self.registry.describe(spec.model_id)
 
     def create(self, spec: SlaveSpec) -> SlaveInstance:
         if spec.provider:
@@ -323,8 +326,6 @@ class NetworkResolver:
         for client in self._clients.values():
             client.close()
         self._clients.clear()
-        self._failed.clear()
-        self._described.clear()
 
     def __enter__(self) -> "NetworkResolver":
         return self

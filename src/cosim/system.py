@@ -251,25 +251,37 @@ class ValidationReport:
 class Resolution:
     """A system resolved where each slave is placed, once per set-up.
 
-    The constructor calls ``describe(spec)`` once per slave, so every
-    descriptor is had before validation.  A slave whose descriptor cannot
-    be had where it is placed (an unknown model; for a slave on a
-    provider, also a provider unreachable or answering wrongly) keeps the
-    reason, for ``validate_system`` to report as ``unknown-model``.  The
-    FU instances, the port table and the same-instant order, which
-    ``validate_system`` and ``build_plan`` share, are built on first use.
+    The constructor calls ``describe(spec)`` once per provider and model
+    id, before validation.  A slave whose descriptor cannot be had where
+    it is placed (an unknown model; for a slave on a provider, also a
+    provider unreachable or answering wrongly) keeps the reason, for
+    ``validate_system`` to report as ``unknown-model``.  A provider that
+    fails other than by an unknown model is asked no more: each later
+    model placed there keeps that error.  The FU instances, the port
+    table and the same-instant order, which ``validate_system`` and
+    ``build_plan`` share, are built on first use.
     """
 
     def __init__(self, system: SystemDescription, describe):
         self.system = system
-        self.found: list[SlaveDescriptor | str] = []  # descriptor or reason, per slave
+        known: dict[tuple[str, str], SlaveDescriptor | str] = {}  # by (provider, model id)
+        failed: dict[str, Exception] = {}  # each provider's first failure
         for spec in system.slaves:
+            key = (spec.provider, spec.model_id)
+            exc = failed.get(spec.provider)
             remote = (OSError, ConnectionLost, ProtocolError) if spec.provider else ()
-            try:
-                self.found.append(describe(spec))
-            except (UnknownModel, *remote) as exc:
+            if key not in known and exc is None:
+                try:
+                    known[key] = describe(spec)
+                except UnknownModel as unknown:
+                    exc = unknown
+                except remote as lost:
+                    exc = failed[spec.provider] = lost
+            if key not in known:
                 where = f"described by provider {spec.provider}: {exc}" if remote else "in registry"
-                self.found.append(f"model {spec.model_id!r} not {where}")
+                known[key] = f"model {spec.model_id!r} not {where}"
+        self.found: list[SlaveDescriptor | str] = [  # descriptor or reason, per slave
+            known[s.provider, s.model_id] for s in system.slaves]
         self.slaves: dict[str, SlaveDescriptor] = {
             s.name: d for s, d in zip(system.slaves, self.found) if not isinstance(d, str)}
 

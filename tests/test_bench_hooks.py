@@ -7,6 +7,7 @@ enter and leave both patch sets, and step a live run under them.
 """
 import dataclasses
 import importlib
+import time
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,25 @@ def test_tracer_times_one_validation_and_one_plan_per_set_up(tracer):
     keys = [key for key, _, _ in tracer.spans]
     assert keys.count("validate") == 1
     assert keys.count("plan") == 1
+
+
+def test_tracer_folds_a_set_up_that_repeats_models(tracer):
+    # ``setup.validate_ms`` sums the ``describe`` spans, one per placed
+    # model, and ``setup.settle_ms`` is what the spans leave of the set-up.
+    workloads = importlib.import_module("workloads")
+    text = (ROOT / "configs" / "power_plant_switchboard.cfg").read_text()
+    started = time.perf_counter_ns()
+    system = parse_config(text)
+    parsed = time.perf_counter_ns()
+    with tracer.setup_patches():
+        resolver = tracer.traced_resolver(LocalResolver(cosim.models.registry))
+        initialize_run(system, resolver).terminate()
+    done = time.perf_counter_ns()
+    placed = {(s.provider, s.model_id) for s in system.slaves}
+    assert len(placed) < len(system.slaves)
+    assert [key for key, _, _ in tracer.spans].count("describe") == len(placed)
+    tracer.fold_setup(workloads.SetupTimes(parsed - started, done - parsed, 0))
+    assert sorted(tracer.setups[0]) == [
+        "config.parse_ms", "setup.instantiate_ms", "setup.plan_ms", "setup.settle_ms",
+        "setup.validate_ms"]
+    assert all(value >= 0 for value in tracer.setups[0].values())

@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -126,6 +127,54 @@ def pairs_on(providers, per_provider):
             bonds.append(dataclasses.replace(bond, name=f"{bond.name}{i}",
                                              side_a=sides[0], side_b=sides[1]))
     return dataclasses.replace(pair, slaves=tuple(slaves), bonds=tuple(bonds))
+
+
+@contextmanager
+def stand_in(answer):
+    """A provider stand-in on a thread that answers HELLO and passes each
+    later frame to ``answer(conn, msg_type, reader)``, which may answer
+    or not; with ``answer`` None it answers nothing, HELLO included.  It
+    serves one connection at a time until the block ends.  Yields its
+    address and the (connection number, message type) of every frame it
+    read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    host, port = listener.getsockname()
+    read, done = [], threading.Event()
+
+    def serve():
+        n = 0
+        while not done.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            n += 1
+            with conn:
+                conn.settimeout(2.0)
+                try:
+                    while True:
+                        msg, body = recv_frame(conn)
+                        read.append((n, msg))
+                        if answer is None:
+                            continue
+                        if msg == MT.HELLO:
+                            send_frame(conn, MT.HELLO_OK,
+                                       Writer().u64(PROTOCOL_VERSION).payload())
+                        else:
+                            answer(conn, msg, Reader(body))
+                except ConnectionLost:
+                    pass  # the client closed its end
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        yield f"{host}:{port}", read
+    finally:
+        done.set()
+        server.join(5.0)
+        listener.close()
+    assert not server.is_alive()
 
 
 def faulty_left_system(address, stage, call, mode):
@@ -587,6 +636,43 @@ class TestSessions:
             for slave in (first, second):
                 slave.terminate()
 
+    def test_a_read_with_no_reply_owed_is_refused(self, provider):
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("sine_source", {})
+            slave.setup(0.0, 1.0)
+            slave.initialize()
+            client.list_models()  # reads the owed OKs
+            with pytest.raises(InvalidState, match="no reply is owed"):
+                slave.finish_step(0.0, 0.1, 1.0)
+            # nothing was read, so the session goes on
+            slave.terminate()
+
+    def test_a_late_reply_is_not_taken_for_the_next(self, monkeypatch):
+        # The stand-in answers DESCRIBE msd_integral 0.5 s late, after the
+        # 0.3 s read gave up; a read on the same session would take it.
+        def answer(conn, msg, r):
+            model_id = r.string()
+            if msg == MT.DESCRIBE and model_id == "msd_integral":
+                time.sleep(0.5)
+            w = Writer().u64(0) if msg == MT.SPAWN else Writer()
+            wire.write_descriptor(w, standard_registry.describe(model_id))
+            send_frame(conn, MT.SPAWNED if msg == MT.SPAWN else MT.DESCRIPTION, w.payload())
+
+        with stand_in(answer) as (address, read):
+            with ProviderClient(address, timeout=0.3) as client:
+                slave = client.spawn("sine_source", {})
+                with pytest.raises(ConnectionLost) as lost:
+                    client.describe("msd_integral")
+                sent, got = client_frames(monkeypatch)
+                for request in (lambda: client.describe("sine_source"), client.list_models,
+                                lambda: slave.setup(0.0, 1.0)):
+                    with pytest.raises(ConnectionLost) as again:
+                        request()
+                    assert again.value is lost.value
+                slave.terminate()
+                assert sent == [] and got == []
+        assert read == [(1, MT.HELLO), (1, MT.SPAWN), (1, MT.DESCRIBE)]
+
     def test_closing_a_client_frees_every_slot(self):
         limit = 3
         prov = Provider(standard_registry,
@@ -832,28 +918,27 @@ class TestSetupResolution:
             ("unknown-port", "there.tau"), ("unwired-input", "there.force")]
 
     def test_a_silent_provider_costs_one_timeout_per_set_up(self, monkeypatch):
-        # The kernel accepts for the listener, which never answers HELLO.
-        connects = []
-        create_connection = socket.create_connection
-
-        def connect(address, timeout=None):
-            connects.append(address)
-            return create_connection(address, timeout=0.2)
-
-        monkeypatch.setattr(socket, "create_connection", connect)
-        with socket.create_server(("127.0.0.1", 0)) as silent:
-            host, port = silent.getsockname()
-            system = SystemDescription(slaves=tuple(
-                SlaveSpec(f"s{i}", "sine_source", provider=f"{host}:{port}") for i in range(4)))
-            started = time.monotonic()
-            with NetworkResolver(registry=standard_registry) as resolver:
-                findings = validate_system(system, Resolution(system, resolver.describe)).findings
-            elapsed = time.monotonic() - started
-        assert [(f.code, f.where) for f in findings] == [
-            ("unknown-model", f"s{i}") for i in range(4)]
-        assert len({f.message for f in findings}) == 1
-        assert elapsed < 0.5
-        assert connects == [(host, port)]
+        # The stand-in never answers, or answers HELLO and then only reads:
+        # the first HELLO or DESCRIBE times out, and set-up asks no more.
+        monkeypatch.setattr(ProviderClient.__init__, "__defaults__", (0.2,))
+        models = ("sine_source", "msd_integral", "sine_source", "msd_differential")
+        for answer, frames in ((None, [MT.HELLO]),
+                               (lambda conn, msg, r: None, [MT.HELLO, MT.DESCRIBE])):
+            with stand_in(answer) as (address, read):
+                system = SystemDescription(slaves=tuple(
+                    SlaveSpec(f"s{i}", model_id, provider=address)
+                    for i, model_id in enumerate(models)))
+                started = time.monotonic()
+                with NetworkResolver(registry=standard_registry) as resolver:
+                    findings = validate_system(system, Resolution(system, resolver.describe)).findings
+                elapsed = time.monotonic() - started
+            assert [(f.code, f.where) for f in findings] == [
+                ("unknown-model", f"s{i}") for i in range(4)]
+            assert [f.message.split(": ", 1)[0] for f in findings] == [
+                f"model {model_id!r} not described by provider {address}" for model_id in models]
+            assert len({f.message.split(": ", 1)[1] for f in findings}) == 1
+            assert elapsed < 0.5
+            assert read == [(1, msg) for msg in frames]  # one connection
 
 
 class TestDiscovery:

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cosim.errors import RunAborted
+from cosim.errors import ConnectionLost, ProtocolError, RunAborted, UnknownModel
 from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import registry
 from cosim.system import (
@@ -15,6 +15,7 @@ from cosim.system import (
     FunctionUnitSpec,
     PortRef,
     PowerBond,
+    Resolution,
     SignalConnection,
     SlaveSpec,
     SystemDescription,
@@ -388,3 +389,37 @@ def test_findings_name_their_location():
     report = validate_system(system, DESCRIPTORS)
     located = [f for f in report.findings if f.code == "unknown-parameter"]
     assert located and "osc" in located[0].where
+
+
+@pytest.mark.parametrize("failure", [ConnectionLost("reset"), OSError("refused"),
+                                     ProtocolError("bad frame")])
+def test_set_up_describes_each_placed_model_once(failure):
+    # ``p`` fails on its second model and is asked nothing after that;
+    # ``q`` lacks one model and still describes the next.
+    placed = [("", "sine_source"), ("p", "sine_source"), ("", "nope"), ("p", "sine_source"),
+              ("q", "nope"), ("p", "msd_integral"), ("q", "sine_source"), ("", "nope"),
+              ("p", "el_motor"), ("", "sine_source"), ("", "gone"), ("q", "nope")]
+    calls = []
+
+    def describe(spec):
+        calls.append((spec.provider, spec.model_id))
+        if (spec.provider, spec.model_id) == ("p", "msd_integral"):
+            raise failure
+        if spec.model_id in ("nope", "gone"):
+            raise UnknownModel(f"unknown model {spec.model_id!r}")
+        return registry.describe(spec.model_id)
+
+    system = build(slaves=[SlaveSpec(f"s{i}", model_id, provider=provider)
+                           for i, (provider, model_id) in enumerate(placed)])
+    found = Resolution(system, describe).found
+    assert calls == [("", "sine_source"), ("p", "sine_source"), ("", "nope"), ("q", "nope"),
+                     ("p", "msd_integral"), ("q", "sine_source"), ("", "gone")]
+    sine = registry.describe("sine_source")
+    assert found == [
+        sine, sine, "model 'nope' not in registry", sine,
+        "model 'nope' not described by provider q: unknown model 'nope'",
+        f"model 'msd_integral' not described by provider p: {failure}", sine,
+        "model 'nope' not in registry",
+        f"model 'el_motor' not described by provider p: {failure}", sine,
+        "model 'gone' not in registry",
+        "model 'nope' not described by provider q: unknown model 'nope'"]
