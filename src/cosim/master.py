@@ -37,6 +37,7 @@ from .energy import EnergyReport, account_step
 from .errors import (
     BarrierTimeout,
     ConnectionLost,
+    InvalidState,
     InvalidSystem,
     RunAborted,
     StepRejected,
@@ -130,9 +131,10 @@ class SimulationRun:
     """A live run: slaves, plan, step sum, latched inputs, controller.
 
     ``slaves`` is in ``plan.slaves`` order, as ``initialize_run`` builds
-    it.  Each slave is bound once, from ``plan.slaves``; the plan fixes which
-    ports each slave exchanges, where they sit in ``latched`` and
-    ``outputs``, and which of them are bond legs (``plan.bonds``).
+    it.  A slave exchanges its ports in descriptor order, which is the
+    order of its entry in ``plan.slaves``; the plan fixes where they sit
+    in ``latched`` and ``outputs``, and which of them are bond legs
+    (``plan.bonds``).
     ``time`` is ``t_start`` plus the exact sum of the steps taken,
     rounded once.  ``controller`` is the adaptive policy, or None whenever
     ``dt`` does not adapt: under a fixed-step policy, or when a slave
@@ -178,8 +180,7 @@ class SimulationRun:
         # a latched list is a slice; a slave without inputs gets no share.
         self._fed: list[tuple[SlaveInstance, slice]] = []
         start = 0
-        for name, ins, outs in plan.slaves:
-            slaves[name].bind(list(ins), list(outs))
+        for name, ins, _ in plan.slaves:
             if ins:
                 self._fed.append((slaves[name], slice(start, start + len(ins))))
             start += len(ins)
@@ -259,7 +260,10 @@ def initialize_run(
     """Validate, instantiate, set up, initialize, and settle a system.
 
     A slave that ``resolver.describe`` cannot describe where it is placed
-    is a finding: ``InvalidSystem`` is raised before any slave exists.
+    is a finding: ``InvalidSystem`` is raised before any slave exists.  A
+    created slave whose variables differ from those described raises
+    ``InvalidState`` before any slave is set up: the plan addresses its
+    ports by their place in the description.
 
     Settle passes at t_start push the assigned inputs and apply the plan
     to the outputs again, until one leaves them the same bit for bit or
@@ -277,7 +281,10 @@ def initialize_run(
     slaves: dict[str, SlaveInstance] = {}
     try:
         for spec in system.slaves:
-            slaves[spec.name] = resolver.create(spec)
+            slave = slaves[spec.name] = resolver.create(spec)
+            if slave.descriptor().variables != resolved.slaves[spec.name].variables:
+                raise InvalidState(f"slave {spec.name!r} was created with other "
+                                   f"variables than it was described with")
         for slave in slaves.values():
             slave.setup(system.t_start, system.t_end)
             slave.initialize()

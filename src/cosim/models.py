@@ -233,7 +233,8 @@ class MsdHybrid(ModelSlave):
         return 10.0 * h
 
     def switch_causality(self, target_mode: str) -> None:
-        """Swap input/output roles between steps; the slave must be bound anew."""
+        """Swap input/output roles between steps; from here on the exchange
+        moves the new descriptor's ports, in its order."""
         if target_mode not in ("integral", "differential"):
             raise ValueError(f"unknown causality mode {target_mode!r}")
         self._require(_State.READY, "switch_causality")
@@ -256,7 +257,7 @@ class MsdHybrid(ModelSlave):
             self.inputs = {"tau": tau_now}
             self.outputs = {"v": self.vel, "x": self.x}
         self._mode = target_mode
-        self._binding = None
+        self._name_ports()
 
     def _step(self, t, dt):
         m, d, k, h = self.params["m"], self.params["d"], self.params["k"], self.params["h"]

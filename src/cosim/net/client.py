@@ -5,11 +5,11 @@ its catalogue requests and every slave it spawns share, and the queue of
 the replies owed on it.  A RemoteSlave names its slave by the index that
 SPAWNED gave, and lives no longer than its client.  It keeps the contract
 of an in-process slave, and reals cross the wire as exact binary64, so a
-distributed run reproduces an in-process run bit for bit.  BIND sends the
-port names once; later frames carry the index and values, in bound order.  A
+distributed run reproduces an in-process run bit for bit.  Frames carry the
+index and values only, in the order of the descriptor SPAWNED gave.  A
 step is one round trip: STEP carries the inputs ``set_inputs`` stored, and
-STEP_OK the outputs.  Only reads before any step send GET_OUTPUTS.  SETUP,
-INITIALIZE and BIND answer only OK, so they go out without waiting; a read
+STEP_OK the outputs.  Only reads before any step send GET_OUTPUTS.  SETUP
+and INITIALIZE answer only OK, so they go out without waiting; a read
 takes the older owed OKs first, and an ERROR raises noted ``in reply to``
 the request it answers.  ``NetworkResolver`` keeps one client per provider.
 """
@@ -24,7 +24,7 @@ from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
 from .wire import CONTROL_TIMEOUT, MessageType as MT, Reader, Writer
 
-_OK_ONLY = frozenset((MT.SETUP, MT.INITIALIZE, MT.BIND))
+_OK_ONLY = frozenset((MT.SETUP, MT.INITIALIZE))
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -32,9 +32,12 @@ def _split_address(address: str) -> tuple[str, int]:
     if not sep or not host:
         raise ProtocolError(f"expected host:port, got {address!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ProtocolError(f"bad port in {address!r}") from exc
+    if not 1 <= number <= 65535:
+        raise ProtocolError(f"port out of range 1-65535 in {address!r}")
+    return host, number
 
 
 def _reply(got: int, body: bytes, expect: int) -> Reader:
@@ -188,8 +191,8 @@ class RemoteSlave(SlaveInstance):
         self._session = session
         self._index = index
         self._desc = descriptor
-        self._n_inputs: int | None = None  # bound counts; None until bound
-        self._n_outputs = 0
+        self._n_inputs = len(descriptor.inputs())
+        self._n_outputs = len(descriptor.outputs())
         self._inputs: list[float] = []  # stored since the last request
         self._outputs: list[float] | None = None  # as last read, while current
         self._terminated = False
@@ -207,7 +210,7 @@ class RemoteSlave(SlaveInstance):
         values = r.f64s()
         r.done()
         if len(values) != self._n_outputs:
-            raise ProtocolError(f"bound {self._n_outputs} outputs, got {len(values)}")
+            raise ProtocolError(f"expected {self._n_outputs} outputs, got {len(values)}")
         self._outputs = values
 
     def setup(self, t_start: float, t_end: float) -> None:
@@ -216,21 +219,9 @@ class RemoteSlave(SlaveInstance):
     def initialize(self) -> None:
         self._session._post(MT.INITIALIZE, self._index)
 
-    def bind(self, inputs: list[str], outputs: list[str]) -> None:
-        w = Writer()
-        for names in (inputs, outputs):
-            w.count(len(names))
-            for name in names:
-                w.string(name)
-        self._session._post(MT.BIND, self._index, w.payload())
-        self._n_inputs, self._n_outputs = len(inputs), len(outputs)
-        self._inputs, self._outputs = [], None
-
     def set_inputs(self, values: list[float]) -> None:
-        if self._n_inputs is None:
-            raise InvalidState("set_inputs before bind")
         if len(values) != self._n_inputs:
-            raise InvalidState(f"{len(values)} values for {self._n_inputs} bound inputs")
+            raise InvalidState(f"{len(values)} values for {self._n_inputs} inputs")
         self._inputs = list(values)
         self._outputs = None
 
@@ -249,8 +240,7 @@ class RemoteSlave(SlaveInstance):
         return end
 
     def get_outputs(self) -> list[float]:
-        # Unbound, the provider says why there are no outputs to read.
-        if self._outputs is None or self._n_inputs is None:
+        if self._outputs is None:
             self._keep_outputs(self._session._call(
                 MT.GET_OUTPUTS, self._index, self._with_inputs(Writer()), MT.OUTPUTS))
         return list(self._outputs)

@@ -9,7 +9,8 @@ them without limit.  LIST_MODELS and DESCRIBE are answered at any time.
 Each SPAWN takes a slot from the provider's pool, one bounded semaphore,
 and answers SPAWNED with the slave's index, unique within the session,
 and its descriptor; every slave request begins with that index.  A step
-is one request: STEP carries the inputs, and STEP_OK the bound outputs.
+is one request: STEP carries the inputs, and STEP_OK the outputs, each
+in descriptor order.
 TERMINATE gives its slave's slot back at once.  When the session ends,
 every slave still on it is terminated and its slot given back, once.  A
 request that fails, an unknown index included, is answered by ERROR, and
@@ -44,6 +45,8 @@ class ProviderConfig:
     max_slaves: int = 64
 
     def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
         if self.max_slaves < 1:
             raise ValueError("max_slaves must be at least 1")
 
@@ -182,7 +185,7 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
 
     Each SPAWN takes one of ``slots`` without waiting; TERMINATE and the
     end of the session give it back.  The caller owns ``conn``."""
-    slaves: dict[int, tuple[SlaveInstance, bool]] = {}  # index: (slave, bound)
+    slaves: dict[int, SlaveInstance] = {}
     spawned = 0  # indexes handed out on this session
     try:
         while True:
@@ -194,7 +197,7 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
                     if index not in slaves:
                         raise ProtocolError(
                             f"no live slave with index {index} on this session")
-                    instance, bound = slaves[index]
+                    instance = slaves[index]
                 if msg_type == MT.LIST_MODELS:
                     r.done()
                     w = Writer().count(len(model_ids))
@@ -225,7 +228,7 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
                         slots.release()
                         raise
                     spawned += 1
-                    slaves[spawned] = instance, False
+                    slaves[spawned] = instance
                     w = Writer().u64(spawned)
                     wire.write_descriptor(w, desc)
                     wire.send_frame(conn, MT.SPAWNED, w.payload())
@@ -238,18 +241,11 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
                     r.done()
                     instance.initialize()
                     wire.send_frame(conn, MT.OK)
-                elif msg_type == MT.BIND:
-                    inputs = [r.string() for _ in range(r.count())]
-                    outputs = [r.string() for _ in range(r.count())]
-                    r.done()
-                    instance.bind(inputs, outputs)
-                    slaves[index] = instance, True  # only a bound STEP_OK has outputs
-                    wire.send_frame(conn, MT.OK)
                 elif msg_type == MT.STEP:
                     t, dt = r.f64(), r.f64()
                     _set_inputs(instance, r)
                     w = Writer().f64(instance.do_step(t, dt))
-                    w.f64s(instance.get_outputs() if bound else ())
+                    w.f64s(instance.get_outputs())
                     wire.send_frame(conn, MT.STEP_OK, w.payload())
                 elif msg_type == MT.GET_OUTPUTS:
                     _set_inputs(instance, r)
@@ -270,7 +266,7 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
     except ConnectionLost:
         pass
     finally:
-        for instance, _ in slaves.values():
+        for instance in slaves.values():
             try:
                 _end(instance, slots)
             except Exception:
@@ -290,8 +286,8 @@ def _end(instance: SlaveInstance, slots: threading.BoundedSemaphore) -> None:
     instance.terminate()
 
 
-_SLAVE_REQUESTS = frozenset((MT.SETUP, MT.INITIALIZE, MT.BIND, MT.STEP,
-                             MT.GET_OUTPUTS, MT.TERMINATE))
+_SLAVE_REQUESTS = frozenset((MT.SETUP, MT.INITIALIZE, MT.STEP, MT.GET_OUTPUTS,
+                             MT.TERMINATE))
 
 
 def _set_inputs(instance: SlaveInstance, r: Reader) -> None:

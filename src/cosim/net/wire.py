@@ -8,6 +8,7 @@ a 4-byte length plus UTF-8 bytes, and lists as a 4-byte count followed by
 the elements.  encode/decode is an identity on every well-formed frame.
 A connection is one session: SPAWNED carries the new slave's index, a u64,
 ahead of its descriptor, and every slave request begins with that index.
+Value lists follow the order of that descriptor's inputs or outputs.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 6  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 7  # unsigned 16-bit semantics, carried as a u64 field
 
 CONTROL_TIMEOUT = 5.0  # a reply outside a step, and a new connection's HELLO
 
@@ -64,7 +65,7 @@ class MessageType(enum.IntEnum):
     TERMINATED = 18
     ERROR = 19
     OK = 20
-    BIND = 21
+    BIND = 21  # reserved: a port's place in the descriptor is its address
 
 
 class Writer:

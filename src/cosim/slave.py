@@ -1,14 +1,15 @@
 """Slave lifecycle contract and the in-process model base class.
 
 A slave walks created -> set up -> ready -> terminated, one state per
-stage; stepping keeps it ready.  ``setup``, ``initialize``, ``bind``, the
-exchange and ``do_step`` each require exactly one state and raise
-``InvalidState`` otherwise, so misuse fails loudly instead of producing
-silent garbage.  ``do_step`` returns the end time; a step that fails
-raises, as every other call does.  ``terminate`` is allowed once, from
-any state.  Names are checked once, when the master binds a ready
-slave's inputs and outputs; from then on the exchange moves value lists
-in the bound order, until ``terminate`` drops the binding.
+stage; stepping keeps it ready.  ``setup``, ``initialize``, the exchange
+and ``do_step`` each require exactly one state and raise ``InvalidState``
+otherwise, so misuse fails loudly instead of producing silent garbage.
+``do_step`` returns the end time; a step that fails raises, as every
+other call does.  ``terminate`` is allowed once, from any state.  A
+port's address is its position in the descriptor, as an FMI value
+reference is: once ready, ``set_inputs`` takes one value per
+``descriptor().inputs()`` and ``get_outputs`` gives one per
+``descriptor().outputs()``, in that order.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
 """
@@ -18,16 +19,8 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 
-from .errors import (
-    InvalidState,
-    NotAnInput,
-    NotAnOutput,
-    StepRejected,
-    UnknownModel,
-    UnknownParameter,
-    UnknownVariable,
-)
-from .system import FIXED_STEP_RTOL, Causality, SlaveDescriptor
+from .errors import InvalidState, StepRejected, UnknownModel, UnknownParameter
+from .system import FIXED_STEP_RTOL, SlaveDescriptor
 
 # Relative slack when comparing the caller's notion of time with the
 # slave clock; absolute near zero.
@@ -55,18 +48,16 @@ class SlaveInstance(ABC):
     def initialize(self) -> None: ...
 
     @abstractmethod
-    def bind(self, inputs: list[str], outputs: list[str]) -> None:
-        """Fix the ports the exchange moves, in order; bad names raise here."""
-
-    @abstractmethod
-    def set_inputs(self, values: list[float]) -> None: ...
+    def set_inputs(self, values: list[float]) -> None:
+        """Set the inputs, one value per ``descriptor().inputs()``, in order."""
 
     @abstractmethod
     def do_step(self, t: float, dt: float) -> float:
         """Step from ``t`` to ``t + dt``; returns the end time, or raises."""
 
     @abstractmethod
-    def get_outputs(self) -> list[float]: ...
+    def get_outputs(self) -> list[float]:
+        """The outputs, one value per ``descriptor().outputs()``, in order."""
 
     @abstractmethod
     def terminate(self) -> None: ...
@@ -105,7 +96,10 @@ class ModelSlave(SlaveInstance):
             self.params[name] = float(value)
         self.inputs: dict[str, float] = {}
         self.outputs: dict[str, float] = {}
-        self._binding: tuple[list[str], list[str]] | None = None
+        # The port names the exchange moves, in descriptor order; None
+        # exactly when the slave is not ready.
+        self._input_names: tuple[str, ...] | None = None
+        self._output_names: tuple[str, ...] | None = None
 
     # -- interface ----------------------------------------------------
 
@@ -122,34 +116,24 @@ class ModelSlave(SlaveInstance):
         desc = self.descriptor()
         # Read once: a causality switch changes ports, not this flag.
         self._variable_step = desc.supports_variable_step
+        # Decided once: only a model that overrides the hook has one to run.
+        self._feedthrough = (type(self)._refresh_feedthrough
+                             is not ModelSlave._refresh_feedthrough)
         for v in desc.inputs():
             self.inputs[v.name] = 0.0
         self._initialize(self._time)
         missing = [v.name for v in self.descriptor().outputs() if v.name not in self.outputs]
         if missing:
             raise InvalidState(f"model left outputs unset after initialize: {missing}")
+        self._name_ports()
         self._state = _State.READY
 
-    def bind(self, inputs: list[str], outputs: list[str]) -> None:
-        self._require(_State.READY, "bind")
-        for name in inputs:
-            if self._variable(name).causality is not Causality.INPUT:
-                raise NotAnInput(f"{name} is not an input")
-        for name in outputs:
-            if self._variable(name).causality is not Causality.OUTPUT:
-                raise NotAnOutput(f"{name} is not an output")
-        self._binding = (list(inputs), list(outputs))
-        # Decided once: only a model that overrides the hook has one to run.
-        self._feedthrough = (type(self)._refresh_feedthrough
-                             is not ModelSlave._refresh_feedthrough)
-
     def set_inputs(self, values: list[float]) -> None:
-        binding = self._binding
-        if binding is None:
-            self._raise_unbound("set_inputs")
-        names = binding[0]
+        names = self._input_names
+        if names is None:
+            self._require(_READY, "set_inputs")
         if len(values) != len(names):
-            raise InvalidState(f"{len(values)} values for {len(names)} bound inputs")
+            raise InvalidState(f"{len(values)} values for {len(names)} inputs")
         inputs = self.inputs
         for name, value in zip(names, values):
             inputs[name] = float(value)
@@ -177,14 +161,14 @@ class ModelSlave(SlaveInstance):
         return end
 
     def get_outputs(self) -> list[float]:
-        binding = self._binding
-        if binding is None:
-            self._raise_unbound("get_outputs")
+        names = self._output_names
+        if names is None:
+            self._require(_READY, "get_outputs")
         # A plain loop: in Python 3.11 a list comprehension is a function
         # call of its own, the larger cost for one or two outputs.
         outputs = self.outputs
         values = []
-        for name in binding[1]:
+        for name in names:
             values.append(outputs[name])
         return values
 
@@ -192,7 +176,7 @@ class ModelSlave(SlaveInstance):
         if self._state is _State.TERMINATED:
             raise InvalidState("terminate called twice")
         self._state = _State.TERMINATED
-        self._binding = None
+        self._input_names = self._output_names = None
 
     # -- hooks for subclasses ------------------------------------------
 
@@ -209,17 +193,11 @@ class ModelSlave(SlaveInstance):
 
     # -- helpers --------------------------------------------------------
 
-    def _variable(self, name: str):
-        try:
-            return self.descriptor().variable(name)
-        except KeyError:
-            raise UnknownVariable(f"no variable named {name!r}") from None
-
-    def _raise_unbound(self, what: str):
-        """Raise why there is no binding: only a ready slave holds one,
-        as ``terminate`` clears it."""
-        self._require(_READY, what)
-        raise InvalidState(f"{what} before bind")
+    def _name_ports(self) -> None:
+        """Take the port names the exchange moves from the descriptor."""
+        desc = self.descriptor()
+        self._input_names = tuple(v.name for v in desc.inputs())
+        self._output_names = tuple(v.name for v in desc.outputs())
 
     def _require(self, state: _State, what: str):
         if self._state is not state:

@@ -55,20 +55,15 @@ class SlaveDescriptor:
     supports_variable_step: bool = True
 
     def __post_init__(self):
-        index = {v.name: v for v in self.variables}
-        if len(index) != len(self.variables):
+        if len({v.name for v in self.variables}) != len(self.variables):
             raise ValueError(f"{self.model_id}: duplicate variable names")
         if not self.variables:
             raise ValueError(f"{self.model_id}: a descriptor needs at least one variable")
         # Kept once, beside the fields: set-up reads them for every slave.
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_inputs", tuple(
             v for v in self.variables if v.causality is Causality.INPUT))
         object.__setattr__(self, "_outputs", tuple(
             v for v in self.variables if v.causality is Causality.OUTPUT))
-
-    def variable(self, name: str) -> VariableDescriptor:
-        return self._index[name]
 
     def inputs(self) -> tuple[VariableDescriptor, ...]:
         return self._inputs

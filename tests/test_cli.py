@@ -3,6 +3,7 @@ import csv
 import errno
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -183,6 +184,24 @@ target = there.tau
         assert len(unknown) == 1
         assert unknown[0].startswith("[unknown-model] there: ") and "127.0.0.1:1" in unknown[0]
         assert created == []
+
+    def test_an_out_of_range_provider_port_is_a_finding_in_both(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # Given to the socket, port 99999 would wrap to 34463.
+        cfg = tmp_path / "wrapped_port.cfg"
+        cfg.write_text(self.TWO_PLACES.replace("127.0.0.1:1", "127.0.0.1:99999"))
+        dialled = []
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda address, *args, **kwargs: dialled.append(address))
+        assert invoke("validate", str(cfg)) == 1
+        validated = capsys.readouterr().err.splitlines()
+        assert invoke("run", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == validated
+        unknown = [line for line in validated if line.startswith("[unknown-model]")]
+        assert len(unknown) == 1
+        assert unknown[0].startswith("[unknown-model] there: ")
+        assert unknown[0].endswith("port out of range 1-65535 in '127.0.0.1:99999'")
+        assert dialled == []
 
     @pytest.mark.parametrize("path", sorted([*CONFIG_DIR.glob("*.cfg"),
                                              *CONFIG_DIR.glob("invalid/*.cfg")]),
@@ -626,6 +645,20 @@ class TestInspection:
         assert f"{provider.address}  msd_integral" in captured.out
         assert "warning" in captured.err
 
+    @pytest.mark.parametrize("port", ["0", "-1", "65536", "99999"])
+    def test_a_provider_port_out_of_range_is_refused_unused(self, monkeypatch, capsys,
+                                                          port):
+        address = f"127.0.0.1:{port}"
+        dialled = []
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda address, *args, **kwargs: dialled.append(address))
+        refusal = f"port out of range 1-65535 in {address!r}"
+        assert invoke("describe", "msd_integral", "--provider", address) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert invoke("list-models", "--provider", address) == 0
+        assert capsys.readouterr().err == f"warning: provider {address}: {refusal}\n"
+        assert dialled == []
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -639,6 +672,11 @@ class TestUsage:
 
     def test_provider_serve_requires_port(self, capsys):
         assert invoke("provider", "serve") == 3
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_provider_serve_refuses_a_port_out_of_range(self, capsys, port):
+        assert invoke("provider", "serve", f"--port={port}") == 3
+        assert capsys.readouterr().err == f"error: port must be in 0-65535, got {port}\n"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -454,7 +454,8 @@ class TestPlan:
         assert [len(ins) for _, ins, _ in plan.slaves] == [0, 1, 2]
 
         def kind(ref):
-            return DESCRIPTORS[system.slave(ref.owner).model_id].variable(ref.var).kind
+            desc = DESCRIPTORS[system.slave(ref.owner).model_id]
+            return next(v.kind for v in desc.variables if v.name == ref.var)
 
         (bond,) = system.bonds
         (legs,) = plan.bonds

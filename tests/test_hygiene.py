@@ -160,7 +160,7 @@ def test_every_private_attribute_is_read():
 
 
 # Message numbers kept so that an older peer's frame is never misread.
-RESERVED = {"SET_INPUTS", "STEP_FAIL"}
+RESERVED = {"SET_INPUTS", "STEP_FAIL", "BIND"}
 
 
 def message_types_named(source: str) -> set[str]:

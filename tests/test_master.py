@@ -835,6 +835,20 @@ class TestInitialize:
             initialize_run(system, Interrupting(standard_registry))
         assert sorted(terminated) == ["left", "right"]
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_the_plan_lists_each_slave_in_descriptor_order(self, path):
+        # A slave exchanges its ports in descriptor order, so the plan's
+        # layout is right only where the two agree, slave by slave.
+        run = initialize_run(parse_config(path.read_text()), LocalResolver(standard_registry))
+        try:
+            assert [name for name, _, _ in run.plan.slaves] == list(run.slaves)
+            for name, ins, outs in run.plan.slaves:
+                desc = run.slaves[name].descriptor()
+                assert ins == tuple(v.name for v in desc.inputs())
+                assert outs == tuple(v.name for v in desc.outputs())
+        finally:
+            run.terminate()
+
 
 class TestAdaptive:
     def adaptive_policy(self, **over):

@@ -6,19 +6,16 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import single_slave
-from cosim.errors import InvalidState, NotAnInput
+from cosim.errors import InvalidState
 from cosim.models import micro_grid, registry, rk4_integrate, rk4_step
 
 
 def march(slave, t_end, dt, inputs=None):
-    """Step a slave from t=0 to t_end, optionally feeding inputs u(t).
-
-    With ``inputs`` the slave is bound to their names and no outputs.
+    """Step a slave from t=0 to t_end, optionally feeding inputs u(t),
+    given by name in descriptor order.
     """
     t = 0.0
     n = round(t_end / dt)
-    if inputs is not None:
-        slave.bind(list(inputs), [])
     for i in range(n):
         if inputs is not None:
             slave.set_inputs([f(t) for f in inputs.values()])
@@ -31,30 +28,27 @@ class TestMsdIntegral:
         # undamped unit oscillator from x=1: x(t) = cos(t)
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0})
-        slave.bind(["tau"], ["x"])
         slave.set_inputs([0.0])
         slave.do_step(0.0, 0.001)
-        (x,) = slave.get_outputs()
+        _, x = slave.get_outputs()
         assert abs(x - math.cos(0.001)) < 1e-9
 
     def test_half_second_with_fine_micro_steps(self):
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0,
                               "h": 1e-4})
-        slave.bind(["tau"], ["x"])
         slave.set_inputs([0.0])
         march(slave, 0.5, 0.01)
-        (x,) = slave.get_outputs()
+        _, x = slave.get_outputs()
         assert abs(x - math.cos(0.5)) < 1e-8
 
     def test_matches_reference_integrator_with_damping(self):
         params = {"m": 2.0, "d": 0.7, "k": 5.0, "x0": 0.3, "v0": -0.1,
                   "h": 1e-4}
         slave = single_slave("msd_integral", params)
-        slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([1.5])
         march(slave, 1.0, 0.01)
-        x, v = slave.get_outputs()
+        v, x = slave.get_outputs()
 
         def rhs(_t, y):
             return [y[1], (1.5 - 0.7 * y[1] - 5.0 * y[0]) / 2.0]
@@ -68,10 +62,9 @@ class TestMsdIntegral:
         # constant tau with x = tau/k, v = 0 stays put
         slave = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.5, "k": 4.0, "x0": 0.5})
-        slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([2.0])
         march(slave, 1.0, 0.05)
-        x, v = slave.get_outputs()
+        v, x = slave.get_outputs()
         assert x == pytest.approx(0.5, abs=1e-12)
         assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -80,10 +73,9 @@ class TestMsdIntegral:
             slave = single_slave("msd_integral",
                                  {"m": 1.0, "d": 0.0, "k": 1.0, "x0": 1.0,
                                   "h": h})
-            slave.bind(["tau"], ["x"])
             slave.set_inputs([0.0])
             slave.do_step(0.0, 0.5)
-            (x,) = slave.get_outputs()
+            _, x = slave.get_outputs()
             return abs(x - math.cos(0.5))
 
         hs = [2e-2, 1e-2, 5e-3, 2.5e-3]
@@ -95,11 +87,10 @@ class TestMsdIntegral:
         params = {"m": 1.0, "d": 0.3, "k": 2.0, "x0": 1.0, "v0": 0.5,
                   "h": 1e-3}
         slave = single_slave("msd_integral", params)
-        slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([0.0])
 
         def energy():
-            x, v = slave.get_outputs()
+            v, x = slave.get_outputs()
             return 0.5 * (params["m"] * v * v + params["k"] * x * x)
 
         e0 = energy()
@@ -119,8 +110,7 @@ class TestMsdDifferential:
         slave = single_slave("msd_differential",
                              {"m": 1.0, "d": 2.0, "k": 3.0})
         march(slave, 1.0, 0.01, inputs={"v": lambda t: 1.0})
-        slave.bind(["v"], ["tau"])
-        (tau,) = slave.get_outputs()
+        tau, _ = slave.get_outputs()
         assert abs(tau - 5.0) < 1e-6
 
     def test_ramp_velocity_reaction(self):
@@ -129,7 +119,6 @@ class TestMsdDifferential:
         slave = single_slave("msd_differential", {"m": m, "d": d, "k": k})
         dt = 1e-3
         march(slave, 1.0, dt, inputs={"v": lambda t: t})
-        slave.bind(["v"], ["tau", "x"])
         tau, x = slave.get_outputs()
         t = 1.0
         # held samples lag the ramp by up to one step
@@ -139,10 +128,9 @@ class TestMsdDifferential:
     def test_first_step_assumes_zero_acceleration(self):
         slave = single_slave("msd_differential",
                              {"m": 5.0, "d": 1.0, "k": 1.0})
-        slave.bind(["v"], ["tau"])
         slave.set_inputs([2.0])
         slave.do_step(0.0, 0.1)
-        (tau,) = slave.get_outputs()
+        tau, _ = slave.get_outputs()
         # no velocity history yet: tau = d*v + k*x only
         assert tau == pytest.approx(1.0 * 2.0 + 1.0 * 0.2, abs=1e-12)
 
@@ -159,29 +147,25 @@ class TestMsdHybrid:
         plain = single_slave("msd_integral",
                              {"m": 1.0, "d": 0.8, "k": 2.0, "h": 1e-3})
         for slave in (hybrid, plain):
-            slave.bind(["tau"], ["x", "v"])
             slave.set_inputs([1.0])
             march(slave, 2.0, 0.01)
         assert hybrid.get_outputs() == plain.get_outputs()
 
     def test_switch_holds_force_continuous(self):
         slave = self.make()
-        slave.bind(["tau"], [])
         slave.set_inputs([1.0])
         t = march(slave, 1.0, 0.01)
         slave.switch_causality("differential")
-        slave.bind(["v"], ["tau"])
-        (tau,) = slave.get_outputs()
+        tau, _ = slave.get_outputs()
         assert abs(tau - 1.0) < 1e-6
         # and the force stays near the held value over the next short step
         slave.set_inputs([slave.vel])
         slave.do_step(t, 0.001)
-        (tau_next,) = slave.get_outputs()
+        tau_next, _ = slave.get_outputs()
         assert abs(tau_next - 1.0) < 1e-2
 
     def test_switch_preserves_stored_energy(self):
         slave = self.make()
-        slave.bind(["tau"], [])
         slave.set_inputs([1.0])
         march(slave, 1.0, 0.01)
         before = slave.energy()
@@ -193,13 +177,11 @@ class TestMsdHybrid:
 
     def test_round_trip_at_equilibrium_is_identity(self):
         slave = self.make(x0=0.5, v0=0.0)
-        slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([1.0])  # k*x0 = 1.0 exactly
         march(slave, 0.5, 0.01)
         state = slave.get_outputs()
         slave.switch_causality("differential")
         slave.switch_causality("integral")
-        slave.bind(["tau"], ["x", "v"])
         assert slave.get_outputs() == state
         assert slave.mode == "integral"
 
@@ -209,42 +191,25 @@ class TestMsdHybrid:
         slave.switch_causality("differential")
         assert [v.name for v in slave.descriptor().inputs()] == ["v"]
 
-    def test_switch_drops_the_binding(self):
-        slave = self.make()
-        slave.bind(["tau"], ["v", "x"])
-        slave.set_inputs([1.0])
-        slave.switch_causality("differential")
-        with pytest.raises(InvalidState):
-            slave.set_inputs([1.0])
-        with pytest.raises(InvalidState):
-            slave.get_outputs()
-        with pytest.raises(NotAnInput):
-            slave.bind(["tau"], ["v", "x"])
-        with pytest.raises(InvalidState):
-            slave.set_inputs([1.0])
-        slave.bind(["v"], ["tau", "x"])
-        slave.set_inputs([0.5])
-        assert slave.inputs == {"v": 0.5}
-        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
-
-    def test_rebinding_after_a_switch_moves_the_new_ports(self):
+    def test_switch_moves_the_new_ports_in_descriptor_order(self):
+        # Nothing is called between the switch and the exchange.
         slave = self.make(x0=0.3)
-        slave.bind(["tau"], ["v", "x"])
         slave.set_inputs([1.0])
         march(slave, 0.1, 0.01)
         slave.switch_causality("differential")
-        slave.bind(["v"], ["x", "tau"])
+        assert [v.name for v in slave.descriptor().outputs()] == ["tau", "x"]
         slave.set_inputs([0.25])
         assert slave.inputs == {"v": 0.25}
-        assert slave.get_outputs() == [slave.outputs["x"], slave.outputs["tau"]]
+        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
         slave.do_step(0.1, 0.01)
-        x, tau = slave.get_outputs()
-        assert (x, tau) == (slave.x, slave.outputs["tau"])
+        assert slave.get_outputs() == [slave.outputs["tau"], slave.x]
+        with pytest.raises(InvalidState):
+            slave.set_inputs([0.25, 0.0])
         slave.switch_causality("integral")
-        slave.bind(["tau"], ["x", "v"])
+        assert [v.name for v in slave.descriptor().outputs()] == ["v", "x"]
         slave.set_inputs([-0.5])
         assert slave.inputs == {"tau": -0.5}
-        assert slave.get_outputs() == [slave.x, 0.25]
+        assert slave.get_outputs() == [0.25, slave.x]
 
     def test_causality_switch_keeps_the_step_flag(self):
         # The slave reads supports_variable_step once, at initialize, so
@@ -270,8 +235,6 @@ class TestQuarterCar:
         wheel = single_slave("quarter_car_wheel",
                              {"m2": 40.0, "kt": 1.5e5, "z2_0": 0.0,
                               "v2_0": 0.0, "h": 1e-4})
-        chassis.bind(["F"], ["z1", "v1"])
-        wheel.bind(["F"], ["z2", "v2"])
         t = 0.0
         for _ in range(100):
             chassis.set_inputs([0.0])
@@ -296,7 +259,6 @@ class TestSources:
         slave = single_slave("sine_source",
                              {"amp": 2.0, "freq": 0.5, "phase": 0.25,
                               "bias": -1.0})
-        slave.bind([], ["y"])
         assert slave.get_outputs() == [-1.0 + 2.0 * math.sin(0.25)]
         t = march(slave, 0.3, 0.1)
         expect = -1.0 + 2.0 * math.sin(2 * math.pi * 0.5 * t + 0.25)
@@ -305,7 +267,6 @@ class TestSources:
     def test_bump_source_window(self):
         slave = single_slave("bump_source",
                              {"t0": 1.0, "width": 0.2, "height": 0.05})
-        slave.bind([], ["y"])
         t, ys = 0.0, []
         for _ in range(30):
             slave.do_step(t, 0.05)
@@ -324,16 +285,14 @@ class TestElectrical:
         gen = single_slave("generator_voltage",
                            {"V_set": 230.0, "R": 0.5, "T": 0.05, "h": 1e-4})
         march(gen, 1.0, 1e-3, inputs={"I": lambda t: 0.0})
-        gen.bind(["I"], ["V"])
-        (v,) = gen.get_outputs()
+        v, _ = gen.get_outputs()
         assert v == pytest.approx(230.0, rel=1e-6)
 
     def test_generator_droops_under_load(self):
         gen = single_slave("generator_voltage",
                            {"V_set": 230.0, "R": 0.5, "T": 0.05, "h": 1e-4})
         march(gen, 1.0, 1e-3, inputs={"I": lambda t: 10.0})
-        gen.bind(["I"], ["V"])
-        (v,) = gen.get_outputs()
+        v, _ = gen.get_outputs()
         assert v == pytest.approx(230.0 - 0.5 * 10.0, rel=1e-6)
 
     def test_motor_reaches_analytic_steady_state(self):
@@ -342,8 +301,7 @@ class TestElectrical:
         motor = single_slave("el_motor", p)
         # slowest pole is about 0.6/s; 40 s puts the transient below 1e-9
         march(motor, 40.0, 1e-2, inputs={"V": lambda t: 12.0})
-        motor.bind(["V"], ["I", "omega"])
-        I, omega = motor.get_outputs()
+        I, omega, _ = motor.get_outputs()
         # steady state of the linear DC motor equations
         den = p["R"] * p["b"] + p["Ke"] * p["Kt"]
         assert omega == pytest.approx(12.0 * p["Kt"] / den, rel=1e-6)
@@ -353,7 +311,6 @@ class TestElectrical:
 class TestBlocks:
     def test_sum_delay_lags_one_step(self):
         slave = single_slave("sum_delay")
-        slave.bind(["u1", "u2"], ["y"])
         slave.set_inputs([2.0, 3.0])
         assert slave.get_outputs() == [0.0]
         slave.do_step(0.0, 0.1)
@@ -361,7 +318,6 @@ class TestBlocks:
 
     def test_gain_block_feeds_through(self):
         slave = single_slave("gain_block", {"c": -2.5})
-        slave.bind(["u"], ["y"])
         slave.set_inputs([4.0])
         slave.do_step(0.0, 0.1)
         assert slave.get_outputs() == [-10.0]
@@ -370,14 +326,12 @@ class TestBlocks:
     def test_gain_block_refreshes_on_every_set_inputs(self):
         # No step between: the output follows each input as it is set.
         slave = single_slave("gain_block", {"c": -2.5})
-        slave.bind(["u"], ["y"])
         for u in (4.0, -1.0, 0.0, 8.0):
             slave.set_inputs([u])
             assert slave.get_outputs() == [-2.5 * u]
 
     def test_models_without_feedthrough_keep_outputs_on_set_inputs(self):
         slave = single_slave("sum_delay")
-        slave.bind(["u1", "u2"], ["y"])
         slave.set_inputs([2.0, 3.0])
         slave.do_step(0.0, 0.1)
         slave.set_inputs([7.0, 1.0])

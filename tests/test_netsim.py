@@ -14,13 +14,10 @@ from cosim.errors import (
     CosimError,
     InvalidState,
     InvalidSystem,
-    NotAnInput,
-    NotAnOutput,
     ProtocolError,
     RunAborted,
     SpawnLimitExceeded,
     UnknownModel,
-    UnknownVariable,
 )
 from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import MsdIntegral, registry as standard_registry
@@ -52,7 +49,7 @@ from cosim.system import (
     VarKind,
     validate_system,
 )
-from cosim.units import NEWTON
+from cosim.units import KILONEWTON, NEWTON
 
 from conftest import (
     FaultyModel,
@@ -222,7 +219,7 @@ class TestControlChannel:
         finally:
             prov.shutdown()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 999])
+    @pytest.mark.parametrize("version", [1, 2, 3, 6, 999])
     def test_version_mismatch_rejected(self, provider, version):
         host, port = provider.address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as sock:
@@ -327,7 +324,6 @@ class TestRemoteSlave:
         def history(slave):
             slave.setup(0.0, 10.0)
             slave.initialize()
-            slave.bind(["tau"], ["x", "v"])
             out = []
             t = 0.0
             for _ in range(20):
@@ -348,21 +344,14 @@ class TestRemoteSlave:
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
-            # BIND and INITIALIZE answer only OK, so their replies are read
-            # before the next request that returns data; an ERROR raises
-            # there, typed, and names the request it answers.
-            for request, error in ((lambda: slave.bind([], ["bogus"]), UnknownVariable),
-                                   (lambda: slave.bind(["bogus"], []), UnknownVariable),
-                                   (lambda: slave.bind(["x"], []), NotAnInput),
-                                   (lambda: slave.bind([], ["tau"]), NotAnOutput),
-                                   (slave.initialize, InvalidState)):
-                request()
-                with pytest.raises(error) as err:
-                    slave.get_outputs()
-                assert type(err.value) is error
-                name = "INITIALIZE" if error is InvalidState else "BIND"
-                assert err.value.__notes__ == [f"in reply to {name}"]
-            slave.bind(["tau"], ["x", "v"])
+            # INITIALIZE answers only OK, so its reply is read before the
+            # next request that returns data; an ERROR raises there, typed,
+            # and names the request it answers.
+            slave.initialize()
+            with pytest.raises(InvalidState) as err:
+                slave.get_outputs()
+            assert type(err.value) is InvalidState
+            assert err.value.__notes__ == ["in reply to INITIALIZE"]
             for values in ([], [0.5, 0.5]):
                 with pytest.raises(InvalidState):
                     slave.set_inputs(values)
@@ -379,30 +368,6 @@ class TestRemoteSlave:
             slave.terminate()
             client.close()
 
-    def test_unbound_step_answers_without_outputs(self, provider):
-        client = ProviderClient(provider.address)
-        slave = client.spawn("msd_integral", {})
-        try:
-            slave.setup(0.0, 1.0)
-            slave.initialize()
-            # Reads the owed OKs, then finds no outputs to give.
-            with pytest.raises(InvalidState, match="before bind"):
-                slave.get_outputs()
-            send_frame(client._sock, MT.STEP,
-                       Writer().u64(slave._index).f64(0.0).f64(0.1).count(0).payload())
-            msg_type, body = recv_frame(client._sock)
-            assert msg_type == MT.STEP_OK
-            r = Reader(body)
-            assert r.f64() == 0.1 and r.count() == 0
-            r.done()
-            # through the proxy too, which still has no outputs to give
-            assert slave.do_step(0.1, 0.1) == 0.2
-            with pytest.raises(InvalidState, match="before bind"):
-                slave.get_outputs()
-        finally:
-            slave.terminate()
-            client.close()
-
     def test_a_frame_without_values_keeps_the_inputs(self, provider,
                                                      monkeypatch):
         # Inputs set once ride on the first request after them; later
@@ -410,7 +375,6 @@ class TestRemoteSlave:
         def history(slave):
             slave.setup(0.0, 10.0)
             slave.initialize()
-            slave.bind(["tau"], ["x", "v"])
             slave.set_inputs([0.25])
             out = list(slave.get_outputs())
             t = 0.0
@@ -427,7 +391,7 @@ class TestRemoteSlave:
             remote = history(slave)
         local = history(standard_registry.create("msd_integral", params))
         assert remote == local
-        assert sent == [MT.SETUP, MT.INITIALIZE, MT.BIND, MT.GET_OUTPUTS,
+        assert sent == [MT.SETUP, MT.INITIALIZE, MT.GET_OUTPUTS,
                         *[MT.STEP] * 5, MT.TERMINATE]
 
     def test_wrong_input_count_fails_before_sending(self, provider,
@@ -438,12 +402,8 @@ class TestRemoteSlave:
             slave.setup(0.0, 1.0)
             slave.initialize()
             sent, _ = client_frames(monkeypatch)
-            with pytest.raises(InvalidState, match="before bind"):
-                slave.set_inputs([0.5])
-            slave.bind(["tau"], ["x"])
-            del sent[:]
             for values in ([], [0.5, 0.5]):
-                with pytest.raises(InvalidState, match="bound inputs"):
+                with pytest.raises(InvalidState, match="values for 1 inputs"):
                     slave.set_inputs(values)
             assert sent == []
         finally:
@@ -465,7 +425,6 @@ class TestRemoteSlave:
                     "call": 1, "mode": FaultyModel.MODES.index("hang")})
                 slave.setup(0.0, 1.0)
                 slave.initialize()
-                slave.bind(["tau"], ["v"])
                 with pytest.raises(ConnectionLost):
                     slave.get_outputs()  # the settle read
                 sent, _ = client_frames(monkeypatch)
@@ -593,10 +552,9 @@ class TestSessions:
                 third = client.spawn("sine_source", {})
                 second.setup(0.0, 1.0)
                 second.initialize()
-                second.bind(["tau"], ["x"])
                 second.set_inputs([0.5])
                 assert second.do_step(0.0, 0.1) == 0.1
-                assert len(second.get_outputs()) == 1
+                assert len(second.get_outputs()) == 2
                 for slave in (second, third):
                     slave.terminate()
         finally:
@@ -769,14 +727,11 @@ class TestServeSession:
             local = standard_registry.create("msd_integral", params)
             local.setup(0.0, 1.0)
             local.initialize()
-            local.bind(["tau"], ["x", "v"])
             local.set_inputs([0.75])
             t_end, outputs = local.do_step(0.0, 0.1), local.get_outputs()
             index = indexes[0]
             call(MT.SETUP, Writer().u64(index).f64(0.0).f64(1.0), MT.OK).done()
             call(MT.INITIALIZE, Writer().u64(index), MT.OK).done()
-            bind = Writer().u64(index).count(1).string("tau").count(2)
-            call(MT.BIND, bind.string("x").string("v"), MT.OK).done()
             r = call(MT.STEP, Writer().u64(index).f64(0.0).f64(0.1).f64s([0.75]),
                      MT.STEP_OK)
             assert r.f64().hex() == t_end.hex()
@@ -791,25 +746,41 @@ class TestServeSession:
         theirs.close()
 
 
-class GhostResolver(NetworkResolver):
-    """Describes each remote model with an output its provider lacks, so
-    the plan binds a name the remote slave rejects."""
+def with_ghost(desc):
+    """``desc`` with an output its model lacks."""
+    ghost = VariableDescriptor("ghost", Causality.OUTPUT, VarKind.SIGNAL, None)
+    return dataclasses.replace(desc, variables=(*desc.variables, ghost))
 
-    def describe(self, spec):
-        desc = super().describe(spec)
-        if not spec.provider:
-            return desc
-        ghost = VariableDescriptor("ghost", Causality.OUTPUT, VarKind.SIGNAL, None)
-        return dataclasses.replace(desc, variables=(*desc.variables, ghost))
+
+def in_kilonewton(desc):
+    """``desc`` with its newton ports in kilonewton: the same names and
+    directions, so the plan would scale them by 1e-3."""
+    return dataclasses.replace(desc, variables=tuple(
+        dataclasses.replace(v, unit=KILONEWTON) if v.unit == NEWTON else v
+        for v in desc.variables))
+
+
+def misdescribing(change):
+    """A resolver that describes each remote model changed by ``change``, as
+    a provider whose DESCRIBE answer contradicts its SPAWNED one would."""
+
+    class Misdescribing(NetworkResolver):
+        def describe(self, spec):
+            desc = super().describe(spec)
+            return change(desc) if spec.provider else desc
+
+    return Misdescribing
 
 
 class TestSetupFaults:
-    """A remote SETUP, INITIALIZE or BIND that fails ends the set-up with
-    the error its provider sent, typed as the provider raised it.  Every
-    slave is terminated once, the provider frees the slot and no thread
-    is left."""
+    """A remote SETUP or INITIALIZE that fails ends the set-up with the
+    error its provider sent, typed as the provider raised it; a slave
+    created unlike its description ends it before any SETUP.  Every
+    slave created is terminated once, the provider frees the slot and no
+    thread is left."""
 
-    def failed_setup(self, stage, call=1, resolver_cls=NetworkResolver):
+    def failed_setup(self, stage, call=1, resolver_cls=NetworkResolver,
+                     created=("left", "right")):
         before = set(threading.enumerate())
         prov = Provider(extended_registry(),
                         ProviderConfig(host="127.0.0.1", port=0, max_slaves=1)).start()
@@ -835,7 +806,7 @@ class TestSetupFaults:
             spawn_within(prov.address, 1.0)
         finally:
             prov.shutdown()
-        assert sorted(terminated) == ["left", "right"]
+        assert sorted(terminated) == sorted(created)
         give_up = time.monotonic() + 1.0
         while not set(threading.enumerate()) <= before:
             assert time.monotonic() < give_up, "a thread outlived the set-up"
@@ -849,12 +820,16 @@ class TestSetupFaults:
         assert str(error) == f"InjectedFault: {stage} call 1"
         assert error.__notes__ == [f"in reply to {stage.upper()}"]
 
-    def test_a_bind_with_a_bad_name(self):
-        # Call 0 never comes, so the fault is the ghost output alone.
-        error = self.failed_setup("do_step", 0, GhostResolver)
-        assert type(error) is UnknownVariable
-        assert str(error) == "no variable named 'ghost'"
-        assert error.__notes__ == ["in reply to BIND"]
+    @pytest.mark.parametrize("change", [with_ghost, in_kilonewton],
+                             ids=["ghost_output", "kilonewton"])
+    def test_a_slave_created_unlike_its_description(self, change, monkeypatch):
+        sent, _ = client_frames(monkeypatch)
+        # Call 0 never comes, so the fault is the description alone.
+        error = self.failed_setup("do_step", 0, misdescribing(change), created=("left",))
+        assert type(error) is InvalidState
+        assert str(error) == ("slave 'left' was created with other variables "
+                              "than it was described with")
+        assert MT.SPAWN in sent and MT.SETUP not in sent
 
 
 def crossed_fail_after(address, here_first):
@@ -1028,9 +1003,9 @@ class TestDistributedRuns:
         with NetworkResolver(registry=standard_registry) as resolver:
             initialize_run(pairs_on([provider], 3), resolver).terminate()
         ok_only = [i for i, (kind, msg) in enumerate(log) if kind == "sent"
-                   and msg in (MT.SETUP, MT.INITIALIZE, MT.BIND)]
+                   and msg in (MT.SETUP, MT.INITIALIZE)]
         oks = [i for i, frame in enumerate(log) if frame == ("read", MT.OK)]
-        assert len(ok_only) == len(oks) == 3 * 2 * 3
+        assert len(ok_only) == len(oks) == 3 * 2 * 2
         assert max(ok_only) < min(oks)
 
     def test_one_request_per_remote_slave_per_step(self, provider,
@@ -1221,17 +1196,10 @@ class TestDistributedRuns:
                             w = Writer().u64(0)
                             wire.write_descriptor(w, standard_registry.describe(r.string()))
                             send_frame(conn, MT.SPAWNED, w.payload())
-                        elif msg == MT.BIND:
-                            assert r.u64() == 0
-                            for _ in range(r.count()):
-                                r.string()
-                            bound = [r.string() for _ in range(r.count())]
-                            send_frame(conn, MT.OK)
                         elif msg == MT.GET_OUTPUTS:
-                            w = Writer().count(len(bound))
-                            for _ in bound:
-                                w.f64(0.0)
-                            send_frame(conn, MT.OUTPUTS, w.payload())
+                            outputs = standard_registry.describe("msd_integral").outputs()
+                            send_frame(conn, MT.OUTPUTS,
+                                       Writer().f64s([0.0] * len(outputs)).payload())
                         elif msg == MT.STEP:
                             reply = encode_frame(MT.STEP_OK, Writer().f64(0.2).payload())
                             conn.sendall(reply[:-5])

@@ -3,15 +3,7 @@ import math
 
 import pytest
 
-from cosim.errors import (
-    InvalidState,
-    NotAnInput,
-    NotAnOutput,
-    StepRejected,
-    UnknownModel,
-    UnknownParameter,
-    UnknownVariable,
-)
+from cosim.errors import InvalidState, StepRejected, UnknownModel, UnknownParameter
 from cosim.models import registry
 from conftest import extended_registry, single_slave
 
@@ -25,7 +17,6 @@ class TestLifecycle:
         slave = fresh()
         slave.setup(0.0, 1.0)
         slave.initialize()
-        slave.bind(["tau"], ["x", "v"])
         slave.set_inputs([0.0])
         assert slave.do_step(0.0, 0.1) == pytest.approx(0.1)
         slave.get_outputs()
@@ -70,24 +61,23 @@ class TestLifecycle:
         with pytest.raises(InvalidState):
             slave.do_step(0.0, 0.1)
 
-    def test_bind_outside_ready_rejected(self):
+    def test_exchange_outside_ready_rejected(self):
         created = fresh()
         set_up = fresh()
         set_up.setup(0.0, 1.0)
-        terminated = fresh()
-        terminated.setup(0.0, 1.0)
-        terminated.initialize()
-        terminated.terminate()
-        for slave in (created, set_up, terminated):
-            with pytest.raises(InvalidState):
-                slave.bind(["tau"], ["x"])
+        for slave, state in ((created, "created"), (set_up, "set up")):
+            with pytest.raises(InvalidState) as err:
+                slave.set_inputs([0.0])
+            assert str(err.value) == f"set_inputs not allowed in state {state!r}"
+            with pytest.raises(InvalidState) as err:
+                slave.get_outputs()
+            assert str(err.value) == f"get_outputs not allowed in state {state!r}"
 
     def test_terminated_slave_refuses_its_binding(self):
         def terminated():
             slave = fresh()
             slave.setup(0.0, 1.0)
             slave.initialize()
-            slave.bind(["tau"], ["x"])
             slave.terminate()
             return slave
 
@@ -100,7 +90,6 @@ class TestLifecycle:
             with pytest.raises(InvalidState) as err:
                 call(terminated())
             assert str(err.value) == f"{what} not allowed in state 'terminated'"
-            assert "before bind" not in str(err.value)
 
     def test_terminate_legal_from_any_live_state(self):
         fresh().terminate()
@@ -138,7 +127,6 @@ class TestStepContract:
 
     def test_fixed_step_slave_latches_first_dt(self):
         slave = single_slave("sum_delay")
-        slave.bind(["u1", "u2"], [])
         slave.set_inputs([1.0, 2.0])
         slave.do_step(0.0, 0.1)
         with pytest.raises(StepRejected):
@@ -158,42 +146,15 @@ class TestStepContract:
 
 
 class TestVariableAccess:
-    def test_unknown_variable(self):
-        slave = single_slave("msd_integral")
-        with pytest.raises(UnknownVariable):
-            slave.bind(["bogus"], [])
-        with pytest.raises(UnknownVariable):
-            slave.bind([], ["bogus"])
-
-    def test_not_an_input(self):
-        slave = single_slave("msd_integral")
-        with pytest.raises(NotAnInput):
-            slave.bind(["x"], [])
-
-    def test_not_an_output(self):
-        slave = single_slave("msd_integral")
-        with pytest.raises(NotAnOutput):
-            slave.bind([], ["tau"])
-
-    def test_outputs_follow_bound_order(self):
-        slave = single_slave("msd_integral", {"x0": 2.0})
-        slave.bind([], ["x", "v"])
-        assert slave.get_outputs() == [2.0, 0.0]
-        slave.bind([], ["v", "x"])
-        assert slave.get_outputs() == [0.0, 2.0]
-
-    def test_exchange_needs_a_binding(self):
-        slave = single_slave("msd_integral")
-        with pytest.raises(InvalidState):
-            slave.set_inputs([])
-        with pytest.raises(InvalidState):
-            slave.get_outputs()
+    def test_outputs_follow_descriptor_order(self):
+        slave = single_slave("msd_integral", {"x0": 2.0, "v0": -1.0})
+        assert [v.name for v in slave.descriptor().outputs()] == ["v", "x"]
+        assert slave.get_outputs() == [-1.0, 2.0]
 
     def test_value_count_must_match_binding(self):
         slave = single_slave("msd_integral")
-        slave.bind(["tau"], ["x"])
         for values in ([], [1.0, 2.0]):
-            with pytest.raises(InvalidState):
+            with pytest.raises(InvalidState, match="values for 1 inputs"):
                 slave.set_inputs(values)
 
 
@@ -208,17 +169,15 @@ class TestConstruction:
 
     def test_parameter_defaults_applied(self):
         slave = single_slave("msd_integral")
-        slave.bind([], ["x"])
-        assert slave.get_outputs() == [0.0]
+        assert slave.get_outputs() == [0.0, 0.0]
 
     def test_instances_are_independent(self):
         a = single_slave("msd_integral", {"x0": 1.0})
         b = single_slave("msd_integral", {"x0": 1.0})
         for slave in (a, b):
-            slave.bind(["tau"], ["x"])
             slave.set_inputs([0.0])
         a.do_step(0.0, 0.5)
-        assert b.get_outputs() == [1.0]
+        assert b.get_outputs() == [0.0, 1.0]
 
     def test_model_ids_sorted(self):
         ids = registry.model_ids()
@@ -234,8 +193,7 @@ class TestDeterminism:
     def test_identical_histories_bitwise(self, model_id, drive):
         def run():
             slave = single_slave(model_id)
-            names = [v.name for v in slave.descriptor().outputs()]
-            slave.bind([name for name, _ in drive], names)
+            assert [v.name for v in slave.descriptor().inputs()] == [n for n, _ in drive]
             out = []
             t = 0.0
             for _ in range(50):
