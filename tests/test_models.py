@@ -191,13 +191,27 @@ class TestMsdHybrid:
         slave.switch_causality("differential")
         assert [v.name for v in slave.descriptor().inputs()] == ["v"]
 
-    def test_switch_moves_the_new_ports_in_descriptor_order(self):
-        # Nothing is called between the switch and the exchange.
+    def test_switch_drops_the_binding(self):
+        # The old port order does not outlive a switch: with nothing called
+        # in between, the exchange follows the new descriptor's order.
+        slave = self.make()
+        slave.set_inputs([1.0])
+        assert [v.name for v in slave.descriptor().outputs()] == ["v", "x"]
+        slave.switch_causality("differential")
+        assert [v.name for v in slave.descriptor().outputs()] == ["tau", "x"]
+        with pytest.raises(InvalidState):
+            slave.set_inputs([1.0, 0.0])
+        slave.set_inputs([0.5])
+        assert slave.inputs == {"v": 0.5}
+        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
+
+    def test_rebinding_after_a_switch_moves_the_new_ports(self):
+        # The new ports move across steps and a switch back, with no call
+        # other than the exchange itself.
         slave = self.make(x0=0.3)
         slave.set_inputs([1.0])
         march(slave, 0.1, 0.01)
         slave.switch_causality("differential")
-        assert [v.name for v in slave.descriptor().outputs()] == ["tau", "x"]
         slave.set_inputs([0.25])
         assert slave.inputs == {"v": 0.25}
         assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
