@@ -18,15 +18,12 @@ from .errors import (
     DimensionMismatch,
     InvalidState,
     InvalidSystem,
-    NotAnInput,
-    NotAnOutput,
     ProtocolError,
     RunAborted,
     SpawnLimitExceeded,
     StepRejected,
     UnknownModel,
     UnknownParameter,
-    UnknownVariable,
 )
 from .function_units import build_plan, evaluate_plan
 from .master import (

@@ -19,18 +19,6 @@ class UnknownParameter(CosimError):
     """A parameter name is not declared by the model."""
 
 
-class UnknownVariable(CosimError):
-    """A variable name is not declared by the model."""
-
-
-class NotAnInput(CosimError):
-    """Attempt to write a variable that is not an input."""
-
-
-class NotAnOutput(CosimError):
-    """Attempt to read a variable that is not an output."""
-
-
 class InvalidState(CosimError):
     """A lifecycle operation was called in a state that does not allow it."""
 

@@ -285,10 +285,6 @@ class EvaluationPlan:
         return 1 + self.chain_length  # the cap on settle passes
 
 
-def _si(v: VariableDescriptor) -> float:
-    return v.unit.scale_to_si if v.unit is not None else 1.0
-
-
 def build_plan(
     system: SystemDescription, descriptors: dict[str, SlaveDescriptor] | Resolution
 ) -> EvaluationPlan:
@@ -340,8 +336,8 @@ def build_plan(
             out_v, in_v = var_of[out_ref], var_of[in_ref]
             okind = "e_out" if out_v.kind is VarKind.EFFORT else "f_out"
             ikind = "e_in" if in_v.kind is VarKind.EFFORT else "f_in"
-            pos[okind], si[okind] = slot[out_ref], _si(out_v)
-            pos[ikind], si[ikind] = slot[in_ref] - n_out, _si(in_v)
+            pos[okind], si[okind] = slot[out_ref], out_v.unit.scale_to_si
+            pos[ikind], si[ikind] = slot[in_ref] - n_out, in_v.unit.scale_to_si
         bonds.append(BondLegs(
             bond.name, 1.0 if bond.positive_side == "a" else -1.0,
             pos["e_out"], pos["f_out"], pos["e_in"], pos["f_in"],

@@ -141,9 +141,6 @@ class MsdIntegral(ModelSlave):
         self.outputs["x"] = self.state[0]
         self.outputs["v"] = self.state[1]
 
-    def energy(self) -> float:
-        return 0.5 * (self.params["m"] * self.state[1] ** 2 + self.params["k"] * self.state[0] ** 2)
-
 
 @registry.register
 class MsdDifferential(ModelSlave):

@@ -20,14 +20,11 @@ from ..errors import (
     ConnectionLost,
     CosimError,
     InvalidState,
-    NotAnInput,
-    NotAnOutput,
     ProtocolError,
     SpawnLimitExceeded,
     StepRejected,
     UnknownModel,
     UnknownParameter,
-    UnknownVariable,
 )
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
@@ -195,31 +192,27 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None
 
 # -- typed errors over the wire ---------------------------------------------
 
-_ERROR_CLASSES: tuple[type[CosimError], ...] = (
-    StepRejected,        # 1
-    InvalidState,        # 2
-    UnknownVariable,     # 3
-    NotAnInput,          # 4
-    NotAnOutput,         # 5
-    UnknownModel,        # 6
-    UnknownParameter,    # 7
-    SpawnLimitExceeded,  # 8
-    ProtocolError,       # 9
-)
+# Codes 3-5 are retired: a peer that sends one gets a plain CosimError.
+_ERROR_CLASSES: dict[int, type[CosimError]] = {
+    1: StepRejected,
+    2: InvalidState,
+    6: UnknownModel,
+    7: UnknownParameter,
+    8: SpawnLimitExceeded,
+    9: ProtocolError,
+}
 
 
 def error_code(exc: BaseException) -> int:
     """Code 0 is the generic bucket for anything without its own code."""
-    for i, cls in enumerate(_ERROR_CLASSES, start=1):
+    for code, cls in _ERROR_CLASSES.items():
         if isinstance(exc, cls):
-            return i
+            return code
     return 0
 
 
 def make_error(code: int, text: str) -> CosimError:
-    if 1 <= code <= len(_ERROR_CLASSES):
-        return _ERROR_CLASSES[code - 1](text)
-    return CosimError(text)
+    return _ERROR_CLASSES.get(code, CosimError)(text)
 
 
 # -- descriptor payloads ---------------------------------------------------
@@ -242,24 +235,29 @@ def write_descriptor(w: Writer, desc: SlaveDescriptor) -> None:
 
 
 def read_descriptor(r: Reader) -> SlaveDescriptor:
+    """The descriptor ``r`` holds; one that does not make a valid
+    descriptor, such as one with an unknown unit, is a ProtocolError."""
     model_id = r.string()
     variable_step = bool(r.u64())
-    variables = []
-    for _ in range(r.count()):
-        name = r.string()
-        causality = Causality(r.string())
-        kind = VarKind(r.string())
-        unit_name = r.string()
-        feedthrough = bool(r.u64())
-        unit = parse_unit(unit_name) if unit_name else None
-        variables.append(VariableDescriptor(name, causality, kind, unit, feedthrough))
-    parameters = {}
-    for _ in range(r.count()):
-        pname = r.string()
-        parameters[pname] = r.f64()
-    return SlaveDescriptor(
-        model_id=model_id,
-        variables=tuple(variables),
-        parameters=parameters,
-        supports_variable_step=variable_step,
-    )
+    try:
+        variables = []
+        for _ in range(r.count()):
+            name = r.string()
+            causality = Causality(r.string())
+            kind = VarKind(r.string())
+            unit_name = r.string()
+            feedthrough = bool(r.u64())
+            unit = parse_unit(unit_name) if unit_name else None
+            variables.append(VariableDescriptor(name, causality, kind, unit, feedthrough))
+        parameters = {}
+        for _ in range(r.count()):
+            pname = r.string()
+            parameters[pname] = r.f64()
+        return SlaveDescriptor(
+            model_id=model_id,
+            variables=tuple(variables),
+            parameters=parameters,
+            supports_variable_step=variable_step,
+        )
+    except (KeyError, ValueError) as exc:
+        raise ProtocolError(f"malformed descriptor: {exc.args[0]}") from exc

@@ -34,8 +34,9 @@ class VariableDescriptor:
 
     ``direct_feedthrough`` marks outputs whose value depends on the
     same-instant inputs; such outputs take part in algebraic-loop
-    detection.  ``unit`` may be None only on function-unit ports, which
-    are dimension-polymorphic.
+    detection.  ``unit`` may be None on signal and function-unit ports,
+    which then take any dimension; a bond port without a unit is a
+    ``not-a-power-pair`` finding.
     """
 
     name: str
@@ -466,13 +467,13 @@ def validate_system(
             continue
         effort_v = out_a if out_a.kind is VarKind.EFFORT else out_b
         flow_v = out_a if out_a.kind is VarKind.FLOW else out_b
-        if effort_v.unit is not None and flow_v.unit is not None:
-            if not is_power_conjugate(effort_v.unit, flow_v.unit):
-                add(
-                    "not-a-power-pair",
-                    f"effort {effort_v.unit} x flow {flow_v.unit} is not a power",
-                    where,
-                )
+        bare = [f"{side.slave}.{v.name}" for side, vs in zip(bond.sides(), side_vars)
+                for v in vs if v.unit is None]
+        if bare:
+            add("not-a-power-pair", f"bond ports without a unit: {', '.join(bare)}", where)
+        elif not is_power_conjugate(effort_v.unit, flow_v.unit):
+            add("not-a-power-pair", f"effort {effort_v.unit} x flow {flow_v.unit} is not a power",
+                where)
         # Units must also match across each leg (conversion permitted).
         for out_v, in_v in ((out_a, in_b), (out_b, in_a)):
             try:

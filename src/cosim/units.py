@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 
-_BASE_SYMBOLS = ("kg", "m", "s", "A", "K", "mol", "cd")
-
 
 @dataclass(frozen=True)
 class Dimension:
@@ -40,20 +38,6 @@ class Dimension:
 
     def __neg__(self) -> "Dimension":
         return Dimension(tuple(-a for a in self.exponents))
-
-    @property
-    def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __str__(self) -> str:
-        if self.is_dimensionless:
-            return "1"
-        parts = []
-        for sym, exp in zip(_BASE_SYMBOLS, self.exponents):
-            if exp == 0:
-                continue
-            parts.append(sym if exp == 1 else f"{sym}^{exp}")
-        return "*".join(parts)
 
 
 def dim(mass=0, length=0, time=0, current=0, temperature=0, amount=0, luminosity=0) -> Dimension:

@@ -1,4 +1,5 @@
 """Config text format: parsing, diagnostics, and round-trip emission."""
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,14 @@ class TestRoundTrip:
             msd_pair_system(FixedStepPolicy(1e-2)),
         ):
             assert parse_config(emit_config(system)) == system
+
+    def test_a_placed_slave_keeps_its_provider(self):
+        system = msd_pair_system(FixedStepPolicy(1e-2))
+        left = dataclasses.replace(system.slaves[0], provider="127.0.0.1:7501")
+        system = dataclasses.replace(system, slaves=(left, *system.slaves[1:]))
+        text = emit_config(system)
+        assert f"[slave {left.name}]\nmodel = {left.model_id}\nprovider = 127.0.0.1:7501\n" in text
+        assert parse_config(text) == system
 
     def test_emission_is_stable(self):
         system = parse_config(MINIMAL)

@@ -13,7 +13,8 @@ on top of the core, so it reports every import of ``cosim.net`` from a
 core module, and checks that ``import cosim`` loads no socket code.  A
 public function that only tests call is code the runtime does not need,
 so it reports every one that neither the package nor the benchmark
-names.
+names.  An error class that nothing raises is dead too, so it reports
+every class in ``cosim/errors.py`` that no module raises or constructs.
 """
 import ast
 import os
@@ -279,3 +280,45 @@ def test_every_public_function_has_a_user_outside_the_tests():
     modules = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unused_public_functions(modules, bench) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes ``errors_source`` defines that no source in ``sources``
+    raises or constructs.  ``raise E``, ``E(...)`` and handing ``E`` to a
+    call or as a default, for the callee to raise, count; a test such as
+    ``isinstance(x, E)`` or ``except E`` does not, nor does a name that
+    only stands in a table, such as the wire's map of error codes."""
+    made = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                made.add(node.exc)
+            elif isinstance(node, ast.Call):
+                made.add(node.func)
+                if getattr(node.func, "id", None) not in ("isinstance", "issubclass"):
+                    made.update([*node.args, *(k.value for k in node.keywords)])
+            elif isinstance(node, ast.arguments):
+                made.update([*node.defaults, *node.kw_defaults])
+    names = {n.id if isinstance(n, ast.Name) else n.attr for n in made
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name not in names]
+
+
+def test_checker_sees_an_unraised_error():
+    errors = "".join(f"class {name}(Exception):\n    pass\n" for name in (
+        "Base", "Raised", "Made", "Bare", "Qualified", "Handed", "Defaulted",
+        "Tabled", "Caught", "Tested"))
+    sources = [errors,
+               "def f():\n    raise Raised('x')\n", "e = Made()\n",
+               "def g():\n    raise Bare\n", "errors.Qualified('y')\n",
+               "abort('late', kind=Handed)\n",
+               "def abort(why, kind=Defaulted):\n    raise kind(why)\n",
+               "TABLE = {1: Tabled}\nTABLE.get(1, Base)('z')\n",
+               "try:\n    f()\nexcept Caught as e:\n    isinstance(e, Tested)\n"]
+    assert unraised_errors(errors, sources) == ["Tabled", "Caught", "Tested"]
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
+    assert unraised_errors((SRC / "errors.py").read_text(), sources) == []

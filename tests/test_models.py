@@ -309,6 +309,20 @@ class TestElectrical:
         v, _ = gen.get_outputs()
         assert v == pytest.approx(230.0 - 0.5 * 10.0, rel=1e-6)
 
+    def test_current_generator_follows_its_first_order_lag(self):
+        # I' = (I_set - I)/T from I0: I(t) = I_set + (I0 - I_set)*exp(-t/T),
+        # whatever the bus voltage; the frequency output stays f0.
+        p = {"I_set": 10.0, "T": 0.1, "f0": 60.0, "I0": 2.0, "h": 1e-3}
+        gen = single_slave("generator_current", p)
+        t = 0.0
+        for k in range(50):
+            gen.set_inputs([230.0 + k])
+            t = gen.do_step(t, 1e-2)
+            I, f = gen.get_outputs()
+            exact = p["I_set"] + (p["I0"] - p["I_set"]) * math.exp(-t / p["T"])
+            assert abs(I - exact) < 1e-9
+            assert f == p["f0"]
+
     def test_motor_reaches_analytic_steady_state(self):
         p = {"R": 1.0, "L": 0.01, "Ke": 0.1, "Kt": 0.1, "J": 0.05,
              "b": 0.02, "tau_load": 0.0, "h": 1e-4}

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from cosim import cli
 from cosim.errors import (
     BarrierTimeout,
     ConnectionLost,
@@ -18,6 +19,7 @@ from cosim.errors import (
     RunAborted,
     SpawnLimitExceeded,
     UnknownModel,
+    UnknownParameter,
 )
 from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import MsdIntegral, registry as standard_registry
@@ -49,7 +51,7 @@ from cosim.system import (
     VarKind,
     validate_system,
 )
-from cosim.units import KILONEWTON, NEWTON
+from cosim.units import KILONEWTON, METER, NEWTON, Unit
 
 from conftest import (
     FaultyModel,
@@ -482,6 +484,20 @@ class TestRemoteSlave:
         finally:
             prov.shutdown()
 
+    def test_a_refused_parameter_gives_the_slot_back(self):
+        prov = Provider(
+            standard_registry,
+            ProviderConfig(host="127.0.0.1", port=0, max_slaves=1),
+        ).start()
+        try:
+            with ProviderClient(prov.address) as client:
+                with pytest.raises(UnknownParameter, match="no_such"):
+                    client.spawn("sine_source", {"no_such": 1.0})
+                # released before the ERROR went out: no wait needed
+                client.spawn("sine_source", {}).terminate()
+        finally:
+            prov.shutdown()
+
     def test_concurrent_sessions_free_each_slot_once(self):
         # Slaves that end by TERMINATE or by closing their session, from
         # more threads than cores, each free their slot exactly once: at
@@ -891,6 +907,41 @@ class TestSetupResolution:
             prov.shutdown()
         assert [(f.code, f.where) for f in err.value.findings] == [
             ("unknown-port", "there.tau"), ("unwired-input", "there.force")]
+
+    def test_a_malformed_descriptor_is_a_protocol_error(self, tmp_path, capsys):
+        # The stand-in describes and spawns msd_integral with x in furlongs,
+        # a unit this end does not know.
+        furlong = Unit("furlong", METER.dimension, 201.168)
+
+        def answer(conn, msg, r):
+            desc = standard_registry.describe(r.string())
+            desc = dataclasses.replace(desc, variables=tuple(
+                dataclasses.replace(v, unit=furlong) if v.unit == METER else v
+                for v in desc.variables))
+            w = Writer().u64(1) if msg == MT.SPAWN else Writer()
+            wire.write_descriptor(w, desc)
+            send_frame(conn, MT.SPAWNED if msg == MT.SPAWN else MT.DESCRIPTION, w.payload())
+
+        malformed = "malformed descriptor: unknown unit 'furlong'"
+        with stand_in(answer) as (address, read):
+            with ProviderClient(address) as client:
+                for request in (lambda: client.describe("msd_integral"),
+                                lambda: client.spawn("msd_integral")):
+                    with pytest.raises(ProtocolError, match=malformed):
+                        request()
+            assert cli.main(["describe", "msd_integral", "--provider", address]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {malformed}")
+            cfg = tmp_path / "furlong.cfg"
+            cfg.write_text("[simulation]\nt_end = 1.0\ndt = 0.1\n\n"
+                           f"[slave osc]\nmodel = msd_integral\nprovider = {address}\n")
+            assert cli.main(["validate", str(cfg)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(
+                f"[unknown-model] osc: model 'msd_integral' not described by provider {address}: "
+                f"{malformed}")
+        assert [msg for _, msg in read] == [MT.HELLO, MT.DESCRIBE, MT.SPAWN,
+                                            MT.HELLO, MT.DESCRIBE, MT.HELLO, MT.DESCRIBE]
 
     def test_a_silent_provider_costs_one_timeout_per_set_up(self, monkeypatch):
         # The stand-in never answers, or answers HELLO and then only reads:

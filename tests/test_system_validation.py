@@ -1,4 +1,5 @@
 """System validation: every finding category, and clean systems pass."""
+import dataclasses
 import math
 from unittest import mock
 
@@ -11,17 +12,22 @@ from cosim.models import registry
 from cosim.system import (
     AdaptiveStepPolicy,
     BondSide,
+    Causality,
     FixedStepPolicy,
     FunctionUnitSpec,
     PortRef,
     PowerBond,
     Resolution,
     SignalConnection,
+    SlaveDescriptor,
     SlaveSpec,
     SystemDescription,
     ValidationReport,
+    VariableDescriptor,
+    VarKind,
     validate_system,
 )
+from cosim.units import METER_PER_SECOND, NEWTON
 
 from conftest import msd_pair_system, quarter_car_system
 
@@ -181,6 +187,58 @@ def test_bond_rejects_non_power_units():
     )
     found = codes(system)
     assert "not-a-power-pair" in found or "bad-bond-roles" in found
+
+
+def findings(system, descriptors=DESCRIPTORS):
+    return [(f.code, f.message) for f in validate_system(system, descriptors).findings]
+
+
+def test_bond_of_no_power_is_not_a_power_pair():
+    # force in, velocity out against voltage out, current in: the roles
+    # fit, but volt times metre per second is no power, and neither leg converts
+    system = build(
+        slaves=[SlaveSpec("a", "msd_integral", {}),
+                SlaveSpec("b", "generator_voltage", {})],
+        bonds=[_bond(BondSide("a", "v", "tau"), BondSide("b", "V", "I"))],
+    )
+    assert findings(system) == [
+        ("not-a-power-pair", "effort V x flow m/s is not a power"),
+        ("dimension-mismatch", "bond leg v -> I: m/s vs A"),
+        ("dimension-mismatch", "bond leg V -> tau: V vs N"),
+    ]
+
+
+def test_bond_side_must_input_the_kind_it_does_not_output():
+    # the effort side also inputs an effort, the flow side a flow
+    def model(model_id, kind, unit):
+        return SlaveDescriptor(model_id, (
+            VariableDescriptor("u", Causality.INPUT, kind, unit),
+            VariableDescriptor("y", Causality.OUTPUT, kind, unit)))
+
+    descriptors = {"pusher": model("pusher", VarKind.EFFORT, NEWTON),
+                   "mover": model("mover", VarKind.FLOW, METER_PER_SECOND)}
+    system = build(
+        slaves=[SlaveSpec("a", "pusher", {}), SlaveSpec("b", "mover", {})],
+        bonds=[_bond(BondSide("a", "y", "u"), BondSide("b", "y", "u"))],
+    )
+    assert findings(system, descriptors) == [
+        ("bad-bond-roles", "each side must input the opposite kind it outputs")]
+
+
+def test_bond_port_without_a_unit_is_not_a_power_pair():
+    # msd_integral's velocity output stripped of its unit: the bond's
+    # power, and the scale of that leg, would be unknown
+    desc = registry.describe("msd_integral")
+    unitless = dataclasses.replace(desc, variables=tuple(
+        dataclasses.replace(v, unit=None) if v.name == "v" else v for v in desc.variables))
+    system = build(
+        slaves=[SlaveSpec("a", "msd_integral", {}),
+                SlaveSpec("b", "msd_differential", {})],
+        bonds=[_bond(BondSide("a", "v", "tau"), BondSide("b", "tau", "v"))],
+    )
+    assert findings(system) == []
+    assert findings(system, {**DESCRIPTORS, "msd_integral": unitless}) == [
+        ("not-a-power-pair", "bond ports without a unit: a.v")]
 
 
 def test_signal_dimension_mismatch():

@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from cosim.errors import (
     CosimError,
     InvalidState,
-    NotAnInput,
     ProtocolError,
     SpawnLimitExceeded,
     StepRejected,
     UnknownModel,
     UnknownParameter,
-    UnknownVariable,
 )
 from cosim.models import registry
 from cosim.net.wire import (
@@ -149,8 +147,6 @@ class TestErrors:
     CASES = [
         (StepRejected, 1),
         (InvalidState, 2),
-        (UnknownVariable, 3),
-        (NotAnInput, 4),
         (UnknownModel, 6),
         (UnknownParameter, 7),
         (SpawnLimitExceeded, 8),
@@ -170,6 +166,10 @@ class TestErrors:
 
     def test_unknown_code_maps_to_generic(self):
         assert isinstance(make_error(99, "x"), CosimError)
+
+    @pytest.mark.parametrize("code", [3, 4, 5])
+    def test_retired_codes_map_to_generic(self, code):
+        assert type(make_error(code, "x")) is CosimError
 
 
 class TestDescriptors:
@@ -199,3 +199,18 @@ class TestDescriptors:
         got = read_descriptor(Reader(w.payload()))
         assert [v.name for v in got.inputs()] == ["tau"]
         assert [v.name for v in got.variables] == [v.name for v in desc.variables]
+
+    @pytest.mark.parametrize("variables,match", [
+        ([("v", "output", "flow", "furlong")], "unknown unit 'furlong'"),
+        ([("v", "sideways", "flow", "")], "'sideways' is not a valid Causality"),
+        ([("v", "output", "torque", "")], "'torque' is not a valid VarKind"),
+        ([("v", "output", "flow", ""), ("v", "input", "effort", "")], "duplicate variable"),
+        ([], "at least one variable"),
+    ], ids=["unit", "causality", "kind", "duplicate", "empty"])
+    def test_a_malformed_descriptor_is_a_protocol_error(self, variables, match):
+        w = Writer().string("odd").u64(1).count(len(variables))
+        for name, causality, kind, unit in variables:
+            w.string(name).string(causality).string(kind).string(unit).u64(0)
+        w.count(0)
+        with pytest.raises(ProtocolError, match=f"malformed descriptor: .*{match}"):
+            read_descriptor(Reader(w.payload()))
