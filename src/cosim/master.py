@@ -261,9 +261,9 @@ def initialize_run(
 
     A slave that ``resolver.describe`` cannot describe where it is placed
     is a finding: ``InvalidSystem`` is raised before any slave exists.  A
-    created slave whose variables differ from those described raises
-    ``InvalidState`` before any slave is set up: the plan addresses its
-    ports by their place in the description.
+    created slave whose descriptor differs from the one described raises
+    ``InvalidState`` before any slave is set up: validation and the plan
+    read that description.
 
     Settle passes at t_start push the assigned inputs and apply the plan
     to the outputs again, until one leaves them the same bit for bit or
@@ -282,9 +282,9 @@ def initialize_run(
     try:
         for spec in system.slaves:
             slave = slaves[spec.name] = resolver.create(spec)
-            if slave.descriptor().variables != resolved.slaves[spec.name].variables:
-                raise InvalidState(f"slave {spec.name!r} was created with other "
-                                   f"variables than it was described with")
+            if slave.descriptor() != resolved.slaves[spec.name]:
+                raise InvalidState(f"slave {spec.name!r} was created unlike "
+                                   f"the description it was checked against")
         for slave in slaves.values():
             slave.setup(system.t_start, system.t_end)
             slave.initialize()

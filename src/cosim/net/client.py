@@ -6,12 +6,13 @@ the replies owed on it.  A RemoteSlave names its slave by the index that
 SPAWNED gave, and lives no longer than its client.  It keeps the contract
 of an in-process slave, and reals cross the wire as exact binary64, so a
 distributed run reproduces an in-process run bit for bit.  Frames carry the
-index and values only, in the order of the descriptor SPAWNED gave.  A
+index and values only, in the order of the descriptor SPAWNED gave.
+INITIALIZE carries the span ``setup`` kept and answers the outputs.  A
 step is one round trip: STEP carries the inputs ``set_inputs`` stored, and
-STEP_OK the outputs.  Only reads before any step send GET_OUTPUTS.  SETUP
-and INITIALIZE answer only OK, so they go out without waiting; a read
-takes the older owed OKs first, and an ERROR raises noted ``in reply to``
-the request it answers.  ``NetworkResolver`` keeps one client per provider.
+STEP_OK the outputs.  Only reads before any step send GET_OUTPUTS.  No
+request but STEP is sent while a reply is owed, and an ERROR raises noted
+``in reply to`` the request it answers.  ``NetworkResolver`` keeps one
+client per provider.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from ..slave import ModelRegistry, SlaveInstance
 from ..system import SlaveDescriptor, SlaveSpec
 from . import wire
 from .wire import CONTROL_TIMEOUT, MessageType as MT, Reader, Writer
-
-_OK_ONLY = frozenset((MT.SETUP, MT.INITIALIZE))
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -129,44 +128,37 @@ class ProviderClient:
         wire.send_frame(self._sock, msg_type, payload)
 
     def _read(self, index: int | None, expect: int, timeout: float) -> Reader:
-        """The reply to slave ``index``'s next request that returns data, the
-        older owed OKs read first, each frame waited for up to ``timeout``
-        seconds.  The first ERROR raises, noted with the request it answers,
-        once that reply is read, so the session stays in step."""
+        """The reply owed next, to slave ``index``'s request, waited for up
+        to ``timeout`` seconds; an ERROR raises noted with that request."""
         if self._lost is not None:
             raise self._lost
+        if not self._owed:
+            raise InvalidState("no reply is owed")
+        request, owner = self._owed[0]
+        if owner != index:
+            raise InvalidState(f"the reply owed next is to slave {owner}'s "
+                               f"{MT(request).name}")
         self._sock.settimeout(timeout)
-        error = None
-        while True:
-            if not self._owed:
-                raise InvalidState("no reply is owed")
-            request, owner = self._owed[0]
-            ok_only = request in _OK_ONLY
-            if not ok_only and owner != index:
-                raise InvalidState(f"the reply owed next is to slave {owner}'s "
-                                   f"{MT(request).name}")
-            try:
-                got, body = wire.recv_frame(self._sock)
-            except (ConnectionLost, ProtocolError) as exc:
-                self._lost = exc
-                self.close()
-                raise
-            del self._owed[0]
-            try:
-                r = _reply(got, body, MT.OK if ok_only else expect)
-                if ok_only:
-                    r.done()
-            except CosimError as exc:
-                if hasattr(exc, "add_note"):  # Python 3.11 and later
-                    exc.add_note(f"in reply to {MT(request).name}")
-                error = error or exc
-            if not ok_only:
-                if error is not None:
-                    raise error
-                return r
+        try:
+            got, body = wire.recv_frame(self._sock)
+        except (ConnectionLost, ProtocolError) as exc:
+            self._lost = exc
+            self.close()
+            raise
+        del self._owed[0]
+        try:
+            return _reply(got, body, expect)
+        except CosimError as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11 and later
+                exc.add_note(f"in reply to {MT(request).name}")
+            raise
 
     def _call(self, msg_type: int, index: int | None, payload: bytes,
               expect: int) -> Reader:
+        """The reply to a request sent now; refused without I/O while a
+        STEP's reply is owed, since the read would take it for its own."""
+        if self._owed and self._lost is None:
+            raise InvalidState(f"slave {self._owed[0][1]}'s STEP reply is owed")
         self._post(msg_type, index, payload)
         return self._read(index, expect, self.timeout)
 
@@ -195,6 +187,7 @@ class RemoteSlave(SlaveInstance):
         self._n_outputs = len(descriptor.outputs())
         self._inputs: list[float] = []  # stored since the last request
         self._outputs: list[float] | None = None  # as last read, while current
+        self._span: bytes | None = None  # t_start and t_end as INITIALIZE carries them
         self._terminated = False
 
     def descriptor(self) -> SlaveDescriptor:
@@ -214,10 +207,14 @@ class RemoteSlave(SlaveInstance):
         self._outputs = values
 
     def setup(self, t_start: float, t_end: float) -> None:
-        self._session._post(MT.SETUP, self._index, Writer().f64(t_start).f64(t_end).payload())
+        if self._span is not None:
+            raise InvalidState("setup not allowed: the slave is already set up")
+        self._span = Writer().f64(t_start).f64(t_end).payload()
 
     def initialize(self) -> None:
-        self._session._post(MT.INITIALIZE, self._index)
+        if self._span is None:
+            raise InvalidState("initialize not allowed before setup")
+        self._keep_outputs(self._session._call(MT.INITIALIZE, self._index, self._span, MT.OUTPUTS))
 
     def set_inputs(self, values: list[float]) -> None:
         if len(values) != self._n_inputs:

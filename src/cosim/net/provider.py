@@ -8,13 +8,14 @@ HELLO completes within ``wire.CONTROL_TIMEOUT`` and then hands it to
 them without limit.  LIST_MODELS and DESCRIBE are answered at any time.
 Each SPAWN takes a slot from the provider's pool, one bounded semaphore,
 and answers SPAWNED with the slave's index, unique within the session,
-and its descriptor; every slave request begins with that index.  A step
-is one request: STEP carries the inputs, and STEP_OK the outputs, each
-in descriptor order.
-TERMINATE gives its slave's slot back at once.  When the session ends,
-every slave still on it is terminated and its slot given back, once.  A
-request that fails, an unknown index included, is answered by ERROR, and
-the session goes on.
+and its descriptor; every slave request begins with that index.
+INITIALIZE carries the start and end times: the slave is set up and
+initialized, and OUTPUTS answers with its initial outputs.  A step is one
+request: STEP carries the inputs, and STEP_OK the outputs, each in
+descriptor order.  TERMINATE gives its slave's slot back at once.  When
+the session ends, every slave still on it is terminated and its slot
+given back, once.  A request that fails, an unknown index included, is
+answered by ERROR, and the session goes on.
 """
 from __future__ import annotations
 
@@ -232,15 +233,13 @@ def serve_session(conn: socket.socket, registry: ModelRegistry,
                     w = Writer().u64(spawned)
                     wire.write_descriptor(w, desc)
                     wire.send_frame(conn, MT.SPAWNED, w.payload())
-                elif msg_type == MT.SETUP:
+                elif msg_type == MT.INITIALIZE:
                     t_start, t_end = r.f64(), r.f64()
                     r.done()
                     instance.setup(t_start, t_end)
-                    wire.send_frame(conn, MT.OK)
-                elif msg_type == MT.INITIALIZE:
-                    r.done()
                     instance.initialize()
-                    wire.send_frame(conn, MT.OK)
+                    w = Writer().f64s(instance.get_outputs())
+                    wire.send_frame(conn, MT.OUTPUTS, w.payload())
                 elif msg_type == MT.STEP:
                     t, dt = r.f64(), r.f64()
                     _set_inputs(instance, r)
@@ -286,8 +285,7 @@ def _end(instance: SlaveInstance, slots: threading.BoundedSemaphore) -> None:
     instance.terminate()
 
 
-_SLAVE_REQUESTS = frozenset((MT.SETUP, MT.INITIALIZE, MT.STEP, MT.GET_OUTPUTS,
-                             MT.TERMINATE))
+_SLAVE_REQUESTS = frozenset((MT.INITIALIZE, MT.STEP, MT.GET_OUTPUTS, MT.TERMINATE))
 
 
 def _set_inputs(instance: SlaveInstance, r: Reader) -> None:

@@ -9,6 +9,7 @@ the elements.  encode/decode is an identity on every well-formed frame.
 A connection is one session: SPAWNED carries the new slave's index, a u64,
 ahead of its descriptor, and every slave request begins with that index.
 Value lists follow the order of that descriptor's inputs or outputs.
+Every request is answered by ERROR or by one frame that carries data.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from ..errors import (
 from ..system import Causality, SlaveDescriptor, VariableDescriptor, VarKind
 from ..units import parse_unit
 
-PROTOCOL_VERSION = 7  # unsigned 16-bit semantics, carried as a u64 field
+PROTOCOL_VERSION = 8  # unsigned 16-bit semantics, carried as a u64 field
 
 CONTROL_TIMEOUT = 5.0  # a reply outside a step, and a new connection's HELLO
 
@@ -50,7 +51,7 @@ class MessageType(enum.IntEnum):
     DESCRIPTION = 6
     SPAWN = 7
     SPAWNED = 8
-    SETUP = 9
+    SETUP = 9  # reserved: INITIALIZE carries the span
     INITIALIZE = 10
     SET_INPUTS = 11  # reserved: inputs ride on STEP and GET_OUTPUTS
     STEP = 12
@@ -61,7 +62,7 @@ class MessageType(enum.IntEnum):
     TERMINATE = 17
     TERMINATED = 18
     ERROR = 19
-    OK = 20
+    OK = 20  # reserved: every request is answered with data
     BIND = 21  # reserved: a port's place in the descriptor is its address
 
 

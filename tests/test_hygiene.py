@@ -161,7 +161,7 @@ def test_every_private_attribute_is_read():
 
 
 # Message numbers kept so that an older peer's frame is never misread.
-RESERVED = {"SET_INPUTS", "STEP_FAIL", "BIND"}
+RESERVED = {"SETUP", "SET_INPUTS", "STEP_FAIL", "OK", "BIND"}
 
 
 def message_types_named(source: str) -> set[str]:

@@ -221,7 +221,7 @@ class TestControlChannel:
         finally:
             prov.shutdown()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 6, 999])
+    @pytest.mark.parametrize("version", [1, 2, 3, 6, 7, 999])
     def test_version_mismatch_rejected(self, provider, version):
         host, port = provider.address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as sock:
@@ -346,18 +346,17 @@ class TestRemoteSlave:
         try:
             slave.setup(0.0, 1.0)
             slave.initialize()
-            # INITIALIZE answers only OK, so its reply is read before the
-            # next request that returns data; an ERROR raises there, typed,
-            # and names the request it answers.
-            slave.initialize()
+            # The provider refuses a second INITIALIZE; its ERROR raises
+            # typed, and names the request it answers.
             with pytest.raises(InvalidState) as err:
-                slave.get_outputs()
+                slave.initialize()
             assert type(err.value) is InvalidState
             assert err.value.__notes__ == ["in reply to INITIALIZE"]
             for values in ([], [0.5, 0.5]):
                 with pytest.raises(InvalidState):
                     slave.set_inputs(values)
             # the session still answers the next request
+            assert client.describe("msd_integral") == slave.descriptor()
             assert slave.get_outputs() == [0.0, 0.0]
             # a wrong count that reaches the provider fails there, typed
             send_frame(client._sock, MT.STEP, Writer().u64(slave._index).f64(0.0)
@@ -393,8 +392,7 @@ class TestRemoteSlave:
             remote = history(slave)
         local = history(standard_registry.create("msd_integral", params))
         assert remote == local
-        assert sent == [MT.SETUP, MT.INITIALIZE, MT.GET_OUTPUTS,
-                        *[MT.STEP] * 5, MT.TERMINATE]
+        assert sent == [MT.INITIALIZE, MT.GET_OUTPUTS, *[MT.STEP] * 5, MT.TERMINATE]
 
     def test_wrong_input_count_fails_before_sending(self, provider,
                                                     monkeypatch):
@@ -412,6 +410,22 @@ class TestRemoteSlave:
             slave.terminate()
             client.close()
 
+    def test_setup_out_of_order_fails_before_sending(self, provider, monkeypatch):
+        # setup keeps the span locally, so its order is checked there, as
+        # an in-process slave checks it.
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("sine_source", {})
+            sent, read = client_frames(monkeypatch)
+            with pytest.raises(InvalidState, match="before setup"):
+                slave.initialize()
+            slave.setup(0.0, 1.0)
+            with pytest.raises(InvalidState, match="already set up"):
+                slave.setup(0.0, 2.0)
+            assert sent == [] and read == []
+            slave.initialize()
+            assert sent == [MT.INITIALIZE] and read == [MT.OUTPUTS]
+            slave.terminate()
+
     def test_hung_setup_request_closes_without_terminate(self, release_hangs,
                                                           monkeypatch):
         # A request cut off by its timeout leaves its reply owed on the
@@ -426,9 +440,8 @@ class TestRemoteSlave:
                     "stage": FaultyModel.STAGES.index("get_outputs"),
                     "call": 1, "mode": FaultyModel.MODES.index("hang")})
                 slave.setup(0.0, 1.0)
-                slave.initialize()
                 with pytest.raises(ConnectionLost):
-                    slave.get_outputs()  # the settle read
+                    slave.initialize()  # its reply reads the outputs
                 sent, _ = client_frames(monkeypatch)
                 started = time.monotonic()
                 slave.terminate()
@@ -602,6 +615,7 @@ class TestSessions:
             for slave in (first, second):
                 slave.setup(0.0, 1.0)
                 slave.initialize()
+            for slave in (first, second):
                 slave.start_step(0.0, 0.1)
             with pytest.raises(InvalidState, match="owed next"):
                 second.finish_step(0.0, 0.1, 1.0)
@@ -610,12 +624,31 @@ class TestSessions:
             for slave in (first, second):
                 slave.terminate()
 
+    def test_a_request_refused_during_a_step_sends_nothing(self, provider,
+                                                          monkeypatch):
+        # A request that waits for its reply would take a step's owed
+        # reply for its own, so it is refused before it is sent; the step
+        # and every later request are answered.
+        with ProviderClient(provider.address) as client:
+            slave = client.spawn("sine_source", {})
+            slave.setup(0.0, 1.0)
+            slave.initialize()
+            slave.get_outputs()
+            slave.start_step(0.0, 0.1)
+            sent, _ = client_frames(monkeypatch)
+            with pytest.raises(InvalidState, match="owed"):
+                client.describe("msd_integral")
+            assert sent == []
+            assert slave.finish_step(0.0, 0.1, 1.0) == 0.1
+            assert "msd_integral" in client.list_models()
+            assert client.describe("msd_integral") == standard_registry.describe("msd_integral")
+            slave.terminate()
+
     def test_a_read_with_no_reply_owed_is_refused(self, provider):
         with ProviderClient(provider.address) as client:
             slave = client.spawn("sine_source", {})
             slave.setup(0.0, 1.0)
             slave.initialize()
-            client.list_models()  # reads the owed OKs
             with pytest.raises(InvalidState, match="no reply is owed"):
                 slave.finish_step(0.0, 0.1, 1.0)
             # nothing was read, so the session goes on
@@ -638,8 +671,9 @@ class TestSessions:
                 with pytest.raises(ConnectionLost) as lost:
                     client.describe("msd_integral")
                 sent, got = client_frames(monkeypatch)
+                slave.setup(0.0, 1.0)
                 for request in (lambda: client.describe("sine_source"), client.list_models,
-                                lambda: slave.setup(0.0, 1.0)):
+                                slave.initialize):
                     with pytest.raises(ConnectionLost) as again:
                         request()
                     assert again.value is lost.value
@@ -654,7 +688,9 @@ class TestSessions:
         try:
             client = ProviderClient(prov.address)
             slaves = [client.spawn("msd_integral", {}) for _ in range(limit)]
-            slaves[0].setup(0.0, 1.0)  # one still owes its OK
+            slaves[0].setup(0.0, 1.0)
+            slaves[0].initialize()
+            slaves[0].start_step(0.0, 0.1)  # one still owes its STEP_OK
             client.close()
             closed = time.monotonic()
             with ProviderClient(prov.address) as again:
@@ -700,7 +736,6 @@ class TestSessions:
                 time.sleep(0.5)
                 slave.setup(0.0, 1.0)
                 slave.initialize()
-                # the read takes the owed OKs first
                 assert client.describe("sine_source") == slave.descriptor()
                 slave.terminate()
         finally:
@@ -743,11 +778,13 @@ class TestServeSession:
             local = standard_registry.create("msd_integral", params)
             local.setup(0.0, 1.0)
             local.initialize()
+            initial = local.get_outputs()
             local.set_inputs([0.75])
             t_end, outputs = local.do_step(0.0, 0.1), local.get_outputs()
             index = indexes[0]
-            call(MT.SETUP, Writer().u64(index).f64(0.0).f64(1.0), MT.OK).done()
-            call(MT.INITIALIZE, Writer().u64(index), MT.OK).done()
+            r = call(MT.INITIALIZE, Writer().u64(index).f64(0.0).f64(1.0), MT.OUTPUTS)
+            assert [v.hex() for v in r.f64s()] == [v.hex() for v in initial]
+            r.done()
             r = call(MT.STEP, Writer().u64(index).f64(0.0).f64(0.1).f64s([0.75]),
                      MT.STEP_OK)
             assert r.f64().hex() == t_end.hex()
@@ -776,6 +813,11 @@ def in_kilonewton(desc):
         for v in desc.variables))
 
 
+def flip_variable_step(desc):
+    """``desc`` with its step capability the other way round."""
+    return dataclasses.replace(desc, supports_variable_step=not desc.supports_variable_step)
+
+
 def misdescribing(change):
     """A resolver that describes each remote model changed by ``change``, as
     a provider whose DESCRIBE answer contradicts its SPAWNED one would."""
@@ -789,9 +831,9 @@ def misdescribing(change):
 
 
 class TestSetupFaults:
-    """A remote SETUP or INITIALIZE that fails ends the set-up with the
-    error its provider sent, typed as the provider raised it; a slave
-    created unlike its description ends it before any SETUP.  Every
+    """A remote INITIALIZE that fails ends the set-up with the error its
+    provider sent, typed as the provider raised it; a slave created
+    unlike its description ends it before any INITIALIZE.  Every
     slave created is terminated once, the provider frees the slot and no
     thread is left."""
 
@@ -834,18 +876,18 @@ class TestSetupFaults:
         error = self.failed_setup(stage)
         assert type(error) is CosimError
         assert str(error) == f"InjectedFault: {stage} call 1"
-        assert error.__notes__ == [f"in reply to {stage.upper()}"]
+        assert error.__notes__ == ["in reply to INITIALIZE"]
 
-    @pytest.mark.parametrize("change", [with_ghost, in_kilonewton],
-                             ids=["ghost_output", "kilonewton"])
+    @pytest.mark.parametrize("change", [with_ghost, in_kilonewton, flip_variable_step],
+                             ids=["ghost_output", "kilonewton", "variable_step"])
     def test_a_slave_created_unlike_its_description(self, change, monkeypatch):
         sent, _ = client_frames(monkeypatch)
         # Call 0 never comes, so the fault is the description alone.
         error = self.failed_setup("do_step", 0, misdescribing(change), created=("left",))
         assert type(error) is InvalidState
-        assert str(error) == ("slave 'left' was created with other variables "
-                              "than it was described with")
-        assert MT.SPAWN in sent and MT.SETUP not in sent
+        assert str(error) == ("slave 'left' was created unlike the description "
+                              "it was checked against")
+        assert MT.SPAWN in sent and MT.INITIALIZE not in sent
 
 
 def crossed_fail_after(address, here_first):
@@ -1047,17 +1089,20 @@ class TestDistributedRuns:
                 prov.shutdown()
         assert serving and set(serving) == {2}
 
-    def test_setup_sends_every_ok_only_request_before_reading_one(self, provider,
-                                                                  monkeypatch):
+    def test_setup_reads_each_reply_before_the_next_request(self, provider,
+                                                            monkeypatch):
+        # INITIALIZE carries the span and answers the outputs: one request
+        # per slave, and each request's reply is read before the next goes
+        # out.  Protocol 7 waited for as many replies (1 HELLO, 2 DESCRIBE,
+        # 6 SPAWN, 12 GET_OUTPUTS and 6 TERMINATE), and also read 12 OKs.
         log = []
-        client_frames(monkeypatch, log)
+        sent, read = client_frames(monkeypatch, log)
         with NetworkResolver(registry=standard_registry) as resolver:
             initialize_run(pairs_on([provider], 3), resolver).terminate()
-        ok_only = [i for i, (kind, msg) in enumerate(log) if kind == "sent"
-                   and msg in (MT.SETUP, MT.INITIALIZE)]
-        oks = [i for i, frame in enumerate(log) if frame == ("read", MT.OK)]
-        assert len(ok_only) == len(oks) == 3 * 2 * 2
-        assert max(ok_only) < min(oks)
+        assert sent.count(MT.SPAWN) == sent.count(MT.INITIALIZE) == 3 * 2
+        assert MT.SETUP not in sent and MT.OK not in read
+        assert [kind for kind, _ in log] == ["sent", "read"] * len(sent)
+        assert len(read) == 27
 
     def test_one_request_per_remote_slave_per_step(self, provider,
                                                    monkeypatch):
@@ -1247,7 +1292,7 @@ class TestDistributedRuns:
                             w = Writer().u64(0)
                             wire.write_descriptor(w, standard_registry.describe(r.string()))
                             send_frame(conn, MT.SPAWNED, w.payload())
-                        elif msg == MT.GET_OUTPUTS:
+                        elif msg in (MT.INITIALIZE, MT.GET_OUTPUTS):
                             outputs = standard_registry.describe("msd_integral").outputs()
                             send_frame(conn, MT.OUTPUTS,
                                        Writer().f64s([0.0] * len(outputs)).payload())
@@ -1255,8 +1300,6 @@ class TestDistributedRuns:
                             reply = encode_frame(MT.STEP_OK, Writer().f64(0.2).payload())
                             conn.sendall(reply[:-5])
                             conn.shutdown(socket.SHUT_WR)
-                        else:
-                            send_frame(conn, MT.OK)
                 except ConnectionLost:
                     pass  # the master closed its end
 

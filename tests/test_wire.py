@@ -140,7 +140,7 @@ class TestFrames:
         assert {m.name: int(m) for m in MessageType} == expected
 
     def test_protocol_version(self):
-        assert PROTOCOL_VERSION == 7
+        assert PROTOCOL_VERSION == 8
 
 
 class TestErrors:
