@@ -7,11 +7,12 @@ sum.  Inputs are held constant over the step and every slave integrates
 from the same snapshot, so permuting the slave list cannot change any
 value.
 
-One thread steps all slaves: it sends the remote STEP requests, steps the
-in-process slaves, then reads the replies, each group in system order; the
-first to fail names the abort.  ``step_timeout`` cuts a late remote reply
-off and catches an in-process overrun on return; one clock read after
-each slave's step checks that deadline and gives the next slave its time
+One thread steps all slaves, split once by placement into two lists in
+system order.  It sends every remote STEP request, steps the in-process
+slaves while the providers compute, then reads the replies; the first to
+fail names the abort.  ``step_timeout`` catches an in-process overrun on
+return and cuts a late remote reply off: one clock read after each
+slave's step checks that deadline and gives the next reply read its time
 left.  Energy reports and step records are immutable named tuples, cheap
 to build on every step.
 
@@ -60,6 +61,8 @@ log = logging.getLogger(__name__)
 # Step (5) calls the accounting by this name, which the benchmark's
 # tracer (``perfbench/spans.py``) wraps to time the energy layer.
 error_indicator = account_step
+
+_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 def _add_exact(partials: list[float], x: float) -> None:
@@ -131,10 +134,14 @@ class SimulationRun:
     """A live run: slaves, plan, step sum, latched inputs, controller.
 
     ``slaves`` is in ``plan.slaves`` order, as ``initialize_run`` builds
-    it.  A slave exchanges its ports in descriptor order, which is the
-    order of its entry in ``plan.slaves``; the plan fixes where they sit
-    in ``latched`` and ``outputs``, and which of them are bond legs
-    (``plan.bonds``).
+    it.  ``_local`` and ``_remote`` split it by placement, once: the
+    in-process slaves and the remote ones, which have a ``start_step``,
+    each a list of ``(name, slave)`` in system order.  Stage (2) of a
+    step runs every remote ``start_step``, then every in-process
+    ``do_step``, then every remote ``finish_step``.  A slave exchanges
+    its ports in descriptor order, which is the order of its entry in
+    ``plan.slaves``; the plan fixes where they sit in ``latched`` and
+    ``outputs``, and which of them are bond legs (``plan.bonds``).
     ``time`` is ``t_start`` plus the exact sum of the steps taken,
     rounded once.  ``controller`` is the adaptive policy, or None whenever
     ``dt`` does not adapt: under a fixed-step policy, or when a slave
@@ -160,8 +167,10 @@ class SimulationRun:
         self.outputs: list[float] = []  # slave outputs, ``plan.outputs`` order
         self.cumulative = [0.0] * len(plan.bonds)  # running dE, ``plan.bonds`` order
         self._terminated = False
-        self._order = sorted(((n, s, hasattr(s, "start_step")) for n, s in slaves.items()),
-                             key=lambda entry: entry[2])  # in process first, stably
+        self._local: list[tuple[str, SlaveInstance]] = []
+        self._remote: list[tuple[str, SlaveInstance]] = []
+        for entry in slaves.items():
+            (self._remote if hasattr(entry[1], "start_step") else self._local).append(entry)
 
         policy = system.step_policy
         self.controller: AdaptiveStepPolicy | None = None
@@ -356,35 +365,38 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     # (1) latch inputs on every slave
     run.push_inputs(held)
 
-    # (2) step to the barrier on this thread, in ``run._order``; one clock
-    # read per slave checks the deadline and sets the time left
+    # (2) step to the barrier on this thread: send the remote STEPs, step
+    # the in-process slaves, read the replies; one clock read per slave
+    # checks the deadline, and a reply read gets the time left
     deadline = time.monotonic() + run.step_timeout
-    for name, slave, sends in run._order:
-        if sends:
-            try:
-                slave.start_step(t, dt)
-            except Exception as exc:
-                run._abort(_fault_reason(f"slave {name!r} start_step: ", exc), cause=exc)
+    for name, slave in run._remote:
+        try:
+            slave.start_step(t, dt)
+        except Exception as exc:
+            run._abort(_fault_reason(f"slave {name!r} start_step: ", exc), cause=exc)
     t_next = t + dt
+    for name, slave in run._local:
+        try:
+            end = slave.do_step(t, dt)
+        except Exception as exc:
+            _step_failed(run, name, exc, deadline)
+        if time.monotonic() >= deadline:
+            run._abort(f"slave {name!r} missed the step barrier after {run.step_timeout}s",
+                       BarrierTimeout)
+        if end != t_next and not time_matches(t_next, end):
+            run._abort(f"slave {name!r} do_step ended at {end!r}, expected {t_next!r}")
     now = time.monotonic()
-    for name, slave, sends in run._order:
+    for name, slave in run._remote:
         left = deadline - now
         try:
             # max(left, 0.0), without a builtin call per slave
-            end = (slave.finish_step(t, dt, left if left > 0.0 else 0.0) if sends
-                   else slave.do_step(t, dt))
-        except StepRejected as exc:
-            run._abort(f"slave {name!r} rejected the step: {exc}")
+            end = slave.finish_step(t, dt, left if left > 0.0 else 0.0)
         except Exception as exc:
-            # a reply read cut off by the deadline is a missed barrier
-            if not isinstance(exc, ConnectionLost) or time.monotonic() < deadline:
-                run._abort(_fault_reason(f"slave {name!r} do_step: ", exc), cause=exc)
+            _step_failed(run, name, exc, deadline)
         now = time.monotonic()
         if now >= deadline:
-            run._abort(
-                f"slave {name!r} missed the step barrier after {run.step_timeout}s",
-                BarrierTimeout,
-            )
+            run._abort(f"slave {name!r} missed the step barrier after {run.step_timeout}s",
+                       BarrierTimeout)
         if end != t_next and not time_matches(t_next, end):
             run._abort(f"slave {name!r} do_step ended at {end!r}, expected {t_next!r}")
 
@@ -400,15 +412,9 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     if run.controller is not None and not math.isfinite(energy.epsilon):
         run._abort(_indicator_reason(energy))
 
-    record = StepRecord(
-        index=run.index,
-        t=t,
-        dt=dt,
-        t_next=t_next,
-        inputs=dict(zip(run.plan.inputs, held)),
-        outputs=dict(zip(run.plan.outputs, snapshot)),
-        energy=energy,
-    )
+    record = _new_tuple(StepRecord, (run.index, t, dt, t_next,
+                                     dict(zip(run.plan.inputs, held)),
+                                     dict(zip(run.plan.outputs, snapshot)), energy))
 
     # (6) observers see the finished step
     run._notify("on_step", record)
@@ -421,6 +427,15 @@ def _step_once(run: SimulationRun, dt: float) -> StepRecord:
     if run.controller is not None:
         run.next_dt = run.controller.propose(energy.epsilon, dt)
     return record
+
+
+def _step_failed(run: SimulationRun, name: str, exc: Exception, deadline: float) -> None:
+    """Abort for a step call that raised, unless it is a reply read cut off
+    by the deadline: that is a missed barrier, which the caller names."""
+    if isinstance(exc, StepRejected):
+        run._abort(f"slave {name!r} rejected the step: {exc}")
+    if not isinstance(exc, ConnectionLost) or time.monotonic() < deadline:
+        run._abort(_fault_reason(f"slave {name!r} do_step: ", exc), cause=exc)
 
 
 def _indicator_reason(energy: EnergyReport) -> str:

@@ -9,7 +9,11 @@ once per step.  Every 2- and 3-state model runs its own fused kernel:
 the micro-step loop as straight-line scalar code with the right-hand
 side inline, doing each operation of ``rk4_step`` in the same order, so
 its bits equal the ``rk4_step`` loop.  Terms that are constant over the
-step are computed once.  The one-state generators, like any other
+step are computed once.  Every constant is written as a float literal
+(``2.0 * v2``, ``hh / 6.0``): CPython multiplies or divides a float by
+an int on a slower path, and an int this small converts to its double
+exactly, so the float literal gives the same IEEE operation and the same
+bits, only sooner.  The one-state generators, like any other
 model, use ``rk4_integrate``, the generic loop over ``rk4_step``.
 ``msd_differential`` integrates its one state exactly; the sources,
 ``sum_delay`` and ``gain_block`` have no state to integrate.
@@ -40,11 +44,11 @@ OUT = Causality.OUTPUT
 def rk4_step(f, t, y, h):
     """One classical Runge-Kutta step of size h for y' = f(t, y)."""
     k1 = f(t, y)
-    k2 = f(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k1)])
-    k3 = f(t + h / 2, [yi + h / 2 * ki for yi, ki in zip(y, k2)])
+    k2 = f(t + h / 2.0, [yi + h / 2.0 * ki for yi, ki in zip(y, k1)])
+    k3 = f(t + h / 2.0, [yi + h / 2.0 * ki for yi, ki in zip(y, k2)])
     k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
     return [
-        yi + h / 6 * (k1i + 2 * k2i + 2 * k3i + k4i)
+        yi + h / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
         for yi, k1i, k2i, k3i, k4i in zip(y, k1, k2, k3, k4)
     ]
 
@@ -55,7 +59,7 @@ def micro_grid(dt: float, h: float) -> tuple[int, float]:
     if h > 0.0:
         n = max(1, math.ceil(dt / h - 1e-9))
         return n, dt / n
-    return 10, dt / 10
+    return 10, dt / 10.0
 
 
 def rk4_integrate(f, t0, y, dt, h):
@@ -73,7 +77,7 @@ def rk4_integrate(f, t0, y, dt, h):
 def _msd_kernel(x, v, tau, m, d, k, dt, h):
     """x' = v, v' = (tau - d*v - k*x)/m over one macro step."""
     n, hh = micro_grid(dt, h)
-    h2, h6 = hh / 2, hh / 6
+    h2, h6 = hh / 2.0, hh / 6.0
     for _ in range(n):
         a1 = (tau - d * v - k * x) / m
         x2, v2 = x + h2 * v, v + h2 * a1
@@ -82,7 +86,7 @@ def _msd_kernel(x, v, tau, m, d, k, dt, h):
         a3 = (tau - d * v3 - k * x3) / m
         x4, v4 = x + hh * v3, v + hh * a3
         a4 = (tau - d * v4 - k * x4) / m
-        x, v = x + h6 * (v + 2 * v2 + 2 * v3 + v4), v + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        x, v = x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4), v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return [x, v]
 
 
@@ -92,7 +96,7 @@ def _wheel_kernel(x, v, F, z_road, kt, m2, dt, h):
     With ``z_road = 0.0`` this is the bare wheel: ``x - 0.0`` is x, bit for bit.
     """
     n, hh = micro_grid(dt, h)
-    h2, h6 = hh / 2, hh / 6
+    h2, h6 = hh / 2.0, hh / 6.0
     for _ in range(n):
         a1 = (F - kt * (x - z_road)) / m2
         x2, v2 = x + h2 * v, v + h2 * a1
@@ -101,7 +105,7 @@ def _wheel_kernel(x, v, F, z_road, kt, m2, dt, h):
         a3 = (F - kt * (x3 - z_road)) / m2
         x4, v4 = x + hh * v3, v + hh * a3
         a4 = (F - kt * (x4 - z_road)) / m2
-        x, v = x + h6 * (v + 2 * v2 + 2 * v3 + v4), v + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        x, v = x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4), v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return [x, v]
 
 
@@ -268,22 +272,22 @@ class MsdHybrid(ModelSlave):
         # x' = v, w' = (v - w)/T: x gains the same amount every micro step
         v = self.inputs["v"]
         T = self._filter_tc()
-        h2, h6 = hh / 2, hh / 6
+        h2, h6 = hh / 2.0, hh / 6.0
         x, w = self.x, self.w
-        dx = h6 * (v + 2 * v + 2 * v + v)
+        dx = h6 * (v + 2.0 * v + 2.0 * v + v)
         for _ in range(n):
             a1 = (v - w) / T
             a2 = (v - (w + h2 * a1)) / T
             a3 = (v - (w + h2 * a2)) / T
             a4 = (v - (w + hh * a3)) / T
-            x, w = x + dx, w + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            x, w = x + dx, w + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         self.x, self.w = x, w
         self.outputs["x"] = x
         self.outputs["tau"] = m * (v - w) / T + d * v + k * x
 
     def energy(self) -> float:
         vel = self.vel if self._mode == "integral" else self.inputs["v"]
-        return 0.5 * (self.params["m"] * vel**2 + self.params["k"] * self.x**2)
+        return 0.5 * (self.params["m"] * vel**2.0 + self.params["k"] * self.x**2.0)
 
 
 @registry.register
@@ -307,13 +311,13 @@ class QuarterCarChassis(ModelSlave):
     def _step(self, t, dt):
         # z1' = v1, v1' = -F/m1: the acceleration is fixed over the step
         n, hh = micro_grid(dt, self.params["h"])
-        h2, h6 = hh / 2, hh / 6
+        h2, h6 = hh / 2.0, hh / 6.0
         a = -self.inputs["F"] / self.params["m1"]
-        ah2, ahh, dv = h2 * a, hh * a, h6 * (a + 2 * a + 2 * a + a)
+        ah2, ahh, dv = h2 * a, hh * a, h6 * (a + 2.0 * a + 2.0 * a + a)
         z, v = self.state
         for _ in range(n):
             v2 = v + ah2
-            z, v = z + h6 * (v + 2 * v2 + 2 * v2 + (v + ahh)), v + dv
+            z, v = z + h6 * (v + 2.0 * v2 + 2.0 * v2 + (v + ahh)), v + dv
         self.state = [z, v]
         self._publish()
 
@@ -361,8 +365,8 @@ class QuarterCarWheelSusp(ModelSlave):
         k, d, kt, m2 = p["k"], p["d"], p["kt"], p["m2"]
         u = self.inputs["v1"]
         n, hh = micro_grid(dt, p["h"])
-        h2, h6 = hh / 2, hh / 6
-        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
+        h2, h6 = hh / 2.0, hh / 6.0
+        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2.0 * u + 2.0 * u + u)
         y, x, v = self.state
         for _ in range(n):
             a1 = (k * (y - x) + d * (u - v) - kt * x) / m2
@@ -372,8 +376,8 @@ class QuarterCarWheelSusp(ModelSlave):
             a3 = (k * (y2 - x3) + d * (u - v3) - kt * x3) / m2
             y4, x4, v4 = y + uhh, x + hh * v3, v + hh * a3
             a4 = (k * (y4 - x4) + d * (u - v4) - kt * x4) / m2
-            y, x, v = (y + dy, x + h6 * (v + 2 * v2 + 2 * v3 + v4),
-                       v + h6 * (a1 + 2 * a2 + 2 * a3 + a4))
+            y, x, v = (y + dy, x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                       v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
         self.state = [y, x, v]
         self._publish(u)
 
@@ -419,8 +423,8 @@ class QuarterCarChassisSusp(ModelSlave):
         k, d, m1 = p["k"], p["d"], p["m1"]
         u = self.inputs["v2"]
         n, hh = micro_grid(dt, p["h"])
-        h2, h6 = hh / 2, hh / 6
-        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2 * u + 2 * u + u)
+        h2, h6 = hh / 2.0, hh / 6.0
+        uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2.0 * u + 2.0 * u + u)
         x, v, y = self.state
         for _ in range(n):
             a1 = -(k * (x - y) + d * (v - u)) / m1
@@ -430,8 +434,8 @@ class QuarterCarChassisSusp(ModelSlave):
             a3 = -(k * (x3 - y2) + d * (v3 - u)) / m1
             x4, v4, y4 = x + hh * v3, v + hh * a3, y + uhh
             a4 = -(k * (x4 - y4) + d * (v4 - u)) / m1
-            x, v, y = (x + h6 * (v + 2 * v2 + 2 * v3 + v4),
-                       v + h6 * (a1 + 2 * a2 + 2 * a3 + a4), y + dy)
+            x, v, y = (x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                       v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), y + dy)
         self.state = [x, v, y]
         self._publish(u)
 
@@ -606,7 +610,7 @@ class ElMotor(ModelSlave):
         Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
         V = self.inputs["V"]
         n, hh = micro_grid(dt, p["h"])
-        h2, h6 = hh / 2, hh / 6
+        h2, h6 = hh / 2.0, hh / 6.0
         i, w = self.state
         for _ in range(n):
             p1, q1 = (V - R * i - Ke * w) / L, (Kt * i - b * w - tau_load) / J
@@ -616,7 +620,8 @@ class ElMotor(ModelSlave):
             p3, q3 = (V - R * i3 - Ke * w3) / L, (Kt * i3 - b * w3 - tau_load) / J
             i4, w4 = i + hh * p3, w + hh * q3
             p4, q4 = (V - R * i4 - Ke * w4) / L, (Kt * i4 - b * w4 - tau_load) / J
-            i, w = i + h6 * (p1 + 2 * p2 + 2 * p3 + p4), w + h6 * (q1 + 2 * q2 + 2 * q3 + q4)
+            i, w = (i + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+                    w + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
         self.state = [i, w]
         self._publish()
 

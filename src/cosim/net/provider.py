@@ -1,9 +1,10 @@
 """Slave-provider daemon: publishes models over TCP and spawns live slaves.
 
 One listening socket is the provider's only port.  Each connection it
-accepts gets a thread of its own, which closes the connection unless
-HELLO completes within ``wire.CONTROL_TIMEOUT`` and then hands it to
-``serve_session``.  That function serves one session and needs no
+accepts gets TCP keepalive, so a vanished master's slots are freed
+(``KEEPALIVE``), and a thread of its own, which closes the connection
+unless HELLO completes within ``wire.CONTROL_TIMEOUT`` and then hands it
+to ``serve_session``.  That function serves one session and needs no
 ``Provider``: it answers requests in the order they come and waits for
 them without limit.  LIST_MODELS and DESCRIBE are answered at any time.
 Each SPAWN takes a slot from the provider's pool, one bounded semaphore,
@@ -36,6 +37,16 @@ from . import wire
 from .wire import MessageType as MT, Reader, Writer
 
 log = logging.getLogger(__name__)
+
+# TCP keepalive on every accepted connection, with these tunings where
+# the platform names them: a master whose host vanished without closing
+# is found dead, and its slots are freed, 30 + 6 * 5 = 60 s after its
+# last packet.  A live master's host answers the probes however long it
+# idles.
+KEEPALIVE = tuple((getattr(socket, name), value)
+                  for name, value in (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 5),
+                                      ("TCP_KEEPCNT", 6))
+                  if hasattr(socket, name))
 
 
 @dataclass
@@ -146,6 +157,9 @@ class Provider:
         try:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+                for option, value in KEEPALIVE:
+                    conn.setsockopt(socket.IPPROTO_TCP, option, value)
                 conn.settimeout(wire.CONTROL_TIMEOUT)  # for HELLO alone
                 if _handshake(conn):
                     conn.settimeout(None)

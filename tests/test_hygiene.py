@@ -15,6 +15,10 @@ public function that only tests call is code the runtime does not need,
 so it reports every one that neither the package nor the benchmark
 names.  An error class that nothing raises is dead too, so it reports
 every class in ``cosim/errors.py`` that no module raises or constructs.
+The models' RK4 kernels run on floats, and CPython multiplies a float by
+an int literal on a slower path than by a float one, for the same bits,
+so it reports every binary operation in ``cosim/models.py`` with an int
+literal operand.
 """
 import ast
 import os
@@ -103,6 +107,30 @@ def test_checker_sees_a_codegen_call():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
 def test_runtime_generates_no_code(path):
     assert codegen_calls(path.read_text()) == []
+
+
+def int_operands(source: str) -> list[str]:
+    """Every binary operation with an int literal operand, signed or not."""
+    def int_literal(node) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.BinOp) and (int_literal(node.left) or int_literal(node.right))]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_checker_sees_an_int_operand():
+    source = ("n, h2 = 10, h / 2\nk = 2.0 * v + 2 * w\ny = x**2 - -1 * z\n"
+              "t = t0 + i * hh\nb = x + True\nm = max(1, n)\nf = x ** 2.0 / 6.0\n")
+    assert int_operands(source) == [
+        "line 1: h / 2", "line 2: 2 * w", "line 3: x ** 2", "line 3: -1 * z"]
+
+
+def test_models_write_float_literals():
+    assert int_operands((SRC / "models.py").read_text()) == []
 
 
 def unread_private_attributes(sources: dict[str, str]) -> list[str]:

@@ -561,6 +561,61 @@ class TestStepOrder:
         assert str(err.value) == "slave 'near' do_step: RuntimeError: diverged"
         assert ends.reasons == [f"aborted: {err.value}"]
 
+    @staticmethod
+    def bonded(name, model_id, params):
+        """Slave ``name`` and a differential partner ``<name>_right``, and
+        the bond between them."""
+        partner = f"{name}_right"
+        return ((SlaveSpec(name, model_id, params),
+                 SlaveSpec(partner, "msd_differential",
+                           {"m": 0.2, "d": 0.1, "k": 0.5, "h": 1e-3})),
+                PowerBond(name, BondSide(name, "v", "tau"), BondSide(partner, "tau", "v"),
+                          positive_side="a"))
+
+    def test_each_placement_group_steps_in_system_order(self, provider):
+        # Declared remote, in process, remote, in process, and against the
+        # order of their names.
+        (b, b_right), b_bond = self.bonded("b", "msd_integral", {"x0": 1.0, "h": 1e-3})
+        (a, a_right), a_bond = self.bonded("a", "msd_integral", {"x0": -0.5, "h": 1e-3})
+        system = placed(SystemDescription(slaves=(b, b_right, a, a_right),
+                                          bonds=(b_bond, a_bond),
+                                          step_policy=FixedStepPolicy(0.01)),
+                        {"b": provider.address, "a": provider.address})
+        calls = []
+        with NetworkResolver(standard_registry) as resolver:
+            run = initialize_run(system, resolver)
+            try:
+                for name, slave in run.slaves.items():
+                    for method in ("start_step", "do_step", "finish_step"):
+                        if hasattr(slave, method):
+                            setattr(slave, method, counted_call(calls, f"{method}({name})",
+                                                                getattr(slave, method)))
+                step_once(run, 0.01)
+            finally:
+                run.terminate()
+        assert calls == ["start_step(b)", "start_step(a)",
+                         "do_step(b_right)", "do_step(a_right)",
+                         "finish_step(b)", "finish_step(a)"]
+
+    def test_an_in_process_failure_names_the_abort_before_a_remote_one(self, provider):
+        # 'far' (remote, declared first) and 'near' (in process, declared
+        # last) fail in the step that passes t = 0.5; their partners do not.
+        (far, far_right), far_bond = self.bonded("far", "fail_after", {"t_fail": 0.5})
+        (near, near_right), near_bond = self.bonded("near", "fail_after", {"t_fail": 0.5})
+        system = placed(SystemDescription(slaves=(far, near_right, far_right, near),
+                                          bonds=(far_bond, near_bond),
+                                          step_policy=FixedStepPolicy(0.2)),
+                        {"far": provider.address, "far_right": provider.address})
+        ends = EndLog()
+        with NetworkResolver(extended_registry()) as resolver:
+            run = initialize_run(system, resolver, observers=[ends])
+            assert [n for n, s in run.slaves.items() if hasattr(s, "start_step")] == [
+                "far", "far_right"]
+            with pytest.raises(RunAborted) as err:
+                run_to_end(run)
+        assert str(err.value) == "slave 'near' do_step: RuntimeError: diverged"
+        assert ends.reasons == [f"aborted: {err.value}"]
+
 
 class TestStepFaults:
     """Any exception out of a step ends the run through the abort path."""

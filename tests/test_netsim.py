@@ -589,6 +589,17 @@ class TestSessions:
         finally:
             prov.shutdown()
 
+    def test_an_accepted_connection_keeps_alive(self, provider):
+        # A master whose host vanishes sends no FIN; keepalive probes find
+        # the connection dead, which ends the session and frees its slots.
+        with ProviderClient(provider.address):
+            (conn,) = provider._conns
+            assert conn.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) != 0
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+            for name, value in (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 5), ("TCP_KEEPCNT", 6)):
+                if hasattr(socket, name):
+                    assert conn.getsockopt(socket.IPPROTO_TCP, getattr(socket, name)) == value
+
     def test_an_unknown_index_is_answered_by_error(self, provider):
         with ProviderClient(provider.address) as client:
             gone = client.spawn("sine_source", {})
