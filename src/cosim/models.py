@@ -5,7 +5,10 @@ of size at most its ``h`` parameter and integrates with the classical
 4th-order Runge-Kutta scheme.  ``micro_grid(dt, h)`` alone fixes the
 micro steps from ``h`` as declared: ``h <= 0`` means ten of ``dt/10``.
 Inputs are held constant over the macro step and parameters are read
-once per step.  Every 2- and 3-state model runs its own fused kernel:
+once per step.  A model unpacks ``self.inputs`` and assigns
+``self.outputs`` as lists in its ``DESCRIPTOR`` order, which is not
+always the order of its state (``msd_integral`` keeps ``[x, v]`` and
+outputs ``[v, x]``).  Every 2- and 3-state model runs its own fused kernel:
 the micro-step loop as straight-line scalar code with the right-hand
 side inline, doing each operation of ``rk4_step`` in the same order, so
 its bits equal the ``rk4_step`` loop.  Terms that are constant over the
@@ -132,18 +135,14 @@ class MsdIntegral(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["x0"], self.params["v0"]]
-        self._publish()
+        x, v = self.state = [self.params["x0"], self.params["v0"]]
+        self.outputs = [v, x]
 
     def _step(self, t, dt):
         p = self.params
-        tau = self.inputs["tau"]
-        self.state = _msd_kernel(*self.state, tau, p["m"], p["d"], p["k"], dt, p["h"])
-        self._publish()
-
-    def _publish(self):
-        self.outputs["x"] = self.state[0]
-        self.outputs["v"] = self.state[1]
+        (tau,) = self.inputs
+        x, v = self.state = _msd_kernel(*self.state, tau, p["m"], p["d"], p["k"], dt, p["h"])
+        self.outputs = [v, x]
 
 
 @registry.register
@@ -170,12 +169,11 @@ class MsdDifferential(ModelSlave):
         self.x = self.params["x0"]
         self._prev_v: float | None = None
         self._prev_dt = 0.0
-        self.outputs["x"] = self.x
-        self.outputs["tau"] = self.params["k"] * self.x
+        self.outputs = [self.params["k"] * self.x, self.x]
 
     def _step(self, t, dt):
         m, d, k = self.params["m"], self.params["d"], self.params["k"]
-        v = self.inputs["v"]
+        (v,) = self.inputs
         if self._prev_v is None:
             dvdt = 0.0
         else:
@@ -184,8 +182,7 @@ class MsdDifferential(ModelSlave):
         self.x += v * dt
         self._prev_v = v
         self._prev_dt = dt
-        self.outputs["x"] = self.x
-        self.outputs["tau"] = m * dvdt + d * v + k * self.x
+        self.outputs = [m * dvdt + d * v + k * self.x, self.x]
 
 
 _HYBRID_INTEGRAL = replace(MsdIntegral.DESCRIPTOR, model_id="msd_hybrid")
@@ -224,8 +221,7 @@ class MsdHybrid(ModelSlave):
         self.x = self.params["x0"]
         self.vel = self.params["v0"]
         self.w = self.vel
-        self.outputs["x"] = self.x
-        self.outputs["v"] = self.vel
+        self.outputs = [self.vel, self.x]
 
     def _filter_tc(self) -> float:
         h = self.params["h"]
@@ -235,7 +231,8 @@ class MsdHybrid(ModelSlave):
 
     def switch_causality(self, target_mode: str) -> None:
         """Swap input/output roles between steps; from here on the exchange
-        moves the new descriptor's ports, in its order."""
+        moves the new descriptor's ports, in its order.  Both modes have
+        one input and two outputs, so only the values change."""
         if target_mode not in ("integral", "differential"):
             raise ValueError(f"unknown causality mode {target_mode!r}")
         self._require(_State.READY, "switch_causality")
@@ -243,34 +240,31 @@ class MsdHybrid(ModelSlave):
             return
         m, d, k = self.params["m"], self.params["d"], self.params["k"]
         if target_mode == "differential":
-            tau_held = self.inputs["tau"]
+            (tau_held,) = self.inputs
             accel = (tau_held - d * self.vel - k * self.x) / m
             T = self._filter_tc()
             # Seed the filter so the force output reproduces the held
             # input exactly at the switch instant.
             self.w = self.vel - T * accel
-            self.inputs = {"v": self.vel}
-            self.outputs = {"tau": tau_held, "x": self.x}
+            self.inputs = [self.vel]
+            self.outputs = [tau_held, self.x]
         else:
-            v_held = self.inputs["v"]
-            tau_now = self.outputs["tau"]
-            self.vel = v_held
-            self.inputs = {"tau": tau_now}
-            self.outputs = {"v": self.vel, "x": self.x}
+            (self.vel,) = self.inputs
+            self.inputs = [self.outputs[0]]  # the force output, held
+            self.outputs = [self.vel, self.x]
         self._mode = target_mode
-        self._name_ports()
 
     def _step(self, t, dt):
         m, d, k, h = self.params["m"], self.params["d"], self.params["k"], self.params["h"]
         n, hh = micro_grid(dt, h)
         self._last_h = hh
         if self._mode == "integral":
-            self.x, self.vel = _msd_kernel(self.x, self.vel, self.inputs["tau"], m, d, k, dt, h)
-            self.outputs["x"] = self.x
-            self.outputs["v"] = self.vel
+            (tau,) = self.inputs
+            self.x, self.vel = _msd_kernel(self.x, self.vel, tau, m, d, k, dt, h)
+            self.outputs = [self.vel, self.x]
             return
         # x' = v, w' = (v - w)/T: x gains the same amount every micro step
-        v = self.inputs["v"]
+        (v,) = self.inputs
         T = self._filter_tc()
         h2, h6 = hh / 2.0, hh / 6.0
         x, w = self.x, self.w
@@ -282,11 +276,10 @@ class MsdHybrid(ModelSlave):
             a4 = (v - (w + hh * a3)) / T
             x, w = x + dx, w + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         self.x, self.w = x, w
-        self.outputs["x"] = x
-        self.outputs["tau"] = m * (v - w) / T + d * v + k * x
+        self.outputs = [m * (v - w) / T + d * v + k * x, x]
 
     def energy(self) -> float:
-        vel = self.vel if self._mode == "integral" else self.inputs["v"]
+        vel = self.vel if self._mode == "integral" else self.inputs[0]
         return 0.5 * (self.params["m"] * vel**2.0 + self.params["k"] * self.x**2.0)
 
 
@@ -305,25 +298,22 @@ class QuarterCarChassis(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["z1_0"], self.params["v1_0"]]
-        self._publish()
+        z, v = self.state = [self.params["z1_0"], self.params["v1_0"]]
+        self.outputs = [v, z]
 
     def _step(self, t, dt):
         # z1' = v1, v1' = -F/m1: the acceleration is fixed over the step
         n, hh = micro_grid(dt, self.params["h"])
         h2, h6 = hh / 2.0, hh / 6.0
-        a = -self.inputs["F"] / self.params["m1"]
+        (F,) = self.inputs
+        a = -F / self.params["m1"]
         ah2, ahh, dv = h2 * a, hh * a, h6 * (a + 2.0 * a + 2.0 * a + a)
         z, v = self.state
         for _ in range(n):
             v2 = v + ah2
             z, v = z + h6 * (v + 2.0 * v2 + 2.0 * v2 + (v + ahh)), v + dv
         self.state = [z, v]
-        self._publish()
-
-    def _publish(self):
-        self.outputs["z1"] = self.state[0]
-        self.outputs["v1"] = self.state[1]
+        self.outputs = [v, z]
 
 
 @registry.register
@@ -356,14 +346,15 @@ class QuarterCarWheelSusp(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["z1_0"], self.params["z2_0"], self.params["v2_0"]]
-        self._publish(0.0)
+        p = self.params
+        z1, z2, v2 = self.state = [p["z1_0"], p["z2_0"], p["v2_0"]]
+        self.outputs = [p["k"] * (z1 - z2) + p["d"] * (0.0 - v2), z2]  # v1 held at 0.0
 
     def _step(self, t, dt):
         # (y, x, v) = (z1, z2, v2), u = v1 held: y' = u, x' = v, v' = (F - kt*x)/m2
         p = self.params
         k, d, kt, m2 = p["k"], p["d"], p["kt"], p["m2"]
-        u = self.inputs["v1"]
+        (u,) = self.inputs
         n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2.0, hh / 6.0
         uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2.0 * u + 2.0 * u + u)
@@ -379,12 +370,7 @@ class QuarterCarWheelSusp(ModelSlave):
             y, x, v = (y + dy, x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
                        v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
         self.state = [y, x, v]
-        self._publish(u)
-
-    def _publish(self, v1):
-        z1, z2, v2 = self.state
-        self.outputs["F"] = self.params["k"] * (z1 - z2) + self.params["d"] * (v1 - v2)
-        self.outputs["z2"] = z2
+        self.outputs = [k * (y - x) + d * (u - v), x]
 
 
 @registry.register
@@ -414,14 +400,15 @@ class QuarterCarChassisSusp(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["z1_0"], self.params["v1_0"], self.params["z2_0"]]
-        self._publish(0.0)
+        p = self.params
+        z1, v1, z2 = self.state = [p["z1_0"], p["v1_0"], p["z2_0"]]
+        self.outputs = [p["k"] * (z1 - z2) + p["d"] * (v1 - 0.0), z1]  # v2 held at 0.0
 
     def _step(self, t, dt):
         # (x, v, y) = (z1, v1, z2), u = v2 held: x' = v, v' = -F/m1, y' = u
         p = self.params
         k, d, m1 = p["k"], p["d"], p["m1"]
-        u = self.inputs["v2"]
+        (u,) = self.inputs
         n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2.0, hh / 6.0
         uh2, uhh, dy = h2 * u, hh * u, h6 * (u + 2.0 * u + 2.0 * u + u)
@@ -437,12 +424,7 @@ class QuarterCarChassisSusp(ModelSlave):
             x, v, y = (x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
                        v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), y + dy)
         self.state = [x, v, y]
-        self._publish(u)
-
-    def _publish(self, v2):
-        z1, v1, z2 = self.state
-        self.outputs["F"] = self.params["k"] * (z1 - z2) + self.params["d"] * (v1 - v2)
-        self.outputs["z1"] = z1
+        self.outputs = [k * (x - y) + d * (v - u), x]
 
 
 @registry.register
@@ -460,18 +442,14 @@ class QuarterCarWheel(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["z2_0"], self.params["v2_0"]]
-        self._publish()
+        z, v = self.state = [self.params["z2_0"], self.params["v2_0"]]
+        self.outputs = [v, z]
 
     def _step(self, t, dt):
         p = self.params
-        F = self.inputs["F"]
-        self.state = _wheel_kernel(*self.state, F, 0.0, p["kt"], p["m2"], dt, p["h"])
-        self._publish()
-
-    def _publish(self):
-        self.outputs["z2"] = self.state[0]
-        self.outputs["v2"] = self.state[1]
+        (F,) = self.inputs
+        z, v = self.state = _wheel_kernel(*self.state, F, 0.0, p["kt"], p["m2"], dt, p["h"])
+        self.outputs = [v, z]
 
 
 @registry.register
@@ -494,17 +472,14 @@ class QuarterCarWheelRoad(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.state = [self.params["z2_0"], self.params["v2_0"]]
-        self._publish()
+        z, v = self.state = [self.params["z2_0"], self.params["v2_0"]]
+        self.outputs = [v, z]
 
     def _step(self, t, dt):
-        p, u = self.params, self.inputs
-        self.state = _wheel_kernel(*self.state, u["F"], u["z_road"], p["kt"], p["m2"], dt, p["h"])
-        self._publish()
-
-    def _publish(self):
-        self.outputs["z2"] = self.state[0]
-        self.outputs["v2"] = self.state[1]
+        p = self.params
+        F, z_road = self.inputs
+        z, v = self.state = _wheel_kernel(*self.state, F, z_road, p["kt"], p["m2"], dt, p["h"])
+        self.outputs = [v, z]
 
 
 @registry.register
@@ -528,19 +503,18 @@ class GeneratorVoltage(ModelSlave):
 
     def _initialize(self, t0):
         self.V = self.params["V0"]
-        self.outputs["V"] = self.V
-        self.outputs["f"] = self.params["f0"]
+        self.outputs = [self.V, self.params["f0"]]
 
     def _step(self, t, dt):
         p = self.params
         V_set, R, T = p["V_set"], p["R"], p["T"]
-        I = self.inputs["I"]
+        (I,) = self.inputs
 
         def f(_t, y):
             return [(V_set - R * I - y[0]) / T]
 
         (self.V,) = rk4_integrate(f, t, [self.V], dt, p["h"])
-        self.outputs["V"] = self.V
+        self.outputs = [self.V, p["f0"]]
 
 
 @registry.register
@@ -559,8 +533,7 @@ class GeneratorCurrent(ModelSlave):
 
     def _initialize(self, t0):
         self.I = self.params["I0"]
-        self.outputs["I"] = self.I
-        self.outputs["f"] = self.params["f0"]
+        self.outputs = [self.I, self.params["f0"]]
 
     def _step(self, t, dt):
         p = self.params
@@ -570,7 +543,7 @@ class GeneratorCurrent(ModelSlave):
             return [(I_set - y[0]) / T]
 
         (self.I,) = rk4_integrate(f, t, [self.I], dt, p["h"])
-        self.outputs["I"] = self.I
+        self.outputs = [self.I, p["f0"]]
 
 
 @registry.register
@@ -602,13 +575,13 @@ class ElMotor(ModelSlave):
 
     def _initialize(self, t0):
         self.state = [0.0, 0.0]
-        self._publish()
+        self.outputs = [0.0, 0.0, self.params["Kt"] * 0.0]
 
     def _step(self, t, dt):
         p = self.params
         R, Ke, L = p["R"], p["Ke"], p["L"]
         Kt, b, tau_load, J = p["Kt"], p["b"], p["tau_load"], p["J"]
-        V = self.inputs["V"]
+        (V,) = self.inputs
         n, hh = micro_grid(dt, p["h"])
         h2, h6 = hh / 2.0, hh / 6.0
         i, w = self.state
@@ -623,13 +596,7 @@ class ElMotor(ModelSlave):
             i, w = (i + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
                     w + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
         self.state = [i, w]
-        self._publish()
-
-    def _publish(self):
-        I, omega = self.state
-        self.outputs["I"] = I
-        self.outputs["omega"] = omega
-        self.outputs["tau_m"] = self.params["Kt"] * I
+        self.outputs = [i, w, Kt * i]
 
 
 @registry.register
@@ -650,9 +617,9 @@ class SineSource(ModelSlave):
 
     def _emit(self, t):
         p = self.params
-        self.outputs["y"] = p["bias"] + p["amp"] * math.sin(
+        self.outputs = [p["bias"] + p["amp"] * math.sin(
             2.0 * math.pi * p["freq"] * t + p["phase"]
-        )
+        )]
 
 
 @registry.register
@@ -678,9 +645,9 @@ class BumpSource(ModelSlave):
         p = self.params
         if p["t0"] <= t <= p["t0"] + p["width"]:
             s = math.sin(math.pi * (t - p["t0"]) / p["width"])
-            self.outputs["y"] = p["height"] * s * s
+            self.outputs = [p["height"] * s * s]
         else:
-            self.outputs["y"] = 0.0
+            self.outputs = [0.0]
 
 
 @registry.register
@@ -703,10 +670,11 @@ class SumDelay(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.outputs["y"] = 0.0
+        self.outputs = [0.0]
 
     def _step(self, t, dt):
-        self.outputs["y"] = self.inputs["u1"] + self.inputs["u2"]
+        u1, u2 = self.inputs
+        self.outputs = [u1 + u2]
 
 
 @registry.register
@@ -725,10 +693,11 @@ class GainBlock(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.outputs["y"] = self.params["c"] * self.inputs["u"]
+        self._refresh_feedthrough()
 
     def _step(self, t, dt):
-        self.outputs["y"] = self.params["c"] * self.inputs["u"]
+        self._refresh_feedthrough()
 
     def _refresh_feedthrough(self):
-        self.outputs["y"] = self.params["c"] * self.inputs["u"]
+        (u,) = self.inputs
+        self.outputs = [self.params["c"] * u]

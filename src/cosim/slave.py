@@ -9,7 +9,10 @@ other call does.  ``terminate`` is allowed once, from any state.  A
 port's address is its position in the descriptor, as an FMI value
 reference is: once ready, ``set_inputs`` takes one value per
 ``descriptor().inputs()`` and ``get_outputs`` gives one per
-``descriptor().outputs()``, in that order.
+``descriptor().outputs()``, in that order.  An in-process model sees
+its ports the same way, as the lists ``self.inputs`` and
+``self.outputs`` in descriptor order; no port name is looked up while
+it runs.
 Remote proxies implement the same interface, which is what lets the
 master run unchanged against local or networked slaves.
 """
@@ -77,8 +80,10 @@ class ModelSlave(SlaveInstance):
     """Base class for in-process models.
 
     Subclasses set ``DESCRIPTOR``, take parameter overrides at
-    construction, and implement ``_initialize`` and ``_step``.  Input
-    latching, output bookkeeping, state and clock checks live here.
+    construction, and implement ``_initialize`` and ``_step``.  They read
+    ``self.inputs`` and assign ``self.outputs``, both lists in descriptor
+    order.  Input latching, the port counts, state and clock checks live
+    here.
     """
 
     DESCRIPTOR: SlaveDescriptor
@@ -94,12 +99,8 @@ class ModelSlave(SlaveInstance):
                     f"{self.DESCRIPTOR.model_id!r} has no parameter {name!r}"
                 )
             self.params[name] = float(value)
-        self.inputs: dict[str, float] = {}
-        self.outputs: dict[str, float] = {}
-        # The port names the exchange moves, in descriptor order; None
-        # exactly when the slave is not ready.
-        self._input_names: tuple[str, ...] | None = None
-        self._output_names: tuple[str, ...] | None = None
+        self.inputs: list[float] = []
+        self.outputs: list[float] = []
 
     # -- interface ----------------------------------------------------
 
@@ -119,24 +120,22 @@ class ModelSlave(SlaveInstance):
         # Decided once: only a model that overrides the hook has one to run.
         self._feedthrough = (type(self)._refresh_feedthrough
                              is not ModelSlave._refresh_feedthrough)
-        for v in desc.inputs():
-            self.inputs[v.name] = 0.0
+        # The port counts are fixed from here: a causality switch swaps
+        # ports, not how many there are.
+        self.inputs = [0.0] * len(desc.inputs())
+        self._n_outputs = len(desc.outputs())
         self._initialize(self._time)
-        missing = [v.name for v in self.descriptor().outputs() if v.name not in self.outputs]
-        if missing:
-            raise InvalidState(f"model left outputs unset after initialize: {missing}")
-        self._name_ports()
+        if len(self.outputs) != self._n_outputs:
+            raise InvalidState(f"model set {len(self.outputs)} outputs for "
+                               f"{self._n_outputs} after initialize")
         self._state = _State.READY
 
     def set_inputs(self, values: list[float]) -> None:
-        names = self._input_names
-        if names is None:
+        if self._state is not _READY:
             self._require(_READY, "set_inputs")
-        if len(values) != len(names):
-            raise InvalidState(f"{len(values)} values for {len(names)} inputs")
-        inputs = self.inputs
-        for name, value in zip(names, values):
-            inputs[name] = float(value)
+        if len(values) != len(self.inputs):
+            raise InvalidState(f"{len(values)} values for {len(self.inputs)} inputs")
+        self.inputs = list(map(float, values))
         if self._feedthrough:
             self._refresh_feedthrough()
 
@@ -161,43 +160,34 @@ class ModelSlave(SlaveInstance):
         return end
 
     def get_outputs(self) -> list[float]:
-        names = self._output_names
-        if names is None:
+        if self._state is not _READY:
             self._require(_READY, "get_outputs")
-        # A plain loop: in Python 3.11 a list comprehension is a function
-        # call of its own, the larger cost for one or two outputs.
         outputs = self.outputs
-        values = []
-        for name in names:
-            values.append(outputs[name])
-        return values
+        if len(outputs) != self._n_outputs:
+            raise InvalidState(f"model set {len(outputs)} outputs for {self._n_outputs}")
+        return outputs[:]
 
     def terminate(self) -> None:
         if self._state is _State.TERMINATED:
             raise InvalidState("terminate called twice")
         self._state = _State.TERMINATED
-        self._input_names = self._output_names = None
 
     # -- hooks for subclasses ------------------------------------------
 
     @abstractmethod
     def _initialize(self, t0: float) -> None:
-        """Set initial state and fill ``self.outputs`` for every output."""
+        """Set initial state and assign ``self.outputs``, one value per
+        output in descriptor order; ``self.inputs`` holds zeros."""
 
     @abstractmethod
     def _step(self, t: float, dt: float) -> None:
-        """Advance internal state from t to t+dt and refresh ``self.outputs``."""
+        """Advance internal state from t to t+dt, with ``self.inputs`` held,
+        and assign ``self.outputs`` anew."""
 
     def _refresh_feedthrough(self) -> None:
         """Recompute direct-feedthrough outputs from freshly set inputs."""
 
     # -- helpers --------------------------------------------------------
-
-    def _name_ports(self) -> None:
-        """Take the port names the exchange moves from the descriptor."""
-        desc = self.descriptor()
-        self._input_names = tuple(v.name for v in desc.inputs())
-        self._output_names = tuple(v.name for v in desc.outputs())
 
     def _require(self, state: _State, what: str):
         if self._state is not state:

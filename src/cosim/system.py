@@ -383,10 +383,19 @@ def validate_system(
     if not system.slaves:
         add("no-slaves", "system declares no slaves")
 
+    def check_name(name: str, where: str):
+        """Report a name ``emit_config`` cannot write back: a section header
+        splits at whitespace, a port at '.', a bond side and the CSV header
+        at ',', and '#' starts a comment."""
+        if not name or any(c.isspace() or c in ".,#" for c in name):
+            add("bad-name", f"name {name!r} is empty or holds whitespace, '.', ',' or '#'",
+                where)
+
     # Name uniqueness across slaves and function units.
     seen: dict[str, str] = {}
     for kind, specs in (("slave", system.slaves), ("function unit", system.function_units)):
         for spec in specs:
+            check_name(spec.name, spec.name)
             if spec.name in seen:
                 add("duplicate-name", f"name also used by a {seen[spec.name]}", spec.name)
             seen[spec.name] = kind
@@ -404,6 +413,8 @@ def validate_system(
                 add("unknown-parameter", f"model {s.model_id!r} has no parameter {pname!r}", s.name)
             if not isinstance(value, (int, float)):
                 add("bad-parameter", f"parameter {pname!r} must be a number, got {value!r}", s.name)
+            elif math.isnan(value):
+                add("bad-parameter", f"parameter {pname!r} is nan", s.name)
 
     fus, fu_errors = resolved.fus
     for name, exc in fu_errors:
@@ -435,6 +446,7 @@ def validate_system(
     bond_names: set[str] = set()
     for bond in system.bonds:
         where = f"bond {bond.name}"
+        check_name(bond.name, where)
         if bond.name in bond_names:
             add("duplicate-name", "name also used by another bond", where)
         bond_names.add(bond.name)

@@ -49,7 +49,7 @@ class FailAfterModel(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.outputs["v"] = 0.0
+        self.outputs = [0.0]
 
     def _step(self, t, dt):
         if t + dt > self.params["t_fail"]:
@@ -69,7 +69,7 @@ class RejectAfterModel(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.outputs["v"] = 0.0
+        self.outputs = [0.0]
 
     def _step(self, t, dt):
         if t + dt > self.params["t_reject"]:
@@ -89,7 +89,7 @@ class SlowModel(ModelSlave):
     )
 
     def _initialize(self, t0):
-        self.outputs["v"] = 0.0
+        self.outputs = [0.0]
 
     def _step(self, t, dt):
         time.sleep(self.params["delay"])
@@ -174,10 +174,11 @@ class FaultyModel(ModelSlave):
             self._misbehave("terminate")
 
     def _initialize(self, t0):
-        self.outputs["v"] = 0.0
+        self.outputs = [0.0]
 
     def _step(self, t, dt):
-        self.outputs["v"] += dt * self.inputs["tau"]
+        (v,), (tau,) = self.outputs, self.inputs
+        self.outputs = [v + dt * tau]
 
 
 def extended_registry() -> ModelRegistry:

@@ -363,6 +363,16 @@ class TestRun:
             assert "[bad-parameter] left:" in err and "[bad-parameter] right:" in err
             assert "Traceback" not in err
 
+    def test_a_nan_parameter_is_a_finding(self, tmp_path, capsys):
+        # A NaN mass would run every step and write nan into every column.
+        cfg = tmp_path / "nan_param.cfg"
+        text = (CONFIG_DIR / "msd_pair.cfg").read_text()
+        cfg.write_text(text.replace("m = 1.0", "m = nan").replace("m = 0.2", "m = nan"))
+        assert invoke("validate", str(cfg)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "[bad-parameter] left: parameter 'm' is nan",
+            "[bad-parameter] right: parameter 'm' is nan"]
+
     def test_failing_terminate_is_reported(self, tmp_path):
         # The outputs are complete, so the run still succeeds; the slave
         # that could not be terminated is named on stderr, in one line

@@ -18,7 +18,9 @@ every class in ``cosim/errors.py`` that no module raises or constructs.
 The models' RK4 kernels run on floats, and CPython multiplies a float by
 an int literal on a slower path than by a float one, for the same bits,
 so it reports every binary operation in ``cosim/models.py`` with an int
-literal operand.
+literal operand.  A model addresses its ports by position, as the
+exchange does, so it reports every string subscript of ``self.inputs``
+or ``self.outputs`` in the package.
 """
 import ast
 import os
@@ -131,6 +133,31 @@ def test_checker_sees_an_int_operand():
 
 def test_models_write_float_literals():
     assert int_operands((SRC / "models.py").read_text()) == []
+
+
+def named_port_subscripts(source: str) -> list[str]:
+    """Every ``self.inputs`` or ``self.outputs`` subscripted by a string."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr in ("inputs", "outputs")
+             and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_checker_sees_a_named_port_subscript():
+    source = ("tau = self.inputs['tau']\nself.outputs['x'] = x\n(u,) = self.inputs\n"
+              "v = self.outputs[0]\nw = record.outputs[port]\nm = self.params['m']\n"
+              "q = other.inputs['q']\n")
+    assert named_port_subscripts(source) == [
+        "line 1: self.inputs['tau']", "line 2: self.outputs['x']"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_models_address_ports_by_position(path):
+    assert named_port_subscripts(path.read_text()) == []
 
 
 def unread_private_attributes(sources: dict[str, str]) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosim.config import parse_config
-from cosim.errors import BarrierTimeout, CosimError, InvalidSystem, RunAborted
+from cosim.errors import BarrierTimeout, CosimError, InvalidState, InvalidSystem, RunAborted
 from cosim.master import (
     LocalResolver,
     _add_exact,
@@ -412,7 +412,7 @@ class TestAborts:
             )
 
             def _initialize(self, t0):
-                self.outputs["v"] = 0.0
+                self.outputs = [0.0]
 
             def _step(self, t, dt):
                 pass
@@ -468,13 +468,14 @@ def counted_call(calls, name, fn):
 def nan_output_after(slave, k, name):
     """Make ``slave`` leave output ``name`` NaN after each step past its k-th."""
     step, calls = slave._step, 0
+    slot = [v.name for v in slave.descriptor().outputs()].index(name)
 
     def wrapper(t, dt):
         nonlocal calls
         step(t, dt)
         calls += 1
         if calls > k:
-            slave.outputs[name] = math.nan
+            slave.outputs[slot] = math.nan
 
     slave._step = wrapper
 
@@ -727,6 +728,33 @@ class TestModelFault:
         assert reasons == [f"aborted: {aborted}"]
         assert terminated == ["bad", "right"]
 
+    def test_a_wrong_output_count_aborts_naming_the_slave(self):
+        class DropsOutputs(ModelSlave):
+            DESCRIPTOR = SlaveDescriptor(
+                model_id="drops_outputs",
+                variables=(
+                    VariableDescriptor("tau", IN, VarKind.EFFORT, NEWTON),
+                    VariableDescriptor("v", OUT, VarKind.FLOW,
+                                       METER_PER_SECOND),
+                ),
+                parameters={},
+            )
+
+            def _initialize(self, t0):
+                self.outputs = [0.0]
+
+            def _step(self, t, dt):
+                self.outputs = [0.0] if t + dt < 0.5 else []
+
+        reg = extended_registry()
+        reg.register(DropsOutputs)
+        system = faulty_pair_system("drops_outputs", {}, FixedStepPolicy(0.2), name="bad")
+        aborted, reasons, terminated = self.run_bad(system, LocalResolver(reg))
+        assert str(aborted) == "slave 'bad' get_outputs: InvalidState: model set 0 outputs for 1"
+        assert type(aborted.__cause__) is InvalidState
+        assert reasons == [f"aborted: {aborted}"]
+        assert terminated == ["bad", "right"]
+
     def test_on_a_provider(self):
         prov = Provider(extended_registry(), ProviderConfig(max_slaves=1)).start()
         bad = dataclasses.replace(self.SYSTEM.slaves[0], provider=prov.address)
@@ -843,7 +871,7 @@ class TestInitialize:
             )
 
             def _initialize(self, t0):
-                self.outputs["v"] = 0.0
+                self.outputs = [0.0]
 
             def _step(self, t, dt):
                 pass

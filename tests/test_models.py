@@ -202,8 +202,8 @@ class TestMsdHybrid:
         with pytest.raises(InvalidState):
             slave.set_inputs([1.0, 0.0])
         slave.set_inputs([0.5])
-        assert slave.inputs == {"v": 0.5}
-        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
+        assert slave.inputs == [0.5]
+        assert slave.get_outputs() == [1.0, slave.x]  # the force held at the switch
 
     def test_rebinding_after_a_switch_moves_the_new_ports(self):
         # The new ports move across steps and a switch back, with no call
@@ -213,16 +213,18 @@ class TestMsdHybrid:
         march(slave, 0.1, 0.01)
         slave.switch_causality("differential")
         slave.set_inputs([0.25])
-        assert slave.inputs == {"v": 0.25}
-        assert slave.get_outputs() == [slave.outputs["tau"], slave.outputs["x"]]
+        assert slave.inputs == [0.25]
+        assert slave.get_outputs() == [1.0, slave.x]  # the force held at the switch
         slave.do_step(0.1, 0.01)
-        assert slave.get_outputs() == [slave.outputs["tau"], slave.x]
+        p = slave.params
+        tau = p["m"] * (0.25 - slave.w) / slave._filter_tc() + p["d"] * 0.25 + p["k"] * slave.x
+        assert slave.get_outputs() == [tau, slave.x]
         with pytest.raises(InvalidState):
             slave.set_inputs([0.25, 0.0])
         slave.switch_causality("integral")
         assert [v.name for v in slave.descriptor().outputs()] == ["v", "x"]
         slave.set_inputs([-0.5])
-        assert slave.inputs == {"tau": -0.5}
+        assert slave.inputs == [-0.5]
         assert slave.get_outputs() == [0.25, slave.x]
 
     def test_causality_switch_keeps_the_step_flag(self):
@@ -565,9 +567,9 @@ class TestFusedKernels:
             p = slave.params
             h = p["h"] if p["h"] > 0.0 else dt / 10.0
             grids.add(max(1, math.ceil(dt / h - 1e-9)) > 1)
-            for name in slave.inputs:
-                slave.inputs[name] = _signed(rng, 10.0 ** rng.uniform(-3.0, 3.0))
-            u = dict(slave.inputs)
+            ins, outs = slave.descriptor().inputs(), slave.descriptor().outputs()
+            slave.inputs = [_signed(rng, 10.0 ** rng.uniform(-3.0, 3.0)) for _ in ins]
+            u = {v.name: value for v, value in zip(ins, slave.inputs)}
             size = len(slave.state) if attrs is None else len(attrs)
             y0 = [_signed(rng, 10.0 ** rng.uniform(-3.0, 1.0)) for _ in range(size)]
             if attrs is None:
@@ -580,11 +582,12 @@ class TestFusedKernels:
             def fused():
                 slave._step(t0, dt)
                 y = slave.state if attrs is None else [getattr(slave, a) for a in attrs]
-                return _hexes(y), {k: v.hex() for k, v in slave.outputs.items()}
+                return _hexes(y), _hexes(slave.outputs)
 
             def reference():
                 y = TestRk4Kernels.reference(rhs(p, u, h), t0, list(y0), dt, h)
-                return _hexes(y), {k: v.hex() for k, v in publish(p, u, h, y).items()}
+                published = publish(p, u, h, y)
+                return _hexes(y), [published[v.name].hex() for v in outs]
 
             assert self.outcome(fused) == self.outcome(reference), (p, u, y0, dt)
         assert grids == {False, True}  # both n = 1 and n > 1 were drawn

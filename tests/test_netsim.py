@@ -1,5 +1,6 @@
 """Networked slaves: provider daemon, client proxies, distributed runs."""
 import dataclasses
+import math
 import socket
 import sys
 import threading
@@ -7,6 +8,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosim import cli
 from cosim.errors import (
@@ -808,6 +810,78 @@ class TestServeSession:
         # every slave still on the session gave its slot back
         assert slots.acquire(blocking=False) and slots.acquire(blocking=False)
         theirs.close()
+
+
+# The reply each request carries data in; any other frame gets ERROR.
+REPLY = {MT.LIST_MODELS: MT.MODEL_LIST, MT.DESCRIBE: MT.DESCRIPTION, MT.SPAWN: MT.SPAWNED,
+         MT.INITIALIZE: MT.OUTPUTS, MT.STEP: MT.STEP_OK, MT.GET_OUTPUTS: MT.OUTPUTS,
+         MT.TERMINATE: MT.TERMINATED}
+MODEL_IDS = tuple(standard_registry.model_ids())
+# Indexes 1-3 name the first slaves a session spawns; 0 and 9 never do.
+INDEX = st.sampled_from([1, 1, 1, 2, 2, 3, 0, 9])
+# Mostly the times a slave spawned at 0.0 steps at with 0.1, now and then not.
+TIME = st.sampled_from([0.0, 0.0, 0.1, 0.1, -1.0, math.nan, math.inf])
+VALUES = st.lists(st.sampled_from([0.0, 0.5, -2.0, math.nan]), max_size=2)
+
+
+def _frame(msg_type, build):
+    return st.tuples(st.just(msg_type), build.map(lambda w: w.payload()))
+
+
+RAW_REQUESTS = st.one_of(
+    # Spawns of real models at their defaults, or with a parameter they lack.
+    _frame(MT.SPAWN, st.builds(lambda m, bad: (
+        Writer().string(m).count(1).string("no_such").f64(1.0) if bad
+        else Writer().string(m).count(0)), st.sampled_from(MODEL_IDS), st.booleans())),
+    _frame(MT.INITIALIZE, st.builds(lambda i, t: Writer().u64(i).f64(t).f64(1.0), INDEX, TIME)),
+    _frame(MT.STEP, st.builds(lambda i, t, dt, u: Writer().u64(i).f64(t).f64(dt).f64s(u),
+                              INDEX, TIME, TIME, VALUES)),
+    _frame(MT.GET_OUTPUTS, st.builds(lambda i, u: Writer().u64(i).f64s(u), INDEX, VALUES)),
+    _frame(MT.TERMINATE, st.builds(lambda i: Writer().u64(i), INDEX)),
+    _frame(MT.DESCRIBE, st.builds(lambda m: Writer().string(m),
+                                  st.sampled_from((*MODEL_IDS, "", "nope")))),
+    # Any message-type byte with a garbage payload.
+    st.tuples(st.integers(0, 255), st.binary(max_size=40)),
+)
+# A real model spawned, initialized at 0.0 and stepped, if ``i`` is its index.
+LIFECYCLE = st.builds(lambda m, i, u: [
+    (MT.SPAWN, Writer().string(m).count(0).payload()),
+    (MT.INITIALIZE, Writer().u64(i).f64(0.0).f64(1.0).payload()),
+    (MT.STEP, Writer().u64(i).f64(0.0).f64(0.1).f64s(u).payload())],
+    st.sampled_from(MODEL_IDS), INDEX, VALUES)
+
+
+class TestRawFrames:
+    """Complete frames of every type, well formed or not, straight into
+    ``serve_session`` over a socket pair."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(bundles=st.lists(st.one_of(RAW_REQUESTS.map(lambda frame: [frame]), LIFECYCLE),
+                            min_size=4, max_size=20))
+    def test_each_request_gets_one_reply_and_every_slot_comes_back(self, bundles):
+        ours, theirs = socket.socketpair()
+        ours.settimeout(5.0)  # a missing reply fails the test, not hangs it
+        slots = threading.BoundedSemaphore(3)
+        server = threading.Thread(target=serve_session,
+                                  args=(theirs, standard_registry, MODEL_IDS, slots))
+        server.start()
+        try:
+            for msg_type, payload in (frame for bundle in bundles for frame in bundle):
+                send_frame(ours, msg_type, payload)
+                got, _ = recv_frame(ours)
+                assert got in (REPLY.get(msg_type), MT.ERROR), (msg_type, got)
+            # A stray second reply to any request would be read here.
+            send_frame(ours, MT.LIST_MODELS)
+            got, body = recv_frame(ours)
+            assert got == MT.MODEL_LIST
+            r = Reader(body)
+            assert [r.string() for _ in range(r.count())] == list(MODEL_IDS)
+        finally:
+            ours.close()
+            server.join(5.0)
+            theirs.close()
+        assert not server.is_alive()
+        assert [slots.acquire(blocking=False) for _ in range(4)] == [True, True, True, False]
 
 
 def with_ghost(desc):

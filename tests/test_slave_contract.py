@@ -5,6 +5,7 @@ import pytest
 
 from cosim.errors import InvalidState, StepRejected, UnknownModel, UnknownParameter
 from cosim.models import registry
+from cosim.slave import ModelSlave
 from conftest import extended_registry, single_slave
 
 
@@ -156,6 +157,21 @@ class TestVariableAccess:
         for values in ([], [1.0, 2.0]):
             with pytest.raises(InvalidState, match="values for 1 inputs"):
                 slave.set_inputs(values)
+
+    def test_a_wrong_output_count_is_refused_at_initialize(self):
+        class TooManyOutputs(ModelSlave):
+            DESCRIPTOR = registry.describe("sine_source")
+
+            def _initialize(self, t0):
+                self.outputs = [0.0, 1.0]
+
+            def _step(self, t, dt):
+                pass
+
+        slave = TooManyOutputs()
+        slave.setup(0.0, 1.0)
+        with pytest.raises(InvalidState, match="model set 2 outputs for 1 after initialize"):
+            slave.initialize()
 
 
 class TestConstruction:

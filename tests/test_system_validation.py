@@ -1,11 +1,13 @@
 """System validation: every finding category, and clean systems pass."""
 import dataclasses
 import math
+import string
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cosim.config import emit_config, parse_config
 from cosim.errors import ConnectionLost, ProtocolError, RunAborted, UnknownModel
 from cosim.master import LocalResolver, initialize_run, run_to_end
 from cosim.models import registry
@@ -94,6 +96,46 @@ def test_non_numeric_slave_parameter():
     report = validate_system(system, DESCRIPTORS)
     assert [(f.code, f.where) for f in report.findings] == [("bad-parameter", "a")]
     assert "'amp'" in report.findings[0].message
+
+
+def test_a_nan_slave_parameter_is_a_finding():
+    # Infinities stay legal: ``h = inf`` means one micro step.
+    system = build(slaves=[SlaveSpec("a", "sine_source", {"amp": math.nan, "freq": math.inf})])
+    report = validate_system(system, DESCRIPTORS)
+    assert [str(f) for f in report.findings] == ["[bad-parameter] a: parameter 'amp' is nan"]
+
+
+def named_system(src="src", fu="amp", bond="link") -> SystemDescription:
+    """A sine slave ``src`` through a gain unit ``fu`` into a gain block,
+    and an oscillator pair on a bond ``bond``; valid with the defaults."""
+    return build(
+        slaves=[SlaveSpec(src, "sine_source", {}), SlaveSpec("g", "gain_block", {}),
+                SlaveSpec("l", "msd_integral", {}), SlaveSpec("r", "msd_differential", {})],
+        signals=[SignalConnection(PortRef(src, "y"), PortRef(fu, "u")),
+                 SignalConnection(PortRef(fu, "y"), PortRef("g", "u"))],
+        fus=[FunctionUnitSpec(fu, "gain", {})],
+        bonds=[PowerBond(bond, BondSide("l", "v", "tau"), BondSide("r", "tau", "v"),
+                         positive_side="a")],
+    )
+
+
+@pytest.mark.parametrize("kind", ["src", "fu", "bond"])
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "left.0", "a,b", "a#b"], ids=repr)
+def test_a_name_the_config_cannot_carry_is_a_finding(kind, name):
+    # A slave ``left.0`` would parse back as port ``0.y`` of a slave ``left``.
+    assert codes(named_system()) == []
+    assert codes(named_system(**{kind: name})) == ["bad-name"]
+
+
+NAMES = st.text(string.printable + "\u00e9\u00a0", max_size=4)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(src=NAMES, fu=NAMES, bond=NAMES)
+def test_a_system_that_validates_round_trips_through_its_config(src, fu, bond):
+    system = named_system(src, fu, bond)
+    assume(validate_system(system, DESCRIPTORS).ok)
+    assert parse_config(emit_config(system)) == system
 
 
 def test_slave_and_function_unit_sharing_a_name():
