@@ -40,6 +40,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="execute a simulation config")
+    run.set_defaults(func=_cmd_run)
     run.add_argument("config", help="path to the config file")
     run.add_argument("--out", default=".", metavar="DIR",
                      help="directory for signals.csv and energy.csv")
@@ -47,14 +48,17 @@ def _build_parser() -> _Parser:
                      help="run twice and fail on any bit difference")
 
     val = sub.add_parser("validate", help="check a config without running it")
+    val.set_defaults(func=_cmd_validate)
     val.add_argument("config", help="path to the config file")
 
     desc = sub.add_parser("describe", help="print a model's interface")
+    desc.set_defaults(func=_cmd_describe)
     desc.add_argument("model_id")
     desc.add_argument("--provider", metavar="HOST:PORT",
                       help="ask a provider instead of the local registry")
 
     lst = sub.add_parser("list-models", help="list available models")
+    lst.set_defaults(func=_cmd_list_models)
     lst.add_argument("--provider", action="append", default=[],
                      metavar="HOST:PORT",
                      help="query providers (repeatable); default is local")
@@ -63,6 +67,7 @@ def _build_parser() -> _Parser:
     prov_sub = prov.add_subparsers(dest="provider_command", required=True,
                                    parser_class=_Parser)
     serve = prov_sub.add_parser("serve", help="publish models and spawn slaves")
+    serve.set_defaults(func=_cmd_provider_serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, required=True)
     serve.add_argument("--models", metavar="ID,ID,...",
@@ -130,9 +135,6 @@ def _cmd_run(args) -> int:
         cause = exc if isinstance(exc, KeyboardInterrupt) else exc.__cause__
         print(f"run aborted: {str(exc) or 'interrupted'}", file=sys.stderr)
         return _INTERRUPTS.get(type(cause), EXIT_RUNTIME)
-    except (CosimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         signal.signal(signal.SIGTERM, previous)
     print(f"completed {steps} steps to t = {system.t_end}; "
@@ -169,22 +171,18 @@ def _print_descriptor(desc) -> None:
 
 
 def _cmd_describe(args) -> int:
-    try:
-        if args.provider:
-            with ProviderClient(args.provider) as client:
-                desc = client.describe(args.model_id)
-        else:
-            desc = registry.describe(args.model_id)
-    except (CosimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if args.provider:
+        with ProviderClient(args.provider) as client:
+            desc = client.describe(args.model_id)
+    else:
+        desc = registry.describe(args.model_id)
     _print_descriptor(desc)
     return EXIT_OK
 
 
 def _cmd_list_models(args) -> int:
     if not args.provider:
-        for model_id in sorted(registry.model_ids()):
+        for model_id in registry.model_ids():
             print(model_id)
         return EXIT_OK
     entries, warnings = discover(args.provider)
@@ -209,27 +207,23 @@ def _cmd_provider_serve(args) -> int:
         provider.serve_forever()
     except KeyboardInterrupt:
         pass
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         provider.shutdown()
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one sub-command; a failure it does not handle is exit 2, in one
+    ``error:`` line that names the type unless it is the package's own or
+    the operating system's."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "describe":
-        return _cmd_describe(args)
-    if args.command == "list-models":
-        return _cmd_list_models(args)
-    if args.command == "provider":
-        return _cmd_provider_serve(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.func(args)
+    except (CosimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ legs.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,10 +44,14 @@ class FunctionUnit(ABC):
     ``evaluate`` takes the input values and returns the output values,
     both as lists in descriptor order (``desc.inputs()``,
     ``desc.outputs()``); the plan hands them over by slot, not by name.
+    ``max_arity`` bounds the arity ``n`` of the kinds that take one: the
+    system's signal count, which n ports that each need a connection of
+    their own cannot exceed.
     """
 
-    def __init__(self, spec: FunctionUnitSpec):
+    def __init__(self, spec: FunctionUnitSpec, max_arity: int):
         self.spec = spec
+        self.max_arity = max_arity
         self.desc = self._describe(spec)
 
     @abstractmethod
@@ -55,9 +60,12 @@ class FunctionUnit(ABC):
     @abstractmethod
     def evaluate(self, u: list[float], t: float) -> list[float]: ...
 
-    @staticmethod
-    def _params(spec: FunctionUnitSpec, **expected):
-        """Merge spec params over defaults; unknown or missing keys error."""
+    def _params(self, spec: FunctionUnitSpec, **expected):
+        """Merge spec params over defaults, before any port is built.
+
+        Unknown or missing keys, a NaN, and an arity ``n`` that is not a
+        whole number from 1 to ``max_arity`` error; ``n`` comes back an int.
+        """
         out = {}
         for key, default in expected.items():
             if key in spec.params:
@@ -71,14 +79,18 @@ class FunctionUnit(ABC):
             raise ValueError(
                 f"fu kind {spec.kind!r} does not accept {sorted(unknown)}"
             )
+        for key, value in out.items():
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"parameter {key!r} is nan")
+        if "n" in out:
+            n = out["n"]
+            if not (isinstance(n, (int, float)) and 1 <= n < math.inf and n % 1 == 0):
+                raise ValueError(f"arity must be a whole number >= 1 (got {n!r})")
+            if n > self.max_arity:
+                raise ValueError(f"arity must be at most {self.max_arity}, "
+                                 f"the system's signal count (got {n!r})")
+            out["n"] = int(n)
         return out
-
-    @staticmethod
-    def _arity(params, key="n") -> int:
-        n = int(params[key])
-        if n < 1:
-            raise ValueError(f"arity must be >= 1 (got {n})")
-        return n
 
 
 class Gain(FunctionUnit):
@@ -101,7 +113,7 @@ class Sum(FunctionUnit):
 
     def _describe(self, spec):
         p = self._params(spec, n=2)
-        self.n = self._arity(p)
+        self.n = p["n"]
         return SlaveDescriptor(
             model_id="fu:sum",
             variables=tuple(_sig(f"u{i}", IN) for i in range(1, self.n + 1))
@@ -137,7 +149,7 @@ class Splitter(FunctionUnit):
 
     def _describe(self, spec):
         p = self._params(spec, n=2)
-        self.n = self._arity(p)
+        self.n = p["n"]
         return SlaveDescriptor(
             model_id="fu:splitter",
             variables=(_sig("u", IN),)
@@ -157,7 +169,7 @@ class ForceAggregator(FunctionUnit):
 
     def _describe(self, spec):
         p = self._params(spec, n=1)
-        self.n = self._arity(p)
+        self.n = p["n"]
         ins = []
         for k in range(1, self.n + 1):
             ins += [_sig(f"{c}{k}", IN, NEWTON) for c in ("fx", "fy", "fz")]
@@ -191,7 +203,7 @@ class Switchboard(FunctionUnit):
 
     def _describe(self, spec):
         p = self._params(spec, n=1)
-        self.n = self._arity(p)
+        self.n = p["n"]
         ins = [_sig("bus_v", IN, VOLT)]
         for k in range(1, self.n + 1):
             ins.append(_sig(f"leg_i_{k}", IN, AMPERE))
@@ -224,14 +236,14 @@ FU_KINDS: dict[str, type[FunctionUnit]] = {
 }
 
 
-def make_fu(spec: FunctionUnitSpec) -> FunctionUnit:
+def make_fu(spec: FunctionUnitSpec, max_arity: int) -> FunctionUnit:
     try:
         cls = FU_KINDS[spec.kind]
     except KeyError:
         raise KeyError(
             f"unknown fu kind {spec.kind!r}; known: {sorted(FU_KINDS)}"
         ) from None
-    return cls(spec)
+    return cls(spec, max_arity)
 
 
 class BondLegs(NamedTuple):

@@ -625,8 +625,8 @@ class SineSource(ModelSlave):
 @registry.register
 class BumpSource(ModelSlave):
     """Smooth displacement bump: y = height*sin(pi*(t-t0)/width)^2 inside
-    [t0, t0+width], zero elsewhere.  Evaluated exactly at communication
-    points.
+    [t0, t0+width], zero elsewhere; a zero width is no bump.  Evaluated
+    exactly at communication points.
     """
 
     DESCRIPTOR = SlaveDescriptor(
@@ -643,7 +643,7 @@ class BumpSource(ModelSlave):
 
     def _emit(self, t):
         p = self.params
-        if p["t0"] <= t <= p["t0"] + p["width"]:
+        if p["width"] and p["t0"] <= t <= p["t0"] + p["width"]:
             s = math.sin(math.pi * (t - p["t0"]) / p["width"])
             self.outputs = [p["height"] * s * s]
         else:

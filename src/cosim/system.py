@@ -303,7 +303,7 @@ class Resolution:
         built, failed = {}, []
         for spec in self.system.function_units:
             try:
-                built[spec.name] = make_fu(spec)
+                built[spec.name] = make_fu(spec, len(self.system.signals))
             except (KeyError, ValueError, DimensionMismatch) as exc:
                 failed.append((spec.name, exc))
         return built, failed
@@ -400,8 +400,8 @@ def validate_system(
                 add("duplicate-name", f"name also used by a {seen[spec.name]}", spec.name)
             seen[spec.name] = kind
 
-    # Slaves that do not resolve, and their ports, are left out of the rest
-    # of the checks.
+    # Slaves and FUs that do not resolve, and their ports, are left out of
+    # the rest of the checks.
     unresolved: set[str] = set()
     for s, d in zip(system.slaves, resolved.found):
         if isinstance(d, str):
@@ -419,6 +419,7 @@ def validate_system(
     fus, fu_errors = resolved.fus
     for name, exc in fu_errors:
         add("bad-function-unit", str(exc), name)
+        unresolved.add(name)
     var_of = resolved.ports
 
     # Wiring bookkeeping: every input must end up wired exactly once.

@@ -57,6 +57,18 @@ def sum_delay_config(tmp_path, t_end, step):
     return cfg
 
 
+def source_gain_config(tmp_path, source, fu=None):
+    """Slave ``src``, with the section body ``source``, into a gain block
+    ``g`` from t = 1: through ``[fu k]`` with the body ``fu`` and an ``out.y``
+    when ``fu`` is given, else by a plain signal."""
+    link = (f"[fu k]\n{fu}\nout.y = g.u\n" if fu is not None
+            else "[signal]\nsource = src.y\ntarget = g.u\n")
+    cfg = tmp_path / "source_gain.cfg"
+    cfg.write_text("[simulation]\nt_start = 1.0\nt_end = 2.0\nstep = fixed\ndt = 0.1\n\n"
+                   f"[slave src]\n{source}\n\n[slave g]\nmodel = gain_block\n\n{link}")
+    return cfg
+
+
 @pytest.fixture
 def provider():
     prov = Provider(registry, ProviderConfig(host="127.0.0.1", port=0)).start()
@@ -137,6 +149,26 @@ target = osc.tau
         code = invoke("validate", str(cfg))
         assert code == 1
         assert "unknown-model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fu, message", [
+        ("kind = sum\nn = inf", "arity must be a whole number >= 1 (got inf)"),
+        ("kind = sum\nn = 1e30", "arity must be at most 2, the system's signal count (got 1e+30)"),
+        ("kind = sum\nn = 2.5", "arity must be a whole number >= 1 (got 2.5)"),
+        ("kind = gain\nc = nan", "parameter 'c' is nan"),
+    ])
+    def test_a_bad_function_unit_parameter_is_one_finding(self, tmp_path, capsys, fu, message):
+        # Refused before any port is built: n = 1e30 would build them without end.
+        cfg = source_gain_config(tmp_path, "model = sine_source", f"{fu}\nin.u1 = src.y")
+        start = time.perf_counter()
+        assert invoke("validate", str(cfg)) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"[bad-function-unit] k: {message}\n"
+
+    @pytest.mark.parametrize("c", ["inf", "-inf"])
+    def test_an_infinite_gain_is_valid(self, tmp_path, capsys, c):
+        cfg = source_gain_config(tmp_path, "model = sine_source", f"kind = gain\nc = {c}\nin.u = src.y")
+        assert invoke("validate", str(cfg)) == 0
+        assert capsys.readouterr().out == "configuration is valid\n"
 
 
 class TestOneFront:
@@ -483,6 +515,32 @@ class TestRun:
         assert capsys.readouterr().err == "run aborted: interrupted\n"
         assert sorted(terminated) == ["msd_differential", "msd_integral"]
 
+    def test_a_slave_that_raises_in_set_up_is_one_error_line(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # sin(2*pi*inf*1.0) is a math domain error in the source's initialize.
+        terminated = []
+        terminate = ModelSlave.terminate
+
+        def counted(self):
+            terminated.append(self.DESCRIPTOR.model_id)
+            terminate(self)
+
+        monkeypatch.setattr(ModelSlave, "terminate", counted)
+        cfg = source_gain_config(tmp_path, "model = sine_source\nfreq = inf")
+        assert invoke("run", str(cfg), "--out", str(tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: ValueError: math domain error\n"
+        assert "completed" not in captured.out
+        assert sorted(terminated) == ["gain_block", "sine_source"]
+
+    def test_a_zero_width_bump_at_the_start_runs(self, tmp_path, capsys):
+        cfg = source_gain_config(tmp_path, "model = bump_source\nt0 = 1.0\nwidth = 0")
+        assert invoke("run", str(cfg), "--out", str(tmp_path)) == 0
+        assert "completed 10 steps" in capsys.readouterr().out
+        with open(tmp_path / "signals.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {row["src.y"] for row in rows} == {"0.0"}
+
     @pytest.mark.parametrize("step", ["fixed", "adaptive"])
     @pytest.mark.parametrize("t_end", ["1.055", "1.0000000000001"])
     def test_span_a_fixed_step_slave_cannot_end_is_a_finding(self, tmp_path, monkeypatch,
@@ -668,6 +726,29 @@ class TestInspection:
         assert invoke("list-models", "--provider", address) == 0
         assert capsys.readouterr().err == f"warning: provider {address}: {refusal}\n"
         assert dialled == []
+
+
+class TestOneExit:
+    """A failure that no sub-command handles is exit 2 and one line."""
+
+    @pytest.mark.parametrize("argv, core", [
+        (("run", "{cfg}", "--out", "{tmp}"), "cosim.cli.initialize_run"),
+        (("validate", "{cfg}"), "cosim.cli.validate_system"),
+        (("describe", "msd_integral"), "cosim.cli.registry.describe"),
+        (("list-models",), "cosim.cli.registry.model_ids"),
+        (("provider", "serve", "--port", "0"), "cosim.cli.Provider.serve_forever"),
+    ])
+    def test_an_unhandled_failure_is_exit_2_and_one_line(self, tmp_path, monkeypatch, capsys,
+                                                          argv, core):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(core, boom)
+        argv = [a.format(cfg=CONFIG_DIR / "msd_pair.cfg", tmp=tmp_path) for a in argv]
+        assert invoke(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: RuntimeError: boom"]
+        assert captured.out == ""
 
 
 class TestUsage:

@@ -38,7 +38,8 @@ LOOP_DESCRIPTORS = {**DESCRIPTORS, "mix_block": SlaveDescriptor("mix_block", (
 
 
 def fu(kind, **params):
-    return make_fu(FunctionUnitSpec("f", kind, params))
+    """A unit as a system of eight signal connections builds it."""
+    return make_fu(FunctionUnitSpec("f", kind, params), 8)
 
 
 def evaluate_fu(fu, named):

@@ -295,6 +295,17 @@ class TestSources:
         # the midpoint t0 + width/2 lands on a sample, so the peak is exact
         assert peak == pytest.approx(0.05, abs=1e-9)
 
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_a_zero_width_bump_is_no_bump(self, t0):
+        # At t == t0 the window [t0, t0] holds t, and (t - t0)/width is 0/0.
+        slave = single_slave("bump_source", {"t0": t0, "width": 0.0})
+        ys = [slave.get_outputs()[0]]
+        t = 0.0
+        for _ in range(4):  # 0.25 steps land on 0.5 exactly
+            t = slave.do_step(t, 0.25)
+            ys.append(slave.get_outputs()[0])
+        assert ys == [0.0] * 5
+
 
 class TestElectrical:
     def test_generator_settles_to_setpoint(self):

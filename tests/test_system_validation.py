@@ -331,6 +331,52 @@ def test_bad_function_unit_params():
     assert "bad-function-unit" in codes(system)
 
 
+def fu_report(kind, **params):
+    """The findings of an unwired FU ``k`` of ``kind`` in a system of two
+    signals, from a source into two gain blocks."""
+    system = build(
+        slaves=[SlaveSpec("src", "sine_source", {}),
+                SlaveSpec("g1", "gain_block", {}), SlaveSpec("g2", "gain_block", {})],
+        signals=[SignalConnection(PortRef("src", "y"), PortRef("g1", "u")),
+                 SignalConnection(PortRef("src", "y"), PortRef("g2", "u"))],
+        fus=[FunctionUnitSpec("k", kind, params)],
+    )
+    return [str(f) for f in validate_system(system, DESCRIPTORS).findings]
+
+
+@pytest.mark.parametrize("kind", ["sum", "splitter", "force_aggregator", "switchboard"])
+@pytest.mark.parametrize("n, message", [
+    (math.inf, "arity must be a whole number >= 1 (got inf)"),
+    (-math.inf, "arity must be a whole number >= 1 (got -inf)"),
+    (math.nan, "parameter 'n' is nan"),
+    (2.5, "arity must be a whole number >= 1 (got 2.5)"),
+    (0, "arity must be a whole number >= 1 (got 0)"),
+    ("two", "arity must be a whole number >= 1 (got 'two')"),
+    (3.0, "arity must be at most 2, the system's signal count (got 3.0)"),
+    (1e30, "arity must be at most 2, the system's signal count (got 1e+30)"),
+    (10**400, f"arity must be at most 2, the system's signal count (got {10**400})"),
+], ids=["inf", "-inf", "nan", "2.5", "0", "str", "3", "1e30", "int-1e400"])
+def test_a_function_unit_arity_is_a_whole_number_up_to_the_signal_count(kind, n, message):
+    # Each of the n ports needs a signal of its own; the FU is refused before
+    # any port is built, and its ports are not reported again.
+    assert fu_report(kind, n=n) == [f"[bad-function-unit] k: {message}"]
+
+
+@pytest.mark.parametrize("kind", ["sum", "splitter", "force_aggregator", "switchboard"])
+def test_an_arity_up_to_the_signal_count_builds(kind):
+    assert not any("bad-function-unit" in f for f in fu_report(kind, n=2.0))
+
+
+def test_a_nan_function_unit_parameter_is_a_finding():
+    assert fu_report("gain", c=math.nan) == ["[bad-function-unit] k: parameter 'c' is nan"]
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf])
+def test_an_infinite_gain_builds(c):
+    # As for a slave parameter, only NaN is refused.
+    assert not any("bad-function-unit" in f for f in fu_report("gain", c=c))
+
+
 def test_fu_cycle_names_the_cycle():
     system = build(
         slaves=[SlaveSpec("a", "msd_integral", {})],
